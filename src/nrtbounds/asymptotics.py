@@ -235,7 +235,7 @@ def lp_ooa_rate(q: int, r: int, tau: float) -> float:
 
 
 def lp_delta(q: int, r: int, tau: float) -> float:
-    return float(delta_crit(q, r)) - lambda_asym(q, r, tau)[0] / r
+    return lp_curve(q, r, [tau])[0].delta
 
 
 def lp_curve(q: int, r: int, taus) -> list[CurvePoint]:

@@ -17,7 +17,7 @@ from math import comb, floor
 
 from .delsarte import CertificateCheck, DualCertificate, check_certificate, format_rational
 from .krawtchouk import BracketingError, K_multi, k_root_min, k_uni
-from .scheme import P_eval, build_operator, spectral_radius
+from .scheme import P_eval, assemble_operator, build_blocks, spectral_radius
 from .space import (
     Shape,
     SpaceParams,
@@ -238,10 +238,13 @@ def spectral_bound(params: SpaceParams, d: int) -> BoundResult:
     mean = dc * params.dim
     threshold = mean - d  # P(e) at |e|' = d
     enclosures: dict[int, tuple[float, float]] = {}
+    blocks = []  # blocks[mu] serves every operator of degree >= mu
 
     def lam(k: int) -> tuple[float, float]:
         if k not in enclosures:
-            enclosures[k] = spectral_radius(build_operator(params, k))
+            while len(blocks) <= k:
+                blocks.append(build_blocks(params, len(blocks)))
+            enclosures[k] = spectral_radius(assemble_operator(blocks[: k + 1]))
         return enclosures[k]
 
     for kappa in range(1, params.n + 1):
@@ -273,15 +276,15 @@ def spectral_bound(params: SpaceParams, d: int) -> BoundResult:
     return _inapplicable("spectral", UPPER_CODE, "no admissible degree kappa <= n")
 
 
-def spectral_bound_ooa(params: SpaceParams, t: int) -> BoundResult:
-    """Reciprocal form of the spectral bound for arrays of strength t."""
-    code = spectral_bound(params, t + 1)
+def _reciprocal(params: SpaceParams, name: str, code: BoundResult) -> BoundResult:
+    """Array bound q^(nr) / M at strength t from a float code bound M at
+    distance t + 1, with the code bound's witness and error bar carried over."""
     if not code.applicable:
-        return _inapplicable("spectral-ooa", LOWER_OOA, code.reason)
+        return _inapplicable(name, LOWER_OOA, code.reason)
     value = params.ambient_size / code.value
     hi = params.ambient_size / (code.value - code.tolerance) if code.tolerance else value
     return BoundResult(
-        name="spectral-ooa",
+        name=name,
         side=LOWER_OOA,
         applicable=True,
         value=value,
@@ -289,6 +292,11 @@ def spectral_bound_ooa(params: SpaceParams, t: int) -> BoundResult:
         tolerance=abs(hi - value),
         witness=code.witness,
     )
+
+
+def spectral_bound_ooa(params: SpaceParams, t: int) -> BoundResult:
+    """Reciprocal form of the spectral bound for arrays of strength t."""
+    return _reciprocal(params, "spectral-ooa", spectral_bound(params, t + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +385,12 @@ def _r2_value(params: SpaceParams, w: R2Witness) -> float:
     )
 
 
-def r2_bound(
-    params: SpaceParams, d: int, verify_certificate: bool = True
-) -> BoundResult:
+def r2_bound(params: SpaceParams, d: int) -> BoundResult:
     """Depth-2 upper bound built from Krawtchouk root positions.
 
     Scans all admissible degree pairs (s1, s2), takes the smallest bound
-    value, and (by default) assembles the underlying sign-certificate for
-    the winning pair, requiring acceptance at float tolerance 1e-8.
+    value, and assembles the underlying sign-certificate for the winning
+    pair, requiring acceptance at float tolerance 1e-8.
     """
     if params.r != 2:
         return _inapplicable("r2", UPPER_CODE, "defined for block depth r = 2")
@@ -398,12 +404,11 @@ def r2_bound(
     if best is None:
         return _inapplicable("r2", UPPER_CODE, "no admissible degree pair")
     value, w = best
-    if verify_certificate:
-        _, check = r2_certificate(params, d, w)
-        if not check.accepted:
-            raise AssertionError(
-                f"depth-2 certificate rejected for witness {w}: {check.reason}"
-            )
+    _, check = r2_certificate(params, d, w)
+    if not check.accepted:
+        raise AssertionError(
+            f"depth-2 certificate rejected for witness {w}: {check.reason}"
+        )
     return BoundResult(
         name="r2",
         side=UPPER_CODE,
@@ -415,35 +420,9 @@ def r2_bound(
     )
 
 
-def r2_ooa_bound(params: SpaceParams, t: int, verify_certificate: bool = False) -> BoundResult:
-    """Reciprocal depth-2 bound for arrays of strength t: the maximum of
-    q^(nr) q^3 alpha^2 beta^2 / (4 (n-beta-s2)(n-s2-s1+1)^2 (q-1)^3
-    (alpha+2 beta) v_s) over admissible degree pairs."""
-    if params.r != 2:
-        return _inapplicable("r2-ooa", LOWER_OOA, "defined for block depth r = 2")
-    best: tuple[float, R2Witness] | None = None
-    for w in _r2_candidates(params, float(t + 1)):
-        value = params.ambient_size / _r2_value(params, w)
-        if best is None or value > best[0]:
-            best = (value, w)
-    if best is None:
-        return _inapplicable("r2-ooa", LOWER_OOA, "no admissible degree pair")
-    value, w = best
-    if verify_certificate:
-        _, check = r2_certificate(params, t + 1, w)
-        if not check.accepted:
-            raise AssertionError(
-                f"depth-2 certificate rejected for witness {w}: {check.reason}"
-            )
-    return BoundResult(
-        name="r2-ooa",
-        side=LOWER_OOA,
-        applicable=True,
-        value=value,
-        floor=floor(value),
-        tolerance=1e-8 * value,
-        witness=w.as_dict(),
-    )
+def r2_ooa_bound(params: SpaceParams, t: int) -> BoundResult:
+    """Reciprocal form of the depth-2 bound for arrays of strength t."""
+    return _reciprocal(params, "r2-ooa", r2_bound(params, t + 1))
 
 
 def r2_region(params: SpaceParams, w: R2Witness) -> list[Shape]:
@@ -526,28 +505,28 @@ class BoundTable:
         }
 
 
-def best_bounds(params: SpaceParams, d: int, include_spectral: bool = True) -> BoundTable:
+def best_bounds(params: SpaceParams, d: int) -> BoundTable:
     """Evaluate every bound at distance d (strength d-1 for the array side);
     inapplicable bounds are included with their reason, never dropped."""
     _check_d(params, d)
+    spectral = spectral_bound(params, d)
     results: list[BoundResult] = [
         singleton(params, d),
         plotkin(params, d),
         hamming(params, d),
         bassalygo_elias(params, d),
         gilbert(params, d),
+        spectral,
     ]
-    if include_spectral:
-        results.append(spectral_bound(params, d))
     if params.r == 2:
-        results.append(r2_bound(params, d))
+        r2 = r2_bound(params, d)
+        results.append(r2)
     t = d - 1
     results.append(rao(params, t))
     results.append(dual_plotkin_ooa(params, t))
-    if include_spectral:
-        results.append(spectral_bound_ooa(params, t))
+    results.append(_reciprocal(params, "spectral-ooa", spectral))
     if params.r == 2:
-        results.append(r2_ooa_bound(params, t))
+        results.append(_reciprocal(params, "r2-ooa", r2))
 
     uppers = [b for b in results if b.applicable and b.side == UPPER_CODE]
     lowers = [b for b in results if b.applicable and b.side == LOWER_CODE]

@@ -13,6 +13,7 @@ import sys
 
 from . import __version__
 from .asymptotics import (
+    RootBracketError,
     be_curve,
     gv_curve,
     hamming_curve,
@@ -25,6 +26,7 @@ from .asymptotics import (
 )
 from .bounds import best_bounds, bound_table_json
 from .delsarte import (
+    LPError,
     certificate_from_json,
     certificate_to_json,
     check_certificate,
@@ -32,7 +34,9 @@ from .delsarte import (
     solve_code_lp,
     solve_ooa_lp,
 )
+from .krawtchouk import BracketingError
 from .macwilliams import enumerator_of, enumerator_to_json, transform, verify_duality
+from .scheme import SpectralConvergenceError
 from .space import (
     BudgetExceeded,
     LinearCode,
@@ -65,10 +69,6 @@ def _emit(text: str, out: str | None) -> None:
 
 def _params(args) -> SpaceParams:
     return SpaceParams(q=args.q, r=args.r, n=args.n)
-
-
-def _fmt_float(x: float) -> float:
-    return float(f"{x:.12g}")
 
 
 def cmd_sphere(args) -> int:
@@ -313,10 +313,14 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return BUDGET_ERROR
-    except CheckFailure as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return CHECK_ERROR
-    except AssertionError as exc:
+    except (
+        CheckFailure,
+        AssertionError,
+        LPError,
+        SpectralConvergenceError,
+        BracketingError,
+        RootBracketError,
+    ) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return CHECK_ERROR
     except (ValueError, OSError) as exc:

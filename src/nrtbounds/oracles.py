@@ -40,28 +40,13 @@ def _distance(q: int, r: int, n: int, u: tuple[int, ...], v: tuple[int, ...]) ->
     return _weight(q, r, n, diff)
 
 
-def brute_force_max_code(
-    params: SpaceParams, d: int, budget: SearchBudget = DEFAULT_BUDGET
+def _max_clique(
+    params: SpaceParams, d: int, candidates: list[tuple[int, ...]], budget: SearchBudget
 ) -> int:
-    """Exact maximum size of a code with minimum distance d.
-
-    Translation-normalized (the zero vector is assumed in the code) and
-    searched depth-first over lexicographically increasing candidates with
-    bitset compatibility masks.
-    """
+    """Largest subset of candidates with pairwise distance >= d, searched
+    depth-first over lexicographically increasing candidates with bitset
+    compatibility masks."""
     q, r, n = params.q, params.r, params.n
-    if params.ambient_size > budget.max_ambient:
-        raise BudgetExceeded(
-            f"ambient {params.ambient_size} exceeds cap {budget.max_ambient}"
-        )
-    if d < 1:
-        raise ValueError("distance must be >= 1")
-    if d > r * n:
-        return 1
-    if d == 1:
-        return params.ambient_size  # any set of vectors qualifies
-    vectors = list(itertools.product(range(q), repeat=r * n))
-    candidates = [v for v in vectors if _weight(q, r, n, v) >= d]
     k = len(candidates)
     compat = [0] * k
     for i in range(k):
@@ -95,7 +80,32 @@ def brute_force_max_code(
         best = max(best, chosen)
 
     extend(0, (1 << k) - 1)
-    return best + 1  # plus the zero vector
+    return best
+
+
+def brute_force_max_code(
+    params: SpaceParams, d: int, budget: SearchBudget = DEFAULT_BUDGET
+) -> int:
+    """Exact maximum size of a code with minimum distance d.
+
+    Translation-normalized: the zero vector is assumed in the code, and the
+    rest is the largest clique among the vectors of weight >= d.
+    """
+    q, r, n = params.q, params.r, params.n
+    if params.ambient_size > budget.max_ambient:
+        raise BudgetExceeded(
+            f"ambient {params.ambient_size} exceeds cap {budget.max_ambient}"
+        )
+    if d < 1:
+        raise ValueError("distance must be >= 1")
+    if d > r * n:
+        return 1
+    if d == 1:
+        return params.ambient_size  # any set of vectors qualifies
+    candidates = [
+        v for v in itertools.product(range(q), repeat=r * n) if _weight(q, r, n, v) >= d
+    ]
+    return _max_clique(params, d, candidates, budget) + 1  # plus the zero vector
 
 
 def constant_weight_max(
@@ -114,38 +124,7 @@ def constant_weight_max(
         for v in itertools.product(range(q), repeat=r * n)
         if _weight(q, r, n, v) == w
     ]
-    k = len(sphere)
-    compat = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if _distance(q, r, n, sphere[i], sphere[j]) >= d:
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
-
-    best = 0
-    nodes = 0
-
-    def extend(chosen: int, allowed: int) -> None:
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > budget.max_nodes:
-            raise BudgetExceeded("search node budget exhausted")
-        if chosen + bin(allowed).count("1") <= best:
-            return
-        if allowed == 0:
-            best = max(best, chosen)
-            return
-        rest = allowed
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            rest ^= low
-            extend(chosen + 1, allowed & compat[i] & ~((1 << (i + 1)) - 1))
-            allowed ^= low
-        best = max(best, chosen)
-
-    extend(0, (1 << k) - 1)
-    return best
+    return _max_clique(params, d, sphere, budget)
 
 
 def brute_force_min_ooa(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import sqrt
 
 import numpy as np
 
@@ -145,84 +146,70 @@ def _bump(f: Shape, j: int, delta: int) -> Shape:
     return tuple(out)
 
 
+def _neighbours(f: Shape):
+    """Candidate shapes h with h - f in {0, +-delta_j, delta_k - delta_j}:
+    the only ones a single-part intersection number can connect to f."""
+    yield f
+    for j in range(len(f)):
+        yield _bump(f, j, 1)
+        yield _bump(f, j, -1)
+        for k in range(len(f)):
+            if k != j:
+                yield _bump(_bump(f, k, 1), j, -1)
+
+
 def build_blocks(params: SpaceParams, kappa: int) -> ThreeTermBlocks:
+    """Raw entries x[f,h] = sum_i L_i m_i with m_i = intersection_Fi(f, i, h);
+    orthonormal entries by the diagonal similarity X[f,h] = x[f,h] sqrt(v_h/v_f).
+
+    Off the diagonal a single depth i contributes, and X is taken as
+    float(L_i) sqrt(m_i^2 v_h / v_f).  The rational under the root is the
+    same for (f, h) and (h, f), so B is symmetric and C is the previous
+    degree's A transposed, bit for bit; in the up and down blocks it is an
+    integer.
+    """
     if kappa > params.n:
         raise ValueError(f"degree {kappa} exceeds n = {params.n}")
-    q, r, n = params.q, params.r, params.n
-    L = [None] + [L_coeff(params, i) for i in range(1, r + 1)]
+    L = [L_coeff(params, i) for i in range(1, params.r + 1)]
     rows = tuple(shapes_of_length(params, kappa))
-    cols_up = tuple(shapes_of_length(params, kappa + 1))
-    cols_down = tuple(shapes_of_length(params, kappa - 1)) if kappa >= 1 else ()
-    up_index = {h: j for j, h in enumerate(cols_up)}
-    same_index = {h: j for j, h in enumerate(rows)}
-    down_index = {h: j for j, h in enumerate(cols_down)}
-
-    a = [[Fraction(0)] * len(cols_up) for _ in rows]
-    b = [[Fraction(0)] * len(rows) for _ in rows]
-    c = [[Fraction(0)] * len(cols_down) for _ in rows]
-    A = np.zeros((len(rows), len(cols_up)))
-    B = np.zeros((len(rows), len(rows)))
-    C = np.zeros((len(rows), len(cols_down)))
-
-    for fi_row, f in enumerate(rows):
-        # diagonal of the same-degree block: depth-i kicks that keep a block
-        # at depth i, plus those absorbed by blocks deeper than i
-        diag = sum(
-            L[i] * q ** (i - 1) * (f[i - 1] * (q - 2) + (q - 1) * sum(f[i:]))
-            for i in range(1, r + 1)
-        )
-        b[fi_row][fi_row] = diag
-        B[fi_row, fi_row] = float(diag)
-        for i in range(1, r + 1):
-            j = i - 1
-            h = _bump(f, j, 1)
-            if h in up_index:
-                val = L[i] * (f[j] + 1)
-                a[fi_row][up_index[h]] = val
-                A[fi_row, up_index[h]] = float(L[i]) * (
-                    (f[j] + 1) * (n - kappa) * q ** (i - 1) * (q - 1)
-                ) ** 0.5
-            if f[j] >= 1:
-                h = _bump(f, j, -1)
-                if h in down_index:
-                    val = L[i] * (n - kappa + 1) * q ** (i - 1) * (q - 1)
-                    c[fi_row][down_index[h]] = val
-                    C[fi_row, down_index[h]] = float(L[i]) * (
-                        (n - kappa + 1) * f[j] * q ** (i - 1) * (q - 1)
-                    ) ** 0.5
-            for k in range(1, i):
-                kk = k - 1
-                if f[j] >= 1:  # one more at depth k, one fewer at depth i
-                    h = _bump(_bump(f, kk, 1), j, -1)
-                    if h in same_index:
-                        val = L[i] * (f[kk] + 1) * q ** (i - 1) * (q - 1)
-                        b[fi_row][same_index[h]] = val
-                        B[fi_row, same_index[h]] = (
-                            float(L[i])
-                            * (q - 1)
-                            / q
-                            * ((f[kk] + 1) * f[j] * q ** (i + k)) ** 0.5
-                        )
-                if f[kk] >= 1:  # one fewer at depth k, one more at depth i
-                    h = _bump(_bump(f, kk, -1), j, 1)
-                    if h in same_index:
-                        val = L[i] * (f[j] + 1) * q ** (k - 1) * (q - 1)
-                        b[fi_row][same_index[h]] = val
-                        B[fi_row, same_index[h]] = (
-                            float(L[i])
-                            * (q - 1)
-                            / q
-                            * (f[kk] * (f[j] + 1) * q ** (i + k)) ** 0.5
-                        )
+    # columns of shape length kappa+1, kappa, kappa-1: side = kappa + 1 - |h|
+    sides = (
+        tuple(shapes_of_length(params, kappa + 1)),
+        rows,
+        tuple(shapes_of_length(params, kappa - 1)) if kappa >= 1 else (),
+    )
+    index = [{h: j for j, h in enumerate(cols)} for cols in sides]
+    v = {h: shape_count(params, h) for cols in sides for h in cols}
+    raw = [[[Fraction(0)] * len(cols) for _ in rows] for cols in sides]
+    ortho = [np.zeros((len(rows), len(cols))) for cols in sides]
+    for fi, f in enumerate(rows):
+        for h in _neighbours(f):
+            side = kappa + 1 - sum(h)
+            j = index[side].get(h)
+            if j is None:
+                continue
+            m = [intersection_Fi(params, f, i, h) for i in range(1, params.r + 1)]
+            x = sum(Li * mi for Li, mi in zip(L, m))
+            if not x:
+                continue
+            raw[side][fi][j] = x
+            if h == f:
+                ortho[side][fi, j] = float(x)
+            else:
+                ortho[side][fi, j] = sum(
+                    float(Li) * sqrt(mi * mi * v[h] / v[f]) for Li, mi in zip(L, m)
+                )
+    a, b, c = (tuple(tuple(row) for row in block) for block in raw)
+    A, B, C = ortho
     return ThreeTermBlocks(
         params=params,
         kappa=kappa,
         rows=rows,
-        cols_up=cols_up,
-        cols_down=cols_down,
-        a=tuple(tuple(row) for row in a),
-        b=tuple(tuple(row) for row in b),
-        c=tuple(tuple(row) for row in c),
+        cols_up=sides[0],
+        cols_down=sides[2],
+        a=a,
+        b=b,
+        c=c,
         A=A,
         B=B,
         C=C,
@@ -247,25 +234,26 @@ class OperatorS:
 def build_operator(params: SpaceParams, kappa: int) -> OperatorS:
     if kappa > params.n:
         raise ValueError(f"degree {kappa} exceeds n = {params.n}")
-    groups = [shapes_of_length(params, mu) for mu in range(kappa + 1)]
-    offsets = []
-    total = 0
-    for g in groups:
-        offsets.append(total)
-        total += len(g)
-    mat = np.zeros((total, total))
-    blocks = [build_blocks(params, mu) for mu in range(kappa + 1)]
-    for mu in range(kappa + 1):
-        o = offsets[mu]
-        sz = len(groups[mu])
-        mat[o : o + sz, o : o + sz] = blocks[mu].B
+    return assemble_operator([build_blocks(params, mu) for mu in range(kappa + 1)])
+
+
+def assemble_operator(blocks: list[ThreeTermBlocks]) -> OperatorS:
+    """The operator truncated at degree kappa from the blocks of degrees
+    0..kappa, in order; its rows are the blocks' row shapes."""
+    kappa = len(blocks) - 1
+    offsets = [0]
+    for blk in blocks:
+        offsets.append(offsets[-1] + len(blk.rows))
+    mat = np.zeros((offsets[-1], offsets[-1]))
+    for mu, blk in enumerate(blocks):
+        o, o2 = offsets[mu], offsets[mu + 1]
+        mat[o:o2, o:o2] = blk.B
         if mu < kappa:
-            o2 = offsets[mu + 1]
-            sz2 = len(groups[mu + 1])
-            mat[o : o + sz, o2 : o2 + sz2] = blocks[mu].A
-            mat[o2 : o2 + sz2, o : o + sz] = blocks[mu].A.T
-    shapes = tuple(s for g in groups for s in g)
-    return OperatorS(params=params, kappa=kappa, shapes=shapes, matrix=mat)
+            o3 = offsets[mu + 2]
+            mat[o:o2, o2:o3] = blk.A
+            mat[o2:o3, o:o2] = blk.A.T
+    shapes = tuple(s for blk in blocks for s in blk.rows)
+    return OperatorS(params=blocks[0].params, kappa=kappa, shapes=shapes, matrix=mat)
 
 
 class SpectralConvergenceError(Exception):
@@ -275,7 +263,7 @@ class SpectralConvergenceError(Exception):
 def spectral_radius(
     op: OperatorS, rel_tol: float = 1e-10, max_iter: int = 10**6
 ) -> tuple[float, float]:
-    """Certified enclosure (lower, upper) of the largest eigenvalue.
+    """Enclosure (lower, upper) of the largest eigenvalue.
 
     Power iteration from the all-ones vector on the shifted matrix M + mI
     (m = max row sum + 1, so the iterate stays strictly positive), with

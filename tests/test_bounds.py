@@ -199,3 +199,38 @@ def test_best_bounds_table():
     d1 = best_bounds(P22, 1)
     uppers = [b for b in d1.bounds if b.applicable and b.side == "upper-on-code-size"]
     assert all(b.value >= P22.ambient_size - 1e-6 for b in uppers)
+
+
+def test_best_bounds_runs_each_scan_once(monkeypatch):
+    import nrtbounds.bounds as bounds_mod
+
+    calls = {"spectral": 0, "r2-scan": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(bounds_mod, "spectral_bound", counting("spectral", spectral_bound))
+    monkeypatch.setattr(
+        bounds_mod, "_r2_candidates", counting("r2-scan", bounds_mod._r2_candidates)
+    )
+    best_bounds(SpaceParams(2, 2, 6), 8)
+    assert calls == {"spectral": 1, "r2-scan": 1}
+
+
+def test_table_array_bounds_are_code_reciprocals():
+    p = SpaceParams(2, 2, 6)
+    entries = {b.name: b for b in best_bounds(p, 8).bounds}
+    for code_name in ("spectral", "r2"):
+        code, ooa = entries[code_name], entries[code_name + "-ooa"]
+        assert code.applicable and ooa.applicable
+        assert ooa.value == p.ambient_size / code.value
+        assert ooa.witness == code.witness
+
+
+def test_r2_ooa_is_reciprocal_of_r2():
+    for p, t in [(SpaceParams(2, 2, 8), 11), (SpaceParams(3, 2, 5), 6)]:
+        assert r2_ooa_bound(p, t).value == p.ambient_size / r2_bound(p, t + 1).value

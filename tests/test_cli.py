@@ -191,3 +191,29 @@ def test_internal_check_exit_code(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "macwilliams", "--gen", str(path))
     assert code == 4
     assert "check failed" in err
+
+
+@pytest.mark.parametrize(
+    "module,name",
+    [
+        ("nrtbounds.delsarte", "LPError"),
+        ("nrtbounds.scheme", "SpectralConvergenceError"),
+        ("nrtbounds.krawtchouk", "BracketingError"),
+        ("nrtbounds.asymptotics", "RootBracketError"),
+    ],
+)
+def test_numerical_failure_exit_code(capsys, monkeypatch, module, name):
+    import importlib
+
+    import nrtbounds.cli as cli_mod
+
+    error = getattr(importlib.import_module(module), name)
+
+    def fail(*args, **kwargs):
+        raise error("no convergence")
+
+    monkeypatch.setattr(cli_mod, "best_bounds", fail)
+    code, out, err = run(capsys, "bounds", "--q", "2", "--r", "2", "--n", "2", "--d", "4")
+    assert code == 4
+    assert out == ""
+    assert "no convergence" in err and len(err.splitlines()) == 1

@@ -229,3 +229,13 @@ def test_operator_dimension_formula():
         want = sum(comb(mu + r - 1, r - 1) for mu in range(kappa + 1))
         assert op.matrix.shape == (want, want)
         assert len(op.shapes) == want
+
+
+def test_operator_is_leading_block_of_next_degree():
+    for q, r, n in [(2, 2, 5), (3, 2, 4), (2, 3, 4)]:
+        p = SpaceParams(q, r, n)
+        for kappa in range(n):
+            small, big = build_operator(p, kappa), build_operator(p, kappa + 1)
+            size = len(small.shapes)
+            assert big.shapes[:size] == small.shapes
+            assert np.array_equal(big.matrix[:size, :size], small.matrix)
