@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, floor
 
 from .delsarte import CertificateCheck, DualCertificate, check_certificate, format_rational
-from .krawtchouk import BracketingError, K_multi, k_root_min, k_uni
+from .krawtchouk import BracketingError, K_multi, k_root_min, k_uni, krawtchouk_table
 from .scheme import P_eval, assemble_operator, build_blocks, spectral_radius
 from .space import (
     Shape,
@@ -356,10 +356,7 @@ def _r2_candidates(params: SpaceParams, d_cap: float):
                 continue
             if not n - s2 > s1:  # smallest root of degree s1 needs n - s2 > s1
                 continue
-            try:
-                beta = k_root_min(q, n - s2, s1)
-            except (BracketingError, ValueError):
-                continue
+            beta = k_root_min(q, n - s2, s1)
             nu = n - beta
             if not nu > s2 + 1:
                 continue
@@ -452,13 +449,13 @@ def r2_certificate(
     a = (w.alpha, w.beta)
     region = r2_region(params, w)
     shapes = list(enumerate_shapes(params))
+    table = krawtchouk_table(params)
+    counts = {f: shape_count(params, f) for f in shapes}
     k_at_a = {f: K_multi(params, f, a) for f in shapes}
     p_at_a = float(delta_crit(params.q, 2) * params.dim) - (w.alpha + 2 * w.beta)
 
     def F(e: Shape) -> float:
-        u = sum(
-            k_at_a[f] * K_multi(params, f, e) / shape_count(params, f) for f in region
-        )
+        u = sum(k_at_a[f] * table[(f, e)] / counts[f] for f in region)
         return (float(P_eval(params, e)) - p_at_a) * u * u
 
     values = {e: F(e) for e in shapes}
@@ -467,12 +464,8 @@ def r2_certificate(
     for g in shapes:
         acc = 0.0
         for e in shapes:
-            acc += (
-                values[e]
-                * K_multi(params, g, e)
-                * shape_count(params, e)
-            )
-        coeffs[g] = acc / (params.ambient_size * shape_count(params, g))
+            acc += values[e] * table[(g, e)] * counts[e]
+        coeffs[g] = acc / (params.ambient_size * counts[g])
     zero = (0, 0)
     cert = DualCertificate(
         params=params,

@@ -6,7 +6,10 @@ The univariate polynomial of degree s in x, with "dimension" argument nu
     k_s(nu, x) = sum_{l=0}^{s} (-1)^l (q-1)^(s-l) C(x, l) C(nu - x, s - l)
 
 with C(a, m) = a (a-1) ... (a-m+1) / m! the falling-factorial binomial.
-All arithmetic stays exact (fractions.Fraction) when the inputs are exact.
+Values are computed by the three-term recurrence in the degree, which is a
+polynomial identity in nu and x: in integers at integer arguments, in
+Fractions at exact ones, in floats otherwise.  The smallest root is the
+smallest eigenvalue of the symmetric Jacobi matrix of that recurrence.
 
 The multivariate family K_f, indexed by shapes f, gives the eigenvalues of
 the ordered Hamming association scheme.  It factors into univariate
@@ -25,6 +28,8 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .space import (
     BudgetExceeded,
     Shape,
@@ -39,37 +44,24 @@ from .space import (
 )
 
 
-def binom_general(a, m: int):
-    """C(a, m) = a(a-1)...(a-m+1)/m! for any real/rational a and integer m >= 0."""
-    if m < 0:
-        raise ValueError("lower index must be nonnegative")
-    num = 1
-    for j in range(m):
-        num = num * (a - j)
-    if isinstance(num, (int, Fraction)):
-        return Fraction(num, _factorial(m))
-    return num / _factorial(m)
-
-
-@lru_cache(maxsize=None)
-def _factorial(m: int) -> int:
-    out = 1
-    for j in range(2, m + 1):
-        out *= j
-    return out
-
-
 def k_uni(q: int, nu, s: int, x):
-    """Univariate Krawtchouk value k_s(nu, x); exact for exact inputs."""
+    """Univariate Krawtchouk value k_s(nu, x) by the recurrence in the degree
+
+        (j+1) k_{j+1} = ((q-1)(nu-j) + j - q x) k_j - (q-1)(nu-j+1) k_{j-1},
+
+    from k_0 = 1 and k_{-1} = 0; exact (a Fraction) for exact inputs.
+    """
     if s < 0:
         raise ValueError("degree must be nonnegative")
-    total = 0
-    for l in range(s + 1):
-        term = (-1) ** l * (q - 1) ** (s - l) * binom_general(x, l) * binom_general(
-            nu - x, s - l
-        )
-        total = total + term
-    return total
+    integral = isinstance(nu, int) and isinstance(x, int)
+    exact = isinstance(nu, (int, Fraction)) and isinstance(x, (int, Fraction))
+    prev, cur = 0, (1 if integral else Fraction(1) if exact else 1.0)
+    for j in range(s):
+        num = ((q - 1) * (nu - j) + j - q * x) * cur - (q - 1) * (nu - j + 1) * prev
+        # at integer nu and x every k_j is an integer (a sum of products of
+        # integer binomials), so the floor division is exact
+        prev, cur = cur, (num // (j + 1) if integral else num / (j + 1))
+    return Fraction(cur) if integral else cur
 
 
 def uni_recurrence_check(q: int, nu, s: int, x) -> bool:
@@ -225,11 +217,12 @@ def inner_product(params: SpaceParams, u1, u2) -> Fraction:
 
 
 class BracketingError(Exception):
-    """Raised when no sign change is found while localizing a root."""
+    """Raised when no sign change brackets the root of an equation."""
 
 
 def k_root_min(q: int, nu: float, s: int) -> float:
-    """Smallest root of k_s(nu, .), located by grid scan plus bisection.
+    """Smallest root of k_s(nu, .), the smallest eigenvalue of the s x s
+    symmetric Jacobi matrix of the degree recurrence (Golub and Welsch 1969).
 
     Requires nu > s so that all s roots are real and lie inside (0, nu).
     """
@@ -237,32 +230,11 @@ def k_root_min(q: int, nu: float, s: int) -> float:
         raise ValueError("degree must be >= 1")
     if not nu > s:
         raise ValueError(f"need nu > s for real roots inside (0, nu); got nu={nu}, s={s}")
-    poly = lambda x: float(k_uni(q, float(nu), s, x))
-    cells = max(1, int(-(-nu // 1))) * 8  # ceil(nu) * 8
-    step = float(nu) / cells
-    prev_x = 0.0
-    prev_val = poly(0.0)
-    if prev_val == 0.0:
-        return 0.0
-    for j in range(1, cells + 1):
-        x = j * step
-        val = poly(x)
-        if val == 0.0:
-            return x
-        if (prev_val > 0) != (val > 0):
-            lo, hi = prev_x, x
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                vm = poly(mid)
-                if vm == 0.0:
-                    return mid
-                if (poly(lo) > 0) != (vm > 0):
-                    hi = mid
-                else:
-                    lo = mid
-            return 0.5 * (lo + hi)
-        prev_x, prev_val = x, val
-    raise BracketingError(f"no sign change of k_{s}({nu}, x) on [0, {nu}]")
+    nu, j = float(nu), np.arange(s, dtype=float)
+    jacobi = np.diag(((q - 1) * (nu - j) + j) / q)
+    off = np.sqrt(j[1:] * (q - 1) * (nu - j[1:] + 1)) / q
+    jacobi += np.diag(off, 1) + np.diag(off, -1)
+    return float(np.linalg.eigvalsh(jacobi)[0])
 
 
 def gamma(q: int, y: float) -> float:

@@ -150,7 +150,7 @@ def shapes_of_length(params: SpaceParams, k: int) -> list[Shape]:
     """Shapes with exactly k nonzero blocks, lexicographically ordered."""
     if k > params.n:
         return []
-    return [e for e in enumerate_shapes(params) if sum(e) == k]
+    return [e for e in itertools.product(range(k + 1), repeat=params.r) if sum(e) == k]
 
 
 def sphere_size(params: SpaceParams, d: int) -> int:

@@ -23,8 +23,9 @@ from nrtbounds.bounds import (
     varshamov,
 )
 from nrtbounds.delsarte import solve_code_lp, solve_ooa_lp
+from nrtbounds.krawtchouk import K_multi
 from nrtbounds.oracles import brute_force_max_code, constant_weight_max
-from nrtbounds.space import SpaceParams, ball_size, delta_crit
+from nrtbounds.space import SpaceParams, ball_size, delta_crit, enumerate_shapes
 
 P22 = SpaceParams(2, 2, 2)
 
@@ -219,6 +220,23 @@ def test_best_bounds_runs_each_scan_once(monkeypatch):
     )
     best_bounds(SpaceParams(2, 2, 6), 8)
     assert calls == {"spectral": 1, "r2-scan": 1}
+
+
+def test_r2_certificate_evaluates_krawtchouk_once_per_shape(monkeypatch):
+    import nrtbounds.bounds as bounds_mod
+
+    p = SpaceParams(2, 2, 8)
+    witness = R2Witness(**r2_bound(p, 12).witness)
+    calls = []
+
+    def counting(params, f, x):
+        calls.append(f)
+        return K_multi(params, f, x)
+
+    monkeypatch.setattr(bounds_mod, "K_multi", counting)
+    _, chk = r2_certificate(p, 12, witness)
+    assert chk.accepted
+    assert sorted(calls) == list(enumerate_shapes(p))
 
 
 def test_table_array_bounds_are_code_reciprocals():

@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from nrtbounds.krawtchouk import (
     K_fourier_oracle,
     K_multi,
-    binom_general,
     canonical_bar_representative,
     gamma,
     inner_product,
@@ -26,11 +26,43 @@ from nrtbounds.space import (
 )
 
 
-def test_binom_general():
-    assert binom_general(5, 2) == 10
-    assert binom_general(Fraction(1, 2), 2) == Fraction(-1, 8)
-    assert binom_general(-1, 3) == -1
-    assert binom_general(2, 0) == 1
+def _falling_binom(a, m: int):
+    """C(a, m) = a(a-1)...(a-m+1)/m! for any real or rational a."""
+    num = 1
+    for j in range(m):
+        num = num * (a - j)
+    return num / factorial(m) if isinstance(num, float) else Fraction(num, factorial(m))
+
+
+def _k_uni_by_sum(q, nu, s, x):
+    return sum(
+        (-1) ** l * (q - 1) ** (s - l) * _falling_binom(x, l) * _falling_binom(nu - x, s - l)
+        for l in range(s + 1)
+    )
+
+
+def test_falling_binom():
+    assert _falling_binom(5, 2) == 10
+    assert _falling_binom(Fraction(1, 2), 2) == Fraction(-1, 8)
+    assert _falling_binom(-1, 3) == -1
+    assert _falling_binom(2, 0) == 1
+
+
+def test_k_uni_matches_defining_sum():
+    rng = random.Random(7)
+    for _ in range(300):
+        q = rng.choice([2, 3, 4, 5])
+        s = rng.randint(0, 9)
+        nu, x = rng.randint(-12, 30), rng.randint(-12, 30)
+        got = k_uni(q, nu, s, x)
+        assert type(got) is Fraction and got == _k_uni_by_sum(q, nu, s, x)
+        nu, x = Fraction(nu, rng.randint(1, 7)), Fraction(x, rng.randint(1, 7))
+        got = k_uni(q, nu, s, x)
+        assert type(got) is Fraction and got == _k_uni_by_sum(q, nu, s, x)
+        nu, x = rng.uniform(s, 3 * s + 8), rng.uniform(0, s + 1)
+        got = k_uni(q, nu, s, x)
+        assert type(got) is float
+        assert got == pytest.approx(_k_uni_by_sum(q, nu, s, x), rel=1e-12, abs=0)
 
 
 def test_k_uni_examples():
@@ -215,6 +247,78 @@ def test_root_interlacing_on_grid():
             for s in range(1, 4):
                 assert k_root_min(q, nu - 1, s) < k_root_min(q, nu, s)
                 assert k_root_min(q, nu, s + 1) < k_root_min(q, nu, s)
+
+
+# smallest roots as located by the earlier grid scan with bisection
+ROOTS_BY_BISECTION = [
+    (2, 1.5, 1, 0.75),
+    (2, 10.6, 1, 5.3),
+    (2, 2.5, 2, 0.45943058495790523),
+    (2, 13.6, 2, 4.956091108541422),
+    (2, 3.5, 3, 0.2922620262886749),
+    (2, 16.6, 3, 4.843122796511279),
+    (2, 4.5, 4, 0.18743798946634976),
+    (2, 19.6, 4, 4.820945136668627),
+    (2, 5.5, 5, 0.11971983551714108),
+    (2, 22.6, 5, 4.845004099624948),
+    (2, 6.5, 6, 0.07567441519892537),
+    (2, 25.6, 6, 4.895917527227198),
+    (2, 7.5, 7, 0.04717485505951305),
+    (2, 28.6, 7, 4.963746758226645),
+    (2, 8.5, 8, 0.028954903242786934),
+    (2, 31.6, 8, 5.042835489218977),
+    (2, 9.5, 9, 0.01748974628072534),
+    (2, 34.6, 9, 5.129721382316955),
+    (2, 10.5, 10, 0.010400770876193028),
+    (2, 37.6, 10, 5.222167424900714),
+    (3, 1.5, 1, 1.0),
+    (3, 10.6, 1, 7.066666666666666),
+    (3, 2.5, 2, 0.7362373841740266),
+    (3, 13.6, 2, 7.153575080342701),
+    (3, 3.5, 3, 0.5587867819546277),
+    (3, 16.6, 3, 7.40789382346831),
+    (3, 4.5, 4, 0.4299144104064472),
+    (3, 19.6, 4, 7.7254329049279065),
+    (3, 5.5, 5, 0.33282161906421903),
+    (3, 22.6, 5, 8.073352570154384),
+    (3, 6.5, 6, 0.2582016662205281),
+    (3, 25.6, 6, 8.437655741014911),
+    (3, 7.5, 7, 0.2002220355025689),
+    (3, 28.6, 7, 8.811360655608784),
+    (3, 8.5, 8, 0.15492381640008873),
+    (3, 31.6, 8, 9.190625092492137),
+    (3, 9.5, 9, 0.11946701252235556),
+    (3, 34.6, 9, 9.573187908996783),
+    (3, 10.5, 10, 0.09173220385476333),
+    (3, 37.6, 10, 9.957653084433591),
+    (4, 1.5, 1, 1.125),
+    (4, 10.6, 1, 7.949999999999999),
+    (4, 2.5, 2, 0.8961310131443374),
+    (4, 13.6, 2, 8.333677012475537),
+    (4, 3.5, 3, 0.7305131597737484),
+    (4, 16.6, 3, 8.84306474539088),
+    (4, 4.5, 4, 0.6027358551904101),
+    (4, 19.6, 4, 9.398259452269759),
+    (4, 5.5, 5, 0.5007686884496467),
+    (4, 22.6, 5, 9.974208611877472),
+    (4, 6.5, 6, 0.4177285577652058),
+    (4, 25.6, 6, 10.560417738798353),
+    (4, 7.5, 7, 0.34921536008946275),
+    (4, 28.6, 7, 11.151782876394059),
+    (4, 8.5, 8, 0.29220081612328475),
+    (4, 31.6, 8, 11.745586139692012),
+    (4, 9.5, 9, 0.24448764781429455),
+    (4, 34.6, 9, 12.340293247101993),
+    (4, 10.5, 10, 0.20441702702705622),
+    (4, 37.6, 10, 12.935005443596662),
+]
+
+
+@pytest.mark.parametrize("q,nu,s,root", ROOTS_BY_BISECTION)
+def test_root_min_matches_bisection(q, nu, s, root):
+    got = k_root_min(q, nu, s)
+    assert got == pytest.approx(root, rel=1e-12, abs=0)
+    assert k_uni(q, nu, s, got * (1 - 1e-9)) * k_uni(q, nu, s, got * (1 + 1e-9)) < 0
 
 
 def test_gamma():

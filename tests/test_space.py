@@ -25,6 +25,7 @@ from nrtbounds.space import (
     shape_count,
     shape_of,
     shape_weight,
+    shapes_of_length,
     sphere_size,
     vector_sub,
 )
@@ -136,6 +137,13 @@ def test_enumerate_shapes():
         for n in (1, 2, 4):
             pp = SpaceParams(2, r, n)
             assert len(list(enumerate_shapes(pp))) == comb(n + r, r)
+
+
+@pytest.mark.parametrize("q,r,n", [(2, 3, 6), (3, 4, 5)])
+def test_shapes_of_length_filters_enumeration(q, r, n):
+    p = SpaceParams(q, r, n)
+    for k in range(n + 2):
+        assert shapes_of_length(p, k) == [e for e in enumerate_shapes(p) if sum(e) == k]
 
 
 def test_ooa_strength_examples():
