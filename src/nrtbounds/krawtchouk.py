@@ -53,6 +53,13 @@ def k_uni(q: int, nu, s: int, x):
     """
     if s < 0:
         raise ValueError("degree must be nonnegative")
+    value = _k_recurrence(q, nu, s, x)
+    return Fraction(value) if isinstance(value, int) else value
+
+
+def _k_recurrence(q: int, nu, s: int, x):
+    """k_s(nu, x) for s >= 0 by the degree recurrence of `k_uni`: an int at
+    integer nu and x, a Fraction at exact ones, a float otherwise."""
     integral = isinstance(nu, int) and isinstance(x, int)
     exact = isinstance(nu, (int, Fraction)) and isinstance(x, (int, Fraction))
     prev, cur = 0, (1 if integral else Fraction(1) if exact else 1.0)
@@ -61,7 +68,7 @@ def k_uni(q: int, nu, s: int, x):
         # at integer nu and x every k_j is an integer (a sum of products of
         # integer binomials), so the floor division is exact
         prev, cur = cur, (num // (j + 1) if integral else num / (j + 1))
-    return Fraction(cur) if integral else cur
+    return cur
 
 
 def uni_recurrence_check(q: int, nu, s: int, x) -> bool:
@@ -83,21 +90,17 @@ def K_multi(params: SpaceParams, f: Shape, x) -> int | float:
     if len(x) != params.r:
         raise ValueError("evaluation point must have r coordinates")
     r, n = params.r, params.n
-    exact = all(isinstance(c, (int, Fraction)) for c in x)
     integral = all(isinstance(c, int) for c in x)
-    x0 = n - sum(x)
-    xs = (x0,) + tuple(x)  # xs[j] = x_j for j = 0..r
-    value = Fraction(params.q ** (shape_weight(f) - shape_length(f)))
-    if not exact:
-        value = float(value)
+    exact = integral or all(isinstance(c, (int, Fraction)) for c in x)
+    xs = (n - sum(x),) + tuple(x)  # xs[j] = x_j for j = 0..r
+    # an integer, since the weight of a shape is at least its length; at a
+    # shape every factor below is an int too, so K_f(x) is a product of ints
+    value = params.q ** (shape_weight(f) - shape_length(f))
+    if not integral:
+        value = Fraction(value) if exact else float(value)
     for i in range(1, r + 1):
-        nu = sum(xs[j] for j in range(0, r - i + 2)) - sum(f[j - 1] for j in range(i + 1, r + 1))
-        value = value * k_uni(params.q, nu, f[i - 1], x[r - i])
-    if integral:
-        frac = Fraction(value)
-        if frac.denominator != 1:
-            raise AssertionError(f"non-integer eigenvalue K_{f}({x}) = {frac}")
-        return int(frac)
+        nu = sum(xs[: r - i + 2]) - sum(f[i:])
+        value *= _k_recurrence(params.q, nu, f[i - 1], x[r - i])
     return value
 
 

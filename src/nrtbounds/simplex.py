@@ -1,15 +1,22 @@
 """Two-phase primal simplex over exact rationals with Bland's rule.
 
-Small dense tableaus only; every entry is a fractions.Fraction, so results
-are exact and deterministic.  Dual values are recovered from the final
-reduced costs on each row's seed column (its slack or artificial), which
-makes optimal dual solutions available to certificate extraction.
+Small dense tableaus only.  The tableau is held as integer numerators over
+one positive common denominator (integer-preserving elimination; Edmonds
+1967, Bareiss 1968): each constraint row is scaled to integers once, and
+every pivot updates the numerators by an exact integer division, so no
+Fraction and no gcd enters the inner loop.  Results are still exact
+fractions.Fraction values and deterministic.  Dual values are recovered
+from the final reduced costs on each row's seed column (its slack or
+artificial), which makes optimal dual solutions available to certificate
+extraction.
 """
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 LE, GE, EQ = "<=", ">=", "=="
 
@@ -53,6 +60,17 @@ def make_lp(objective, rows, maximize=True) -> LinearProgram:
 
 
 class _Tableau:
+    """The tableau as integer numerators M over one common denominator D.
+
+    Invariant: the tableau entry in row i, column j is M[i][j] / D with
+    D > 0; D is |det B| for the current basis B of the initial integer
+    tableau, and each M[i][j] is, up to the sign of det B, a minor of that
+    tableau.  The update in `pivot` therefore divides exactly (Sylvester's
+    identity; Bareiss 1968), so entries stay integers and never need a gcd.
+    The reduced-cost row R is one more such row, R / D = c - c_B B^-1 A,
+    kept current by every pivot.
+    """
+
     def __init__(self, lp: LinearProgram):
         self.nvars = len(lp.objective)
         m = len(lp.constraints)
@@ -60,116 +78,126 @@ class _Tableau:
             if len(con.coeffs) != self.nvars:
                 raise ValueError("constraint arity mismatch")
         self.flip = []  # row sign flips applied to reach rhs >= 0
+        # Row i is multiplied by scale[i], the lcm of its denominators, so
+        # its slack, surplus and artificial are scale[i] times the variable
+        # of the unscaled row.
+        self.scale = []
         rows = []
         rels = []
         for con in lp.constraints:
-            coeffs, rel, rhs = list(con.coeffs), con.rel, con.rhs
-            if rhs < 0:
-                coeffs = [-c for c in coeffs]
-                rhs = -rhs
+            values = [*con.coeffs, con.rhs]
+            dens = {v.denominator for v in values}
+            s = 1 if dens == {1} else lcm(*dens)
+            row = [v.numerator * (s // v.denominator) for v in values]
+            rel = con.rel
+            if row[-1] < 0:
+                row = [-a for a in row]
                 rel = {LE: GE, GE: LE, EQ: EQ}[rel]
                 self.flip.append(-1)
             else:
                 self.flip.append(1)
-            rows.append((coeffs, rhs))
+            self.scale.append(s)
+            rows.append(row)
             rels.append(rel)
 
         # column layout: structural | slack/surplus | artificial
         self.ncols = self.nvars
         self.seed_col = [None] * m  # +e_i column used for dual readout
-        self.artificial = set()
+        self.artificial = {}  # artificial column -> its row
+        self.slack_row = {}  # slack or surplus column -> its row
         extra_cols = []  # (row, value) single-entry columns
         for i, rel in enumerate(rels):
-            if rel == LE:
-                extra_cols.append((i, Fraction(1)))
-                self.seed_col[i] = self.ncols
-                self.ncols += 1
-            elif rel == GE:
-                extra_cols.append((i, Fraction(-1)))
+            if rel != EQ:
+                extra_cols.append((i, 1 if rel == LE else -1))
+                self.slack_row[self.ncols] = i
+                if rel == LE:
+                    self.seed_col[i] = self.ncols
                 self.ncols += 1
         for i, rel in enumerate(rels):
             if rel in (GE, EQ):
-                extra_cols.append((i, Fraction(1)))
-                self.artificial.add(self.ncols)
+                extra_cols.append((i, 1))
+                self.artificial[self.ncols] = i
                 self.seed_col[i] = self.ncols
                 self.ncols += 1
 
-        self.T = [
-            [Fraction(0)] * self.ncols + [rows[i][1]] for i in range(m)
+        self.M = [
+            row[:-1] + [0] * (self.ncols - self.nvars) + row[-1:] for row in rows
         ]
-        for i in range(m):
-            for j in range(self.nvars):
-                self.T[i][j] = rows[i][0][j]
         col = self.nvars
         for i, val in extra_cols:
-            self.T[i][col] = val
+            self.M[i][col] = val
             col += 1
+        self.D = 1
+        self.R = None  # set by run()
         self.basis = [self.seed_col[i] for i in range(m)]
+        self.in_basis = set(self.basis)
         self.m = m
         self.active = [True] * m
 
     def pivot(self, row: int, col: int) -> None:
-        T = self.T
-        piv = T[row][col]
-        T[row] = [v / piv for v in T[row]]
-        for i in range(self.m):
-            if i != row and T[i][col] != 0:
-                factor = T[i][col]
-                T[i] = [a - factor * b for a, b in zip(T[i], T[row])]
+        D, piv_row = self.D, self.M[row]
+        p = piv_row[col]
+        # row `row` keeps its numerators; the new denominator is p
+        for i, Mi in enumerate(self.M + [self.R]):
+            if i == row:
+                continue
+            f = Mi[col]
+            if f:
+                Mi[:] = [(a * p - f * b) // D for a, b in zip(Mi, piv_row)]
+            elif p != D:
+                Mi[:] = [a * p // D for a in Mi]
+        self.D = p
+        if p < 0:  # only in the artificial drive-out; keep D > 0
+            for Mi in self.M + [self.R]:
+                Mi[:] = [-a for a in Mi]
+            self.D = -p
+        self.in_basis.discard(self.basis[row])
+        self.in_basis.add(col)
         self.basis[row] = col
 
-    def reduced_costs(self, c: list[Fraction]) -> list[Fraction]:
-        """r_j = c_j - c_B . T[:, j] for the current basis."""
-        cb = [c[self.basis[i]] if self.active[i] else Fraction(0) for i in range(self.m)]
-        out = []
-        for j in range(self.ncols):
-            z = sum(cb[i] * self.T[i][j] for i in range(self.m) if self.active[i])
-            out.append(c[j] - z)
-        return out
-
-    def run(self, c: list[Fraction], forbid: set[int]):
-        """Maximize c.x from the current basis; Bland's rule; returns
-        ("optimal", None) or ("unbounded", entering_col)."""
+    def run(self, c: list[int], forbid: Container[int]) -> tuple[str, int | None]:
+        """Maximize c.x (integer costs) from the current basis; Bland's rule;
+        returns ("optimal", None) or ("unbounded", entering_col)."""
+        D = self.D
+        R = [D * cj for cj in c] + [0]
+        for i in range(self.m):
+            cb = c[self.basis[i]]
+            if cb and self.active[i]:
+                R = [a - cb * b for a, b in zip(R, self.M[i])]
+        self.R = R  # pivot() updates it in place
         while True:
-            r = self.reduced_costs(c)
-            enter = None
-            for j in range(self.ncols):
-                if j in forbid or j in self.basis:
-                    continue
-                if r[j] > 0:
-                    enter = j
-                    break
+            enter = next(
+                (
+                    j
+                    for j in range(self.ncols)
+                    if R[j] > 0 and j not in forbid and j not in self.in_basis
+                ),
+                None,
+            )
             if enter is None:
                 return "optimal", None
             leave_row = None
-            best_ratio = None
             for i in range(self.m):
-                if not self.active[i]:
-                    continue
-                t = self.T[i][enter]
-                if t > 0:
-                    ratio = self.T[i][-1] / t
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[i] < self.basis[leave_row])
-                    ):
-                        best_ratio = ratio
-                        leave_row = i
+                t = self.M[i][enter]
+                if t > 0 and self.active[i]:
+                    rhs = self.M[i][-1]
+                    if leave_row is not None:
+                        # rhs/t against best_rhs/best_t; both t are positive
+                        cross, best_cross = rhs * best_t, best_rhs * t
+                        if cross > best_cross or (
+                            cross == best_cross and self.basis[i] > self.basis[leave_row]
+                        ):
+                            continue
+                    leave_row, best_rhs, best_t = i, rhs, t
             if leave_row is None:
                 return "unbounded", enter
             self.pivot(leave_row, enter)
-
-    def objective_value(self, c: list[Fraction]) -> Fraction:
-        return sum(
-            c[self.basis[i]] * self.T[i][-1] for i in range(self.m) if self.active[i]
-        )
 
     def solution(self) -> list[Fraction]:
         x = [Fraction(0)] * self.nvars
         for i in range(self.m):
             if self.active[i] and self.basis[i] < self.nvars:
-                x[self.basis[i]] = self.T[i][-1]
+                x[self.basis[i]] = Fraction(self.M[i][-1], self.D)
         return x
 
 
@@ -178,14 +206,16 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     c_struct = [sign * c for c in lp.objective]
     tab = _Tableau(lp)
 
-    # phase 1: maximize minus the artificial sum
+    # phase 1: maximize minus the artificial sum of the unscaled rows, times
+    # L = lcm(scale) so that the costs stay integers
     if tab.artificial:
-        c1 = [Fraction(0)] * tab.ncols
-        for j in tab.artificial:
-            c1[j] = Fraction(-1)
-        status, _ = tab.run(c1, forbid=set())
+        L = lcm(*tab.scale)
+        c1 = [0] * tab.ncols
+        for j, i in tab.artificial.items():
+            c1[j] = -(L // tab.scale[i])
+        status, _ = tab.run(c1, forbid=())
         assert status == "optimal"  # phase 1 is always bounded
-        if tab.objective_value(c1) != 0:
+        if tab.R[-1] != 0:  # -D L times the phase-1 optimum
             return SimplexResult(status="infeasible")
         # drive artificials out of the basis (all sit at value zero here)
         for i in range(tab.m):
@@ -194,7 +224,7 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
                     (
                         j
                         for j in range(tab.ncols)
-                        if j not in tab.artificial and tab.T[i][j] != 0
+                        if j not in tab.artificial and tab.M[i][j] != 0
                     ),
                     None,
                 )
@@ -203,26 +233,33 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
                 else:
                     tab.pivot(i, pivot_col)
 
-    c2 = c_struct + [Fraction(0)] * (tab.ncols - tab.nvars)
+    # phase 2 on the objective times its own integer scale
+    c_scale = lcm(*(c.denominator for c in c_struct))
+    c2 = [c.numerator * (c_scale // c.denominator) for c in c_struct]
+    c2 += [0] * (tab.ncols - tab.nvars)
     status, enter = tab.run(c2, forbid=tab.artificial)
     if status == "unbounded":
+        # a slack or surplus of row i is scale[i] times the unscaled one
+        s = tab.scale[tab.slack_row[enter]] if enter >= tab.nvars else 1
         ray = [Fraction(0)] * tab.nvars
         if enter < tab.nvars:
             ray[enter] = Fraction(1)
         for i in range(tab.m):
             if tab.active[i] and tab.basis[i] < tab.nvars:
-                ray[tab.basis[i]] = -tab.T[i][enter]
+                ray[tab.basis[i]] = Fraction(-tab.M[i][enter] * s, tab.D)
         return SimplexResult(status="unbounded", ray=tuple(ray))
 
     x = tab.solution()
     value = sum(ci * xi for ci, xi in zip(c_struct, x))
-    r = tab.reduced_costs(c2)
     duals = []
     for i in range(tab.m):
         if not tab.active[i]:
             duals.append(Fraction(0))
             continue
-        y_internal = -r[tab.seed_col[i]]  # seed column is +e_i, cost zero
+        # the seed column is +e_i of the scaled row, with cost zero; its
+        # variable is scale[i] times the unscaled one, and R / D is c_scale
+        # times the reduced costs
+        y_internal = Fraction(-tab.R[tab.seed_col[i]] * tab.scale[i], tab.D * c_scale)
         duals.append(sign * tab.flip[i] * y_internal)
     return SimplexResult(
         status="optimal",

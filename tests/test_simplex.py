@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nrtbounds.simplex import EQ, GE, LE, make_lp, simplex_solve
 
@@ -111,3 +113,85 @@ def test_against_floating_solver():
         )
         assert exact.status == "optimal" and ref.status == 0
         assert float(exact.objective) == pytest.approx(-ref.fun, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Exact optimality and unboundedness properties on random fractional programs
+
+rationals = st.builds(
+    Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6])
+)
+
+
+@st.composite
+def programs(draw):
+    nvars = draw(st.integers(1, 4))
+    vector = st.lists(rationals, min_size=nvars, max_size=nvars)
+    rows = draw(
+        st.lists(
+            st.tuples(vector, st.sampled_from([LE, GE, EQ]), rationals),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return make_lp(draw(vector), rows, maximize=draw(st.booleans()))
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+# max x s.t. x/2 >= 1/3: phase 2 enters the surplus of a scaled row, and
+# moving the surplus by one raises x by two
+SURPLUS_RAY = make_lp([1], [([Fraction(1, 2)], GE, Fraction(1, 3))])
+
+
+def _assert_primal_feasible(lp, res):
+    assert all(v >= 0 for v in res.x)
+    for con in lp.constraints:
+        lhs = _dot(con.coeffs, res.x)
+        assert {LE: lhs <= con.rhs, GE: lhs >= con.rhs, EQ: lhs == con.rhs}[con.rel]
+    assert _dot(lp.objective, res.x) == res.objective
+
+
+def _assert_dual_feasible_with_equal_value(lp, res):
+    # y is the rate of change of the optimum in each rhs: a <= row can only
+    # help a maximum, a >= row only hurt it, and the reverse for a minimum
+    sense = 1 if lp.maximize else -1
+    for con, y in zip(lp.constraints, res.duals):
+        assert {LE: sense * y >= 0, GE: sense * y <= 0, EQ: True}[con.rel]
+    for j, c in enumerate(lp.objective):
+        column = [con.coeffs[j] for con in lp.constraints]
+        assert sense * (_dot(column, res.duals) - c) >= 0
+    assert _dot(res.duals, [con.rhs for con in lp.constraints]) == res.objective
+
+
+def _assert_improving_recession_direction(lp, res):
+    assert all(v >= 0 for v in res.ray) and any(v > 0 for v in res.ray)
+    for con in lp.constraints:
+        lhs = _dot(con.coeffs, res.ray)
+        assert {LE: lhs <= 0, GE: lhs >= 0, EQ: lhs == 0}[con.rel]
+    gain = _dot(lp.objective, res.ray)
+    assert gain > 0 if lp.maximize else gain < 0
+
+
+@settings(max_examples=500, deadline=None)
+@example(SURPLUS_RAY)
+@given(programs())
+def test_result_proves_its_status(lp):
+    """An optimum is primal and dual feasible with equal values (strong
+    duality); an unbounded result carries an improving recession ray."""
+    res = simplex_solve(lp)
+    if res.status == "optimal":
+        _assert_primal_feasible(lp, res)
+        _assert_dual_feasible_with_equal_value(lp, res)
+    elif res.status == "unbounded":
+        _assert_improving_recession_direction(lp, res)
+    else:
+        assert res.status == "infeasible"
+
+
+def test_ray_through_a_surplus_column():
+    res = simplex_solve(SURPLUS_RAY)
+    assert res.status == "unbounded"
+    assert res.ray == (2,)

@@ -1,0 +1,181 @@
+"""Pinned simplex results: the exact output of every program below, as
+recorded from the Fraction-tableau simplex that preceded the integer one.
+
+Bland's rule fixes the pivot path, so a solver that keeps the path gives
+bit-identical status, objective, x, duals and ray.  The fixture
+`simplex_paths.json` holds those results as rational strings for seeded
+random programs (fractional data, all three relations, negative right-hand
+sides, both senses; optimal, infeasible and unbounded) and for the Delsarte
+programs of four small spaces, together with the distributions and
+certificates `delsarte` builds from them.
+
+Re-record (only from a solver known to keep the path):
+
+    PYTHONPATH=src python tests/test_simplex_paths.py
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from nrtbounds import delsarte
+from nrtbounds.simplex import EQ, GE, LE, make_lp, simplex_solve
+from nrtbounds.space import SpaceParams
+
+FIXTURE = Path(__file__).with_name("simplex_paths.json")
+
+# Random programs pinned: a contiguous block of seeds, plus seeds on which
+# giving every artificial the phase-1 cost -1, instead of -L/s_i when row i
+# is scaled to integers by s_i and L = lcm(s), leaves Bland's path and
+# changes the result.
+RANDOM_SEEDS = list(range(300))
+PATH_SENSITIVE_SEEDS = [3324, 6673, 9825, 10546]
+ALL_SEEDS = sorted(set(RANDOM_SEEDS) | set(PATH_SENSITIVE_SEEDS))
+
+# The spaces of the benchmark's lp-sweep workload: every distance and strength.
+SPACES = [(2, 2, 6), (3, 2, 6), (2, 3, 4), (2, 4, 3)]
+# Distributions and certificates are pinned on these two.
+DELSARTE_SPACES = [(2, 2, 6), (2, 3, 4)]
+
+
+def random_lp(seed: int):
+    """A small program with fractional data: most rows carry a non-unit
+    denominator, and right-hand sides take either sign."""
+    rng = random.Random(seed)
+    nvars, nrows = rng.randint(1, 5), rng.randint(1, 5)
+
+    def frac():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6)))
+
+    rows = [
+        ([frac() for _ in range(nvars)], rng.choice((LE, LE, GE, EQ)), frac())
+        for _ in range(nrows)
+    ]
+    return make_lp([frac() for _ in range(nvars)], rows, maximize=rng.random() < 0.5)
+
+
+def _strs(values):
+    return None if values is None else [str(v) for v in values]
+
+
+def encode(res) -> dict:
+    return {
+        "status": res.status,
+        "objective": None if res.objective is None else str(res.objective),
+        "x": _strs(res.x),
+        "duals": _strs(res.duals),
+        "ray": _strs(res.ray),
+    }
+
+
+def _key(e) -> str:
+    return ",".join(map(str, e))
+
+
+def _rationals(mapping) -> dict:
+    return {_key(e): str(v) for e, v in sorted(mapping.items())}
+
+
+def delsarte_programs(params: SpaceParams):
+    """(name, solver call) for every code distance and array strength."""
+    for d in range(2, params.dim + 2):
+        yield f"I d{d}", lambda d=d: delsarte.solve_code_lp(params, d)
+    for t in range(0, params.dim + 1):
+        yield f"II t{t}", lambda t=t: delsarte.solve_ooa_lp(params, t)
+
+
+def solve_capturing(call):
+    """Run a delsarte solver; return its result and the simplex results
+    it used."""
+    seen = []
+
+    def recording(lp):
+        seen.append(simplex_solve(lp))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(delsarte, "simplex_solve", recording)
+        return call(), seen
+
+
+def _space_name(q, r, n) -> str:
+    return f"q{q} r{r} n{n}"
+
+
+def delsarte_cases(space):
+    """(key, simplex results, distribution, certificate or None) for every
+    program of the space."""
+    for name, call in delsarte_programs(SpaceParams(*space)):
+        out, seen = solve_capturing(call)
+        cert = getattr(out, "certificate", None)
+        yield (
+            f"{_space_name(*space)} {name}",
+            [encode(res) for res in seen],
+            _rationals(out.distribution),
+            cert and {"F0": str(cert.F0), "F": _rationals(cert.F)},
+        )
+
+
+def record() -> dict:
+    data = {
+        "random": {str(s): encode(simplex_solve(random_lp(s))) for s in ALL_SEEDS},
+        "delsarte": {},
+        "distributions": {},
+        "certificates": {},
+    }
+    for space in SPACES:
+        for key, results, distribution, cert in delsarte_cases(space):
+            data["delsarte"].update({key: res for res in results})
+            if space in DELSARTE_SPACES:
+                data["distributions"][key] = distribution
+                if cert:
+                    data["certificates"][key] = cert
+    return data
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return json.loads(FIXTURE.read_text())
+
+
+def test_fixture_covers_every_case(pinned):
+    assert set(pinned["random"]) == {str(s) for s in ALL_SEEDS}
+    statuses = {v["status"] for v in pinned["random"].values()}
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert len(pinned["delsarte"]) == sum(2 * SpaceParams(*s).dim for s in SPACES)
+
+
+@pytest.mark.parametrize("seed", ALL_SEEDS)
+def test_random_program_pinned(pinned, seed):
+    assert encode(simplex_solve(random_lp(seed))) == pinned["random"][str(seed)]
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: _space_name(*s))
+def test_delsarte_programs_pinned(pinned, space):
+    for key, results, distribution, cert in delsarte_cases(space):
+        expected = [pinned["delsarte"][key]] if key in pinned["delsarte"] else []
+        assert results == expected, key
+        if space in DELSARTE_SPACES:
+            assert distribution == pinned["distributions"][key], key
+            assert cert == pinned["certificates"].get(key), key
+
+
+def dump(data: dict) -> str:
+    """The fixture as JSON with one line per case."""
+    sections = []
+    for section, cases in sorted(data.items()):
+        lines = ",\n".join(
+            f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
+            for k, v in sorted(cases.items())
+        )
+        sections.append(f"{json.dumps(section)}: {{\n{lines}\n}}")
+    return "{\n" + ",\n".join(sections) + "\n}\n"
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(dump(record()))
