@@ -6,12 +6,16 @@ limiting eigenvalue expression over weight profiles; the depth-2 curve
 minimizes a two-parameter entropy expression under a root-position
 constraint.  Everything here is double precision with deterministic grids
 and local refinement; exactness is not meaningful for these quantities.
+The grids are scanned with numpy one row at a time, through the same
+functions that the refinement calls on floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .krawtchouk import gamma
 from .space import delta_crit
@@ -63,6 +67,8 @@ def z0_solve(q: int, r: int, x: float) -> float:
             raise RootBracketError(f"no sign change up to z={hi}")
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # the bracket cannot shrink any further
+            break
         if g(mid) > 0:
             lo = mid
         else:
@@ -70,16 +76,22 @@ def z0_solve(q: int, r: int, x: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def h_q(q: int, x: float) -> float:
-    """q-ary entropy: -x log_q(x/(q-1)) - (1-x) log_q(1-x)."""
-    if x < 0 or x > 1:
+def _nonneg(x):
+    """max(x, 0) for a float or an array, exactly: x + |x| is 2x or 0."""
+    return (x + abs(x)) * 0.5
+
+
+def h_q(q: int, x):
+    """q-ary entropy -x log_q(x/(q-1)) - (1-x) log_q(1-x), with 0 log 0 = 0,
+    at a float or elementwise on an array."""
+    array = isinstance(x, np.ndarray)
+    lo, hi = (x.min(), x.max()) if array else (x, x)
+    if lo < 0 or hi > 1:
         raise ValueError(f"x={x} outside [0, 1]")
-    total = 0.0
-    if x > 0:
-        total -= x * math.log(x / (q - 1), q)
-    if x < 1:
-        total -= (1 - x) * math.log(1 - x, q)
-    return total
+    log, log_q = (np.log if array else math.log), math.log(q)
+    a, b = x / (q - 1), 1 - x
+    # a zero argument is read as 1, whose log is 0
+    return -(x * (log(a + (a == 0)) / log_q)) - b * (log(b + (b == 0)) / log_q)
 
 
 def H(q: int, r: int, x: float) -> float:
@@ -134,41 +146,59 @@ def be_curve(q: int, r: int, delta: float) -> float:
 # The limiting eigenvalue expression and the LP curve
 
 
-def lambda_expression(q: int, r: int, taus) -> float:
+def lambda_expression(q: int, r: int, taus):
     """Limiting scaled eigenvalue contribution of a weight profile
     (tau_1, ..., tau_r) with tau = sum tau_i:
 
         sum_i L_i [ 2 sqrt((1-tau) tau_i (q-1) q^(i-1))
                     + (q-2) tau_i (q^r - q^(i-1))
                     + 2 (q-1)/q sum_{k<i} sqrt(tau_k tau_i q^(i+k)) ].
+
+    Each tau_i is a float, or an array holding one profile per entry.
     """
     tau = sum(taus)
+    sqrt = np.sqrt if isinstance(tau, np.ndarray) else math.sqrt
     total = 0.0
     for i in range(1, r + 1):
         li = (q ** (r - i + 1) - 1) / (q**r * (q - 1))
-        ti = max(taus[i - 1], 0.0)
-        term = 2.0 * math.sqrt(max((1 - tau) * ti * (q - 1) * q ** (i - 1), 0.0))
+        ti = _nonneg(taus[i - 1])
+        term = 2.0 * sqrt(_nonneg((1 - tau) * ti * (q - 1) * q ** (i - 1)))
         term += (q - 2) * ti * (q**r - q ** (i - 1))
         term += (
             2.0
             * (q - 1)
             / q
-            * sum(math.sqrt(max(taus[k - 1] * ti, 0.0) * q ** (i + k)) for k in range(1, i))
+            * sum(sqrt(_nonneg(taus[k - 1] * ti) * q ** (i + k)) for k in range(1, i))
         )
         total += li * term
     return total
 
 
-def _simplex_grid(total: float, parts: int, steps: int):
-    """Deterministic lattice on {x >= 0, sum x = total} with the given step
-    count per axis."""
-    if parts == 1:
-        yield (total,)
+def _lattice(total: float, parts: int, steps: int) -> list[np.ndarray]:
+    """Deterministic lattice on {x >= 0, sum x = total}, one array per
+    coordinate.  Coordinate k takes the steps j/steps, j = 0..steps, of what
+    coordinates 1..k-1 left, the last coordinate takes the rest, and the
+    points are in lexicographic order of their step indices."""
+    j = np.arange(steps + 1)
+    rest = np.array([total], dtype=float)
+    cols: list[np.ndarray] = []
+    for _ in range(parts - 1):
+        head = np.multiply.outer(rest, j) / steps
+        cols = [c.repeat(steps + 1) for c in cols] + [head.ravel()]
+        rest = (rest[:, None] - head).ravel()
+    return cols + [rest]
+
+
+def _lattice_rows(total: float, parts: int, steps: int):
+    """The points of `_lattice`, in order, in blocks of columns: one block
+    per step of the first coordinate when parts > 2, else one block."""
+    if parts <= 2:
+        yield _lattice(total, parts, steps)
         return
     for j in range(steps + 1):
         head = total * j / steps
-        for rest in _simplex_grid(total - head, parts - 1, steps):
-            yield (head,) + rest
+        rest = _lattice(total - head, parts - 1, steps)
+        yield [np.full(len(rest[0]), head)] + rest
 
 
 def lambda_asym(q: int, r: int, tau: float) -> tuple[float, tuple[float, ...]]:
@@ -185,12 +215,11 @@ def lambda_asym(q: int, r: int, tau: float) -> tuple[float, tuple[float, ...]]:
         return lambda_expression(q, 1, (tau,)), (tau,)
     steps = 200 if r <= 3 else 40
     best_val = -math.inf
-    best = None
-    for point in _simplex_grid(tau, r, steps):
-        val = lambda_expression(q, r, point)
-        if val > best_val:
-            best_val, best = val, point
-    taus = list(best)
+    for cols in _lattice_rows(tau, r, steps):
+        vals = lambda_expression(q, r, cols)
+        k = int(np.argmax(vals))  # the first maximum of the row
+        if vals[k] > best_val:
+            best_val, taus = float(vals[k]), [float(c[k]) for c in cols]
     # pairwise mass transfers; the expression is concave along each line
     for _ in range(200):
         improved = 0.0
@@ -267,11 +296,13 @@ def lp_curve_default_taus(q: int, grid: int) -> list[float]:
 # Depth-2 curve
 
 
-def _phi_objective(q: int, t1: float, t2: float) -> float:
+def _phi_objective(q: int, t1: float, t2):
+    """Depth-2 objective at (t1, t2); t2 is a float or an array."""
     return 0.5 * (t2 + h_q(q, t1) + (1 - t1) * h_q(q, t2 / (1 - t1)))
 
 
-def _phi_feasible(q: int, t1: float, t2: float, delta: float) -> bool:
+def _phi_feasible(q: int, t1: float, t2, delta: float):
+    """Root-position constraint at (t1, t2); t2 is a float or an array."""
     g2 = gamma(q, t2)
     return g2 + (2 - g2) * (1 - t2) * gamma(q, t1) <= 2 * delta
 
@@ -289,16 +320,17 @@ def phi_r2_with_witness(q: int, delta: float):
     t1_max = (q - 1) / q**2
     t2_max = (q - 1) / q
     steps = 200
+    t2_row = t2_max * np.arange(steps + 1) / steps
     best = None
     for i in range(steps + 1):
         t1 = t1_max * i / steps
-        for j in range(steps + 1):
-            t2 = t2_max * j / steps
-            if not _phi_feasible(q, t1, t2, delta):
-                continue
-            val = _phi_objective(q, t1, t2)
-            if best is None or val < best[0]:
-                best = (val, t1, t2)
+        t2 = t2_row[_phi_feasible(q, t1, t2_row, delta)]
+        if not t2.size:
+            continue
+        vals = _phi_objective(q, t1, t2)
+        k = int(np.argmin(vals))  # the first minimum of the row
+        if best is None or vals[k] < best[0]:
+            best = (float(vals[k]), t1, float(t2[k]))
     if best is None:
         return 1.0, None
     val, t1, t2 = best

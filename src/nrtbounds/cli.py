@@ -144,6 +144,8 @@ def cmd_lp(args) -> int:
 
 def cmd_asym(args) -> int:
     q, r, grid = args.q, args.r, args.grid
+    if grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {grid}")
     rows: list[tuple[float, float, str]] = []  # delta, rate, meta
     name = args.curve
     if name in ("gv", "hamming", "plotkin", "be"):
@@ -165,7 +167,7 @@ def cmd_asym(args) -> int:
             raise ValueError("curve lp2 is defined for r = 2")
         dc = float(delta_crit(q, 2))
         for j in range(1, grid + 1):
-            delta = dc * j / grid
+            delta = min(dc * j / grid, dc)  # the last step may round above dc
             rows.append((delta, phi_r2(q, delta), ""))
     elif name == "psi":
         for j in range(1, grid + 1):

@@ -240,11 +240,13 @@ def k_root_min(q: int, nu: float, s: int) -> float:
     return float(np.linalg.eigvalsh(jacobi)[0])
 
 
-def gamma(q: int, y: float) -> float:
-    """Limit of the scaled smallest Krawtchouk root:
+def gamma(q: int, y):
+    """Limit of the scaled smallest Krawtchouk root, at a float or
+    elementwise on an array:
 
         (q-1)/q - ((q-2)/q) y - (2/q) sqrt((q-1) y (1-y))
     """
-    if not 0 <= y <= (q - 1) / q:
+    lo, hi = (y.min(), y.max()) if isinstance(y, np.ndarray) else (y, y)
+    if not (0 <= lo and hi <= (q - 1) / q):
         raise ValueError(f"y={y} outside [0, (q-1)/q]")
     return (q - 1) / q - (q - 2) / q * y - 2 / q * ((q - 1) * y * (1 - y)) ** 0.5

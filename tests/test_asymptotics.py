@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from nrtbounds import asymptotics
 from nrtbounds.asymptotics import (
     H,
     be_curve,
@@ -128,6 +130,80 @@ def test_lambda_asym_refinement_beats_grid():
     for j in range(0, 201):
         point = (0.3 * j / 200, 0.3 * (200 - j) / 200)
         assert lambda_expression(2, 2, point) <= got + 1e-12
+
+
+def _reference_grid(total, parts, steps):
+    """The recursive lattice that the numpy rows replaced, point by point."""
+    if parts == 1:
+        yield (total,)
+        return
+    for j in range(steps + 1):
+        head = total * j / steps
+        for rest in _reference_grid(total - head, parts - 1, steps):
+            yield (head,) + rest
+
+
+def _points(cols):
+    return list(zip(*(c.tolist() for c in cols)))
+
+
+@pytest.mark.parametrize("parts", [2, 3, 4])
+@pytest.mark.parametrize("steps", [7, 40, 200])
+def test_lattice_rows_keep_the_recursive_order(parts, steps):
+    total = 0.7
+    rows = asymptotics._lattice_rows(total, parts, steps)
+    if parts * steps < 800:
+        assert [p for cols in rows for p in _points(cols)] == list(
+            _reference_grid(total, parts, steps)
+        )
+        return
+    # 201^3 points: compare five whole rows, one per first coordinate
+    for j, cols in enumerate(rows):
+        if j in (0, 1, 100, 199, 200):
+            head = total * j / steps
+            want = [(head,) + rest for rest in _reference_grid(total - head, parts - 1, steps)]
+            assert _points(cols) == want
+    assert j == steps
+
+
+def test_array_evaluation_matches_floats():
+    # the grids evaluate arrays, the refinement floats, through one formula:
+    # sqrt is correctly rounded in both, so lambda_expression agrees exactly;
+    # numpy's log and sqrt may differ from libm's log and pow(x, 0.5) by an ulp
+    from nrtbounds.krawtchouk import gamma
+
+    rng = np.random.default_rng(7)
+    for q, r in [(2, 1), (2, 3), (3, 2), (4, 4)]:
+        cols = list(rng.dirichlet(np.ones(r + 1), size=300).T[:r] * rng.uniform(0, 1, 300))
+        got = lambda_expression(q, r, cols)
+        want = [lambda_expression(q, r, [float(c[k]) for c in cols]) for k in range(300)]
+        assert got.tolist() == want
+    for q in (2, 3, 5):
+        y = np.concatenate([[0.0, (q - 1) / q], rng.uniform(0, (q - 1) / q, 300)])
+        assert gamma(q, y) == pytest.approx([gamma(q, float(v)) for v in y], rel=1e-15, abs=1e-16)
+        x = np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 300)])
+        assert h_q(q, x) == pytest.approx([h_q(q, float(v)) for v in x], rel=1e-15, abs=1e-16)
+        with pytest.raises(ValueError):
+            h_q(q, np.array([0.5, 1.5]))
+        with pytest.raises(ValueError):
+            gamma(q, np.array([-0.1, 0.2]))
+
+
+def test_grid_scans_keep_the_first_best_point(monkeypatch):
+    # with a constant objective every grid point ties and the refinement
+    # never improves, so the scan's first point is returned
+    monkeypatch.setattr(asymptotics, "lambda_expression", lambda q, r, taus: 0.0 * sum(taus))
+    for r in (2, 3, 4):
+        assert lambda_asym(2, r, 0.3) == (0.0, (0.0,) * (r - 1) + (0.3,))
+    monkeypatch.setattr(asymptotics, "_phi_objective", lambda q, t1, t2: 0.0 * t2)
+    q, delta, steps = 2, 0.1, 200
+    first = next(
+        (t1, t2)
+        for t1 in ((q - 1) / q**2 * i / steps for i in range(steps + 1))
+        for t2 in ((q - 1) / q * j / steps for j in range(steps + 1))
+        if asymptotics._phi_feasible(q, t1, t2, delta)
+    )
+    assert phi_r2_with_witness(q, delta) == (0.0, first)
 
 
 def test_lp_curve_limits():

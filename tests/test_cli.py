@@ -128,6 +128,24 @@ def test_asym_lp2_requires_r2(capsys):
     assert code == 2
 
 
+def test_asym_lp2_ends_at_the_critical_distance(capsys):
+    # for q = 5, 0.88 * 5 / 5 rounds above delta_crit = 0.88
+    code, out, err = run(capsys, "asym", "--q", "5", "--r", "2", "--curve", "lp2", "--grid", "5")
+    assert code == 0, err
+    last = out.strip().splitlines()[-1].split(",")
+    assert float(last[0]) == 0.88 and abs(float(last[1])) < 1e-9
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_asym_grid_below_one_is_usage_error(capsys, grid):
+    code, out, err = run(
+        capsys, "asym", "--q", "2", "--r", "2", "--curve", "gv", "--grid", grid
+    )
+    assert code == 2
+    assert out == ""
+    assert "--grid" in err and len(err.splitlines()) == 1
+
+
 def test_verify_ooa(capsys, tmp_path):
     path = tmp_path / "arr.txt"
     path.write_text("2 2 1\n0 0\n1 1\n")
