@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, floor
 
 from .delsarte import CertificateCheck, DualCertificate, check_certificate, format_rational
@@ -25,7 +26,7 @@ from .space import (
     delta_crit,
     enumerate_shapes,
     shape_count,
-    sphere_size,
+    weight_distribution,
 )
 
 UPPER_CODE = "upper-on-code-size"
@@ -173,15 +174,14 @@ def bassalygo_elias(params: SpaceParams, d: int) -> BoundResult:
         return _inapplicable(
             "bassalygo-elias", UPPER_CODE, "requires d <= n r delta_crit"
         )
+    spheres = weight_distribution(params)
     best: Fraction | None = None
     best_w = None
     w = 0
     while w <= mean and (mean - w) ** 2 >= mean * (mean - d):
         inner = johnson(params, d, w)
         if inner.applicable:
-            candidate = (
-                Fraction(params.ambient_size, sphere_size(params, w)) * inner.value
-            )
+            candidate = Fraction(params.ambient_size, spheres[w]) * inner.value
             if best is None or candidate < best:
                 best, best_w = candidate, w
         w += 1
@@ -207,7 +207,8 @@ def varshamov(params: SpaceParams, t: int) -> int:
         raise ValueError("strength must be >= 1")
     if params.n >= 2:
         sub = SpaceParams(q=params.q, r=params.r, n=params.n - 1)
-        sphere_sums = [ball_size(sub, min(k, sub.dim)) for k in range(t)]
+        balls = list(accumulate(weight_distribution(sub)))
+        sphere_sums = [balls[min(k, sub.dim)] for k in range(t)]
     else:
         sphere_sums = [1] * t  # single-block space: only the zero vector remains
     m = 0

@@ -49,6 +49,7 @@ from .space import (
     shape_count,
     shape_weight,
     sphere_size,
+    weight_distribution,
 )
 
 USAGE_ERROR, BUDGET_ERROR, CHECK_ERROR = 2, 3, 4
@@ -93,7 +94,7 @@ def cmd_sphere(args) -> int:
         payload["sphere_size"] = sphere_size(params, args.d)
     else:
         payload["total"] = params.ambient_size
-        payload["sphere_sizes"] = [sphere_size(params, d) for d in range(params.dim + 1)]
+        payload["sphere_sizes"] = weight_distribution(params)
     _emit(json.dumps(payload, indent=2), args.out)
     return 0
 
@@ -130,6 +131,8 @@ def cmd_lp(args) -> int:
     else:
         if args.t is None:
             raise ValueError("program II needs --t")
+        if args.certificate:
+            raise ValueError("--certificate is supported for program I only")
         res = solve_ooa_lp(params, args.t)
         payload = {
             "params": {"q": params.q, "r": params.r, "n": params.n},
@@ -271,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--program", choices=["I", "II"], required=True)
-    p.add_argument("--certificate", help="write the dual certificate here")
+    p.add_argument("--certificate", help="write the dual certificate here (program I)")
     p.set_defaults(fn=cmd_lp)
 
     p = sub.add_parser("asym", help="asymptotic curve as CSV")

@@ -3,13 +3,13 @@
 A shape enumerator is a polynomial in z_0, ..., z_r whose monomial for
 shape e is z_0^(e_0) z_1^(e_1) ... z_r^(e_r); reading a code in the right
 space counts codewords by left-to-right shape, reading in the left space by
-right-to-left shape.  The transform substitutes
+right-to-left shape.  The transform applies the eigenmatrix of the ordered
+Hamming scheme, the multivariate Krawtchouk values K_f(e), to the
+right-reading enumerator A of a code and divides by the code size:
 
-    u_0       = z_0 + (q-1) sum_{i=1..r} q^(i-1) z_i
-    u_{r-j+1} = z_0 + (q-1) sum_{k<j} q^(k-1) z_k - q^(j-1) z_j   (j = 1..r)
+    B_f = (1/|C|) sum_e A_e K_f(e)
 
-into the right-reading enumerator of a code and divides by the code size,
-producing the left-reading enumerator of its dual.
+is the left-reading enumerator of its dual.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .krawtchouk import K_multi
 from .space import (
     ArrayTable,
     LinearCode,
@@ -25,6 +26,7 @@ from .space import (
     SpaceParams,
     dual_code,
     enumerate_code,
+    enumerate_shapes,
     shape_bar_of,
     shape_of,
 )
@@ -62,70 +64,17 @@ def enumerator_of(obj: LinearCode | ArrayTable, reading: str = RIGHT) -> WeightE
     return WeightEnumerator(params=table.params, reading=reading, coeffs=coeffs)
 
 
-# polynomials over z_0..z_r are dicts: exponent tuple (a_0..a_r) -> Fraction
-
-
-def _poly_mul(p1: dict, p2: dict) -> dict:
-    out: dict = {}
-    for m1, c1 in p1.items():
-        for m2, c2 in p2.items():
-            key = tuple(a + b for a, b in zip(m1, m2))
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return out
-
-
-def _poly_pow(p: dict, k: int, nvars: int) -> dict:
-    out = {(0,) * nvars: Fraction(1)}
-    for _ in range(k):
-        out = _poly_mul(out, p)
-    return out
-
-
-def _substitution_forms(params: SpaceParams) -> list[dict]:
-    """Linear forms u_0, ..., u_r as single-degree polynomials in z."""
-    q, r = params.q, params.r
-    nv = r + 1
-
-    def unit(j: int) -> tuple:
-        return tuple(1 if i == j else 0 for i in range(nv))
-
-    forms = []
-    u0 = {unit(0): Fraction(1)}
-    for i in range(1, r + 1):
-        u0[unit(i)] = Fraction((q - 1) * q ** (i - 1))
-    forms.append(u0)
-    by_index = {}
-    for j in range(1, r + 1):
-        u = {unit(0): Fraction(1)}
-        for k in range(1, j):
-            u[unit(k)] = Fraction((q - 1) * q ** (k - 1))
-        u[unit(j)] = Fraction(-(q ** (j - 1)))
-        by_index[r - j + 1] = u
-    for m in range(1, r + 1):
-        forms.append(by_index[m])
-    return forms
-
-
 def transform(enum: WeightEnumerator, codesize: int) -> WeightEnumerator:
-    """MacWilliams transform: substitute the u-forms and divide by the code
-    size; flips the reading direction."""
+    """MacWilliams transform: apply the eigenmatrix, B_f = sum_e A_e K_f(e)
+    divided by the code size, in exact Fractions; flips the reading
+    direction."""
     params = enum.params
-    nv = params.r + 1
-    forms = _substitution_forms(params)
-    result: dict = {}
-    for e, coeff in enum.coeffs.items():
-        e_full = (params.n - sum(e),) + tuple(e)
-        monomial = {(0,) * nv: Fraction(1)}
-        for j, power in enumerate(e_full):
-            if power:
-                monomial = _poly_mul(monomial, _poly_pow(forms[j], power, nv))
-        for key, c in monomial.items():
-            result[key] = result.get(key, Fraction(0)) + coeff * c
+    support = [(e, c) for e, c in enum.coeffs.items() if c]
     coeffs: dict[Shape, Fraction] = {}
-    for key, c in result.items():
-        value = c / codesize
-        if value != 0:
-            coeffs[tuple(key[1:])] = value
+    for f in enumerate_shapes(params):
+        value = Fraction(sum(c * K_multi(params, f, e) for e, c in support), codesize)
+        if value:
+            coeffs[f] = value
     reading = LEFT if enum.reading == RIGHT else RIGHT
     return WeightEnumerator(params=params, reading=reading, coeffs=coeffs)
 

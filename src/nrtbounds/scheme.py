@@ -48,13 +48,20 @@ def P_eval(params: SpaceParams, e: Shape) -> Fraction:
 # Intersection numbers
 
 
-def intersection_Fi(params: SpaceParams, f: Shape, i: int, h: Shape) -> int:
-    """Intersection number with a single-part first index at depth i.
+def _bump(f: Shape, j: int, delta: int) -> Shape:
+    out = list(f)
+    out[j] += delta
+    return tuple(out)
+
+
+def _nonzero_intersections(params: SpaceParams, f: Shape, i: int):
+    """The pairs (h, m) of a shape h of the space and its nonzero
+    intersection number m = intersection_Fi(f, i, h), at most 2i + 1.
 
     Adding a depth-i perturbation to a vector of shape h can: create a new
     depth-i block, annihilate one, move a block between depths k < i and i,
     keep a depth-i block at depth i, or vanish inside a block whose top
-    symbol sits deeper than i.  Nonzero only for (k < i):
+    symbol sits deeper than i.  With k < i:
 
       h = f + delta_i              -> f_i + 1
       h = f                        -> q^(i-1) (f_i (q-2) + (q-1) sum_{j>i} f_j)
@@ -62,27 +69,31 @@ def intersection_Fi(params: SpaceParams, f: Shape, i: int, h: Shape) -> int:
       h = f - delta_k + delta_i    -> (f_i + 1)(q-1) q^(k-1)
       h = f - delta_i              -> (n - |f| + 1) q^(i-1) (q-1)
     """
-    q, r, n = params.q, params.r, params.n
-    if not 1 <= i <= r:
-        raise ValueError(f"depth {i} out of range [1, {r}]")
-    diff = [hj - fj for hj, fj in zip(h, f)]
-    nonzero = {j: d for j, d in enumerate(diff) if d != 0}
+    q, n = params.q, params.n
     ii = i - 1  # 0-based slot of depth i
-    if not nonzero:
-        deeper = sum(f[ii + 1 :])
-        return q ** (i - 1) * (f[ii] * (q - 2) + (q - 1) * deeper)
-    if set(nonzero.values()) == {1} and list(nonzero) == [ii]:
-        return f[ii] + 1
-    if set(nonzero.values()) == {-1} and list(nonzero) == [ii]:
-        return (n - shape_length(f) + 1) * q ** (i - 1) * (q - 1)
-    if len(nonzero) == 2 and sorted(nonzero.values()) == [-1, 1]:
-        kk = next(j for j, d in nonzero.items() if d == 1)
-        jj = next(j for j, d in nonzero.items() if d == -1)
-        if jj == ii and kk < ii:  # one more at depth k < i, one fewer at i
-            return (f[kk] + 1) * (q - 1) * q ** (i - 1)
-        if kk == ii and jj < ii:  # one fewer at depth k < i, one more at i
-            return (f[ii] + 1) * (q - 1) * q ** (jj + 1 - 1)
-    return 0
+    step = (q - 1) * q ** (i - 1)
+    if shape_length(f) < n:
+        yield _bump(f, ii, 1), f[ii] + 1
+    same = q ** (i - 1) * (f[ii] * (q - 2) + (q - 1) * sum(f[i:]))
+    if same:
+        yield f, same
+    for kk in range(ii):  # 0-based slot of depth k < i
+        if f[ii]:
+            yield _bump(_bump(f, kk, 1), ii, -1), (f[kk] + 1) * step
+        if f[kk]:
+            yield _bump(_bump(f, kk, -1), ii, 1), (f[ii] + 1) * (q - 1) * q**kk
+    if f[ii]:
+        yield _bump(f, ii, -1), (n - shape_length(f) + 1) * step
+
+
+def intersection_Fi(params: SpaceParams, f: Shape, i: int, h: Shape) -> int:
+    """Intersection number with a single-part first index at depth i: the
+    count of z with shape(z) = f and shape(z - x) = F_i, for a fixed x of
+    shape h.  Nonzero only for the moves listed in `_nonzero_intersections`.
+    """
+    if not 1 <= i <= params.r:
+        raise ValueError(f"depth {i} out of range [1, {params.r}]")
+    return next((m for g, m in _nonzero_intersections(params, f, i) if g == h), 0)
 
 
 def intersection_general(
@@ -140,29 +151,12 @@ class ThreeTermBlocks:
     C: np.ndarray
 
 
-def _bump(f: Shape, j: int, delta: int) -> Shape:
-    out = list(f)
-    out[j] += delta
-    return tuple(out)
-
-
-def _neighbours(f: Shape):
-    """Candidate shapes h with h - f in {0, +-delta_j, delta_k - delta_j}:
-    the only ones a single-part intersection number can connect to f."""
-    yield f
-    for j in range(len(f)):
-        yield _bump(f, j, 1)
-        yield _bump(f, j, -1)
-        for k in range(len(f)):
-            if k != j:
-                yield _bump(_bump(f, k, 1), j, -1)
-
-
 def build_blocks(params: SpaceParams, kappa: int) -> ThreeTermBlocks:
-    """Raw entries x[f,h] = sum_i L_i m_i with m_i = intersection_Fi(f, i, h);
-    orthonormal entries by the diagonal similarity X[f,h] = x[f,h] sqrt(v_h/v_f).
+    """Raw entries x[f,h] = sum_i L_i m_i over the nonzero intersection
+    numbers m_i = intersection_Fi(f, i, h) of each row shape f; orthonormal
+    entries by the diagonal similarity X[f,h] = x[f,h] sqrt(v_h/v_f).
 
-    Off the diagonal a single depth i contributes, and X is taken as
+    Off the diagonal a single depth i reaches h, and X is taken as
     float(L_i) sqrt(m_i^2 v_h / v_f).  The rational under the root is the
     same for (f, h) and (h, f), so B is symmetric and C is the previous
     degree's A transposed, bit for bit; in the up and down blocks it is an
@@ -183,22 +177,14 @@ def build_blocks(params: SpaceParams, kappa: int) -> ThreeTermBlocks:
     raw = [[[Fraction(0)] * len(cols) for _ in rows] for cols in sides]
     ortho = [np.zeros((len(rows), len(cols))) for cols in sides]
     for fi, f in enumerate(rows):
-        for h in _neighbours(f):
-            side = kappa + 1 - sum(h)
-            j = index[side].get(h)
-            if j is None:
-                continue
-            m = [intersection_Fi(params, f, i, h) for i in range(1, params.r + 1)]
-            x = sum(Li * mi for Li, mi in zip(L, m))
-            if not x:
-                continue
-            raw[side][fi][j] = x
-            if h == f:
-                ortho[side][fi, j] = float(x)
-            else:
-                ortho[side][fi, j] = sum(
-                    float(Li) * sqrt(mi * mi * v[h] / v[f]) for Li, mi in zip(L, m)
-                )
+        for i, Li in enumerate(L, start=1):
+            for h, m in _nonzero_intersections(params, f, i):
+                side = kappa + 1 - shape_length(h)
+                j = index[side][h]
+                raw[side][fi][j] += Li * m
+                if h != f:
+                    ortho[side][fi, j] = float(Li) * sqrt(m * m * v[h] / v[f])
+        ortho[1][fi, fi] = float(raw[1][fi][fi])
     a, b, c = (tuple(tuple(row) for row in block) for block in raw)
     A, B, C = ortho
     return ThreeTermBlocks(

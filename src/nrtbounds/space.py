@@ -153,22 +153,26 @@ def shapes_of_length(params: SpaceParams, k: int) -> list[Shape]:
     return [e for e in itertools.product(range(k + 1), repeat=params.r) if sum(e) == k]
 
 
+def weight_distribution(params: SpaceParams) -> list[int]:
+    """Sphere sizes S_0, ..., S_{nr}: S_d vectors have NRT weight d."""
+    sizes = [0] * (params.dim + 1)
+    for e in enumerate_shapes(params):
+        sizes[shape_weight(e)] += shape_count(params, e)
+    return sizes
+
+
 def sphere_size(params: SpaceParams, d: int) -> int:
     """Number of vectors at NRT weight exactly d."""
     if not 0 <= d <= params.dim:
         raise ValueError(f"weight {d} out of range [0, {params.dim}]")
-    return sum(
-        shape_count(params, e) for e in enumerate_shapes(params) if shape_weight(e) == d
-    )
+    return weight_distribution(params)[d]
 
 
 def ball_size(params: SpaceParams, d: int) -> int:
     """Number of vectors at NRT weight at most d."""
     if not 0 <= d <= params.dim:
         raise ValueError(f"weight {d} out of range [0, {params.dim}]")
-    return sum(
-        shape_count(params, e) for e in enumerate_shapes(params) if shape_weight(e) <= d
-    )
+    return sum(weight_distribution(params)[: d + 1])
 
 
 def delta_crit(q: int, r: int) -> Fraction:
@@ -300,6 +304,8 @@ def net_to_ooa(t: int, m: int, s: int, q: int) -> OoaParams:
         raise ValueError(f"need 0 <= t <= m, got t={t}, m={m}")
     if s < 1:
         raise ValueError("need s >= 1")
+    if q < 2:
+        raise ValueError(f"alphabet size q must be >= 2, got {q}")
     return OoaParams(strength=m - t, n=s, r=m - t, q=q, index=q**t, size=q**m)
 
 

@@ -176,6 +176,25 @@ def test_net_command(capsys):
     assert code == 2
 
 
+def test_net_rejects_alphabet_below_two(capsys):
+    code, out, err = run(capsys, "net", "--q", "0", "--t", "1", "--m", "2", "--s", "2")
+    assert code == 2
+    assert out == ""
+    assert "q" in err and len(err.splitlines()) == 1
+
+
+def test_lp_program_two_certificate_is_usage_error(capsys, tmp_path):
+    cert = tmp_path / "cert.json"
+    code, out, err = run(
+        capsys,
+        "lp", "--q", "2", "--r", "1", "--n", "3", "--t", "2",
+        "--program", "II", "--certificate", str(cert),
+    )
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1
+    assert not cert.exists()
+
+
 def test_budget_exit_code(capsys, tmp_path):
     # generator file over the enumeration cap: 2^17 codewords
     p = 2

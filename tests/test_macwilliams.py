@@ -72,6 +72,16 @@ def test_transform_of_whole_space_is_zero_indicator():
     assert out.coeffs == {(0, 0): Fraction(1)}
 
 
+def test_transform_of_int_coefficients_is_exact():
+    p = SpaceParams(3, 3, 2)
+    ints = WeightEnumerator(params=p, reading=RIGHT, coeffs={(0, 0, 0): 1, (1, 0, 1): 2})
+    out = transform(ints, 4)
+    assert all(type(v) is Fraction for v in out.coeffs.values())
+    assert any(v.denominator != 1 for v in out.coeffs.values())
+    fracs = {e: Fraction(c) for e, c in ints.coeffs.items()}
+    assert out.coeffs == transform(WeightEnumerator(p, RIGHT, fracs), 4).coeffs
+
+
 def test_double_transform_is_identity():
     p = SpaceParams(2, 2, 2)
     rng = random.Random(4)
@@ -89,10 +99,21 @@ def test_verify_duality_examples():
     assert verify_duality(LinearCode(params=p, generators=()))
 
 
-@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
-def test_duality_on_random_codes(q, n):
-    p = SpaceParams(q, 2, n)
-    rng = random.Random(q * 10 + n)
+DUALITY_SPACES = [
+    (2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 2, 3),
+    (2, 1, 6), (2, 3, 3), (3, 3, 2), (2, 4, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "q,r,n",
+    DUALITY_SPACES,
+    # the r = 2 cases keep their ids and seeds from before r was a parameter
+    ids=[f"{q}-{n}" if r == 2 else f"{q}-{n}-r{r}" for q, r, n in DUALITY_SPACES],
+)
+def test_duality_on_random_codes(q, r, n):
+    p = SpaceParams(q, r, n)
+    rng = random.Random(1000 * (r - 2) + q * 10 + n)
     for _ in range(15):
         assert verify_duality(random_code(p, rng))
 

@@ -28,6 +28,7 @@ from nrtbounds.space import (
     shapes_of_length,
     sphere_size,
     vector_sub,
+    weight_distribution,
 )
 
 
@@ -113,6 +114,23 @@ def test_sphere_sizes():
     assert sphere_size(p, 0) == 1
 
 
+@pytest.mark.parametrize("q,r,n", [(2, 2, 2), (3, 1, 4), (2, 3, 3), (3, 2, 3), (2, 4, 2)])
+def test_weight_distribution_counts_vectors(q, r, n):
+    p = SpaceParams(q, r, n)
+    counted = [0] * (p.dim + 1)
+    for v in enumerate_vectors(p):
+        counted[ordered_weight(p, v)] += 1
+    assert weight_distribution(p) == counted
+    for d in range(p.dim + 1):
+        assert sphere_size(p, d) == counted[d]
+        assert ball_size(p, d) == sum(counted[: d + 1])
+    for d in (-1, p.dim + 1):
+        with pytest.raises(ValueError):
+            sphere_size(p, d)
+        with pytest.raises(ValueError):
+            ball_size(p, d)
+
+
 def test_delta_crit():
     assert delta_crit(2, 1) == Fraction(1, 2)
     assert delta_crit(2, 2) == Fraction(5, 8)
@@ -181,6 +199,9 @@ def test_net_conversion():
         assert (net.t, net.m, net.s, net.q) == (t, m, s, q)
     with pytest.raises(ValueError):
         net_to_ooa(3, 2, 2, 2)
+    for q in (0, 1):
+        with pytest.raises(ValueError):
+            net_to_ooa(1, 2, 2, q)
 
 
 def test_linear_code_and_dual():
