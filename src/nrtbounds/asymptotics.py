@@ -301,10 +301,18 @@ def _phi_objective(q: int, t1: float, t2):
     return 0.5 * (t2 + h_q(q, t1) + (1 - t1) * h_q(q, t2 / (1 - t1)))
 
 
-def _phi_feasible(q: int, t1: float, t2, delta: float):
-    """Root-position constraint at (t1, t2); t2 is a float or an array."""
+def _phi_t2_terms(q: int, t2):
+    """The part of the root-position constraint that depends on t2 alone:
+    gamma(q, t2) and (2 - gamma(q, t2)) (1 - t2)."""
     g2 = gamma(q, t2)
-    return g2 + (2 - g2) * (1 - t2) * gamma(q, t1) <= 2 * delta
+    return g2, (2 - g2) * (1 - t2)
+
+
+def _phi_feasible(q: int, t1: float, t2, delta: float, t2_terms=None):
+    """Root-position constraint at (t1, t2); t2 is a float or an array, and
+    t2_terms, when given, is `_phi_t2_terms(q, t2)`."""
+    g2, w2 = t2_terms or _phi_t2_terms(q, t2)
+    return g2 + w2 * gamma(q, t1) <= 2 * delta
 
 
 def phi_r2(q: int, delta: float) -> float:
@@ -321,10 +329,11 @@ def phi_r2_with_witness(q: int, delta: float):
     t2_max = (q - 1) / q
     steps = 200
     t2_row = t2_max * np.arange(steps + 1) / steps
+    row_terms = _phi_t2_terms(q, t2_row)  # the same on every t1 row
     best = None
     for i in range(steps + 1):
         t1 = t1_max * i / steps
-        t2 = t2_row[_phi_feasible(q, t1, t2_row, delta)]
+        t2 = t2_row[_phi_feasible(q, t1, t2_row, delta, row_terms)]
         if not t2.size:
             continue
         vals = _phi_objective(q, t1, t2)

@@ -26,6 +26,7 @@ from .asymptotics import (
 )
 from .bounds import best_bounds, bound_table_json
 from .delsarte import (
+    CertificateCheck,
     LPError,
     certificate_from_json,
     certificate_to_json,
@@ -106,6 +107,14 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _save_certificate(path: str, cert) -> CertificateCheck:
+    """Write the certificate, read it back, and re-verify the reloaded copy."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(certificate_to_json(cert))
+    with open(path, "r", encoding="utf-8") as fh:
+        return check_certificate(certificate_from_json(fh.read()))
+
+
 def cmd_lp(args) -> int:
     params = _params(args)
     if args.program == "I":
@@ -120,19 +129,13 @@ def cmd_lp(args) -> int:
             "floor": res.bound.numerator // res.bound.denominator,
         }
         if args.certificate:
-            with open(args.certificate, "w", encoding="utf-8") as fh:
-                fh.write(certificate_to_json(res.certificate))
-            with open(args.certificate, "r", encoding="utf-8") as fh:
-                reloaded = certificate_from_json(fh.read())
-            chk = check_certificate(reloaded)
+            chk = _save_certificate(args.certificate, res.certificate)
             if not chk.accepted or chk.code_bound != res.bound:
                 raise CheckFailure("reloaded certificate failed verification")
             payload["certificate"] = args.certificate
     else:
         if args.t is None:
             raise ValueError("program II needs --t")
-        if args.certificate:
-            raise ValueError("--certificate is supported for program I only")
         res = solve_ooa_lp(params, args.t)
         payload = {
             "params": {"q": params.q, "r": params.r, "n": params.n},
@@ -141,6 +144,13 @@ def cmd_lp(args) -> int:
             "value": format_rational(res.bound),
             "ceil": -((-res.bound.numerator) // res.bound.denominator),
         }
+        if args.certificate:
+            # the code certificate at d = t+1 bounds arrays of strength t
+            cert = solve_code_lp(params, args.t + 1).certificate
+            chk = _save_certificate(args.certificate, cert)
+            if not chk.accepted or chk.ooa_bound != res.bound:
+                raise CheckFailure("reloaded certificate failed verification")
+            payload["certificate"] = args.certificate
     _emit(json.dumps(payload, indent=2), args.out)
     return 0
 
@@ -274,7 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--program", choices=["I", "II"], required=True)
-    p.add_argument("--certificate", help="write the dual certificate here (program I)")
+    p.add_argument(
+        "--certificate",
+        help="write the dual certificate here and re-verify it (program II: "
+        "the code certificate at d = t+1)",
+    )
     p.set_defaults(fn=cmd_lp)
 
     p = sub.add_parser("asym", help="asymptotic curve as CSV")

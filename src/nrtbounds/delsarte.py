@@ -11,6 +11,13 @@ polynomial certificates F = F_0 + sum_{e != 0} F_e K_e with
 
 which certify  M <= F(0)/F_0  for codes and  M' >= q^(nr) F_0/F(0)  for
 arrays of strength d-1.
+
+The array program is not solved by a simplex of its own: the scheme is
+formally self-dual, so its eigenmatrix T[f][e] = K_f(e) satisfies
+T T = q^(nr) I, and the array optimum at strength t is q^(nr) over the code
+optimum at distance t+1, attained by the transform of the code optimum (see
+`solve_ooa_lp`).  The direct array simplex is kept as `_solve_ooa_lp_direct`,
+the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .krawtchouk import krawtchouk_table
 from .simplex import EQ, GE, LE, make_lp, simplex_solve
@@ -163,8 +171,40 @@ def solve_code_lp(params: SpaceParams, d: int) -> CodeLPResult:
 
 
 def solve_ooa_lp(params: SpaceParams, t: int) -> OoaLPResult:
-    """Smallest-array bound: minimize 1 + sum A_e subject to the transform
-    vanishing at every nonzero shape of weight <= t and nonnegative above."""
+    """Smallest-array bound: minimize sum B_e over B >= 0 with B_0 = 1 and
+    the transform of B vanishing at every nonzero shape of weight <= t and
+    nonnegative above.  Solved through the code program at d = t+1.
+
+    Let A be the code optimum, M = sum A its value, and T[f][e] = K_f(e),
+    so that T T = q^(nr) I.  Then B = T A / M is feasible here (B >= 0 as
+    T A >= 0, B_0 = 1, and T B = q^(nr) A / M vanishes at 1 <= |e|' <= t)
+    with value q^(nr)/M.  Conversely any feasible B' gives the code point
+    T B' / sum B' of value q^(nr) / sum B' <= M.  So q^(nr)/M is the optimum.
+    """
+    if not 0 <= t <= params.dim:
+        raise ValueError(f"strength {t} out of range [0, {params.dim}]")
+    code = solve_code_lp(params, t + 1)
+    table = krawtchouk_table(params)
+    # A over one common denominator, so each B_f is one integer sum
+    den = lcm(*(a.denominator for a in code.distribution.values()))
+    nums = [(e, a.numerator * (den // a.denominator)) for e, a in code.distribution.items()]
+    scale = den * code.bound
+    distribution = {}
+    for f in enumerate_shapes(params):
+        b = sum(table[(f, e)] * a for e, a in nums) / scale
+        if b != 0:
+            distribution[f] = b
+    return OoaLPResult(
+        params=params,
+        t=t,
+        bound=params.ambient_size / code.bound,
+        distribution=distribution,
+    )
+
+
+def _solve_ooa_lp_direct(params: SpaceParams, t: int) -> OoaLPResult:
+    """The array program solved by its own simplex: the reference that
+    `solve_ooa_lp` is tested against."""
     if not 0 <= t <= params.dim:
         raise ValueError(f"strength {t} out of range [0, {params.dim}]")
     shapes = list(enumerate_shapes(params))

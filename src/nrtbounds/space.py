@@ -154,10 +154,21 @@ def shapes_of_length(params: SpaceParams, k: int) -> list[Shape]:
 
 
 def weight_distribution(params: SpaceParams) -> list[int]:
-    """Sphere sizes S_0, ..., S_{nr}: S_d vectors have NRT weight d."""
-    sizes = [0] * (params.dim + 1)
-    for e in enumerate_shapes(params):
-        sizes[shape_weight(e)] += shape_count(params, e)
+    """Sphere sizes S_0, ..., S_{nr}: S_d vectors have NRT weight d.
+
+    They are the coefficients of the n-th power of the one-block enumerator
+    1 + (q-1)(z + q z^2 + ... + q^(r-1) z^r), since a block's weight is the
+    depth of its top nonzero symbol and the blocks are independent.
+    """
+    q = params.q
+    block = [1] + [(q - 1) * q ** (i - 1) for i in range(1, params.r + 1)]
+    sizes = [1]
+    for _ in range(params.n):
+        product = [0] * (len(sizes) + params.r)
+        for k, s in enumerate(sizes):
+            for i, c in enumerate(block):
+                product[k + i] += s * c
+        sizes = product
     return sizes
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from nrtbounds.cli import main
+from nrtbounds.delsarte import certificate_from_json, check_certificate, format_rational
 
 
 def run(capsys, *argv):
@@ -183,16 +184,22 @@ def test_net_rejects_alphabet_below_two(capsys):
     assert "q" in err and len(err.splitlines()) == 1
 
 
-def test_lp_program_two_certificate_is_usage_error(capsys, tmp_path):
+def test_lp_program_two_certificate(capsys, tmp_path):
+    # the code certificate at d = t+1, reloaded, bounds the array program
     cert = tmp_path / "cert.json"
-    code, out, err = run(
+    code, out, _ = run(
         capsys,
-        "lp", "--q", "2", "--r", "1", "--n", "3", "--t", "2",
+        "lp", "--q", "2", "--r", "2", "--n", "3", "--t", "3",
         "--program", "II", "--certificate", str(cert),
     )
-    assert code == 2
-    assert out == "" and len(err.splitlines()) == 1
-    assert not cert.exists()
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["certificate"] == str(cert)
+    reloaded = certificate_from_json(cert.read_text())
+    assert reloaded.d == 4
+    chk = check_certificate(reloaded)
+    assert chk.accepted
+    assert format_rational(chk.ooa_bound) == payload["value"]
 
 
 def test_budget_exit_code(capsys, tmp_path):

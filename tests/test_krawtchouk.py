@@ -181,6 +181,18 @@ def test_orthogonality_small():
             assert ip == (shape_count(p, f) if f == g else 0)
 
 
+@pytest.mark.parametrize("q,r,n", [(2, 2, 6), (2, 3, 4), (3, 2, 4)])
+def test_eigenmatrix_squares_to_ambient_size(q, r, n):
+    # formal self-duality: T T = q^(nr) I for T[f][e] = K_f(e)
+    p = SpaceParams(q, r, n)
+    tbl = krawtchouk_table(p)
+    shapes = list(enumerate_shapes(p))
+    for f in shapes:
+        for e in shapes:
+            entry = sum(tbl[(f, g)] * tbl[(g, e)] for g in shapes)
+            assert entry == (p.ambient_size if f == e else 0), (f, e)
+
+
 def test_canonical_representative():
     p = SpaceParams(2, 2, 3)
     for e in enumerate_shapes(p):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrtbounds.krawtchouk import krawtchouk_table
 from nrtbounds.macwilliams import (
@@ -91,6 +93,21 @@ def test_double_transform_is_identity():
         dual_size = p.ambient_size // C.size
         back = transform(transform(en, C.size), dual_size)
         assert back.coeffs == en.coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(2, 1, 5), (2, 2, 3), (3, 2, 2), (2, 3, 3), (3, 3, 2), (5, 2, 2)]),
+    st.integers(0, 2**32),
+)
+def test_double_transform_is_identity_property(space, seed):
+    # T T = q^(nr) I: the transform with codesize |C|, then with the dual's
+    # size q^(nr)/|C|, returns the original enumerator
+    p = SpaceParams(*space)
+    C = random_code(p, random.Random(seed))
+    en = enumerator_of(C, RIGHT)
+    back = transform(transform(en, C.size), p.ambient_size // C.size)
+    assert back.coeffs == en.coeffs
 
 
 def test_verify_duality_examples():

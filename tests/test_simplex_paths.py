@@ -7,7 +7,9 @@ bit-identical status, objective, x, duals and ray.  The fixture
 random programs (fractional data, all three relations, negative right-hand
 sides, both senses; optimal, infeasible and unbounded) and for the Delsarte
 programs of four small spaces, together with the distributions and
-certificates `delsarte` builds from them.
+certificates `delsarte` builds from them.  The array programs are those of
+`delsarte._solve_ooa_lp_direct`, the direct simplex that `solve_ooa_lp`,
+which goes through the code program, is checked against below.
 
 Re-record (only from a solver known to keep the path):
 
@@ -24,8 +26,9 @@ from pathlib import Path
 import pytest
 
 from nrtbounds import delsarte
+from nrtbounds.krawtchouk import krawtchouk_table
 from nrtbounds.simplex import EQ, GE, LE, make_lp, simplex_solve
-from nrtbounds.space import SpaceParams
+from nrtbounds.space import SpaceParams, enumerate_shapes, shape_weight
 
 FIXTURE = Path(__file__).with_name("simplex_paths.json")
 
@@ -86,7 +89,7 @@ def delsarte_programs(params: SpaceParams):
     for d in range(2, params.dim + 2):
         yield f"I d{d}", lambda d=d: delsarte.solve_code_lp(params, d)
     for t in range(0, params.dim + 1):
-        yield f"II t{t}", lambda t=t: delsarte.solve_ooa_lp(params, t)
+        yield f"II t{t}", lambda t=t: delsarte._solve_ooa_lp_direct(params, t)
 
 
 def solve_capturing(call):
@@ -163,6 +166,24 @@ def test_delsarte_programs_pinned(pinned, space):
         if space in DELSARTE_SPACES:
             assert distribution == pinned["distributions"][key], key
             assert cert == pinned["certificates"].get(key), key
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: _space_name(*s))
+def test_array_program_through_code_program(space):
+    # the bound of the direct array simplex, and an exactly feasible B:
+    # B >= 0, B_0 = 1, T B = 0 at 1 <= |f|' <= t and T B >= 0 above
+    p = SpaceParams(*space)
+    tbl = krawtchouk_table(p)
+    shapes = list(enumerate_shapes(p))
+    for t in range(p.dim + 1):
+        res = delsarte.solve_ooa_lp(p, t)
+        assert res.bound == delsarte._solve_ooa_lp_direct(p, t).bound, t
+        B = res.distribution
+        assert B[shapes[0]] == 1 and all(b > 0 for b in B.values())
+        assert sum(B.values()) == res.bound
+        for f in shapes[1:]:
+            TB = sum(tbl[(f, e)] * b for e, b in B.items())
+            assert TB == 0 if shape_weight(f) <= t else TB >= 0, (t, f)
 
 
 def dump(data: dict) -> str:
