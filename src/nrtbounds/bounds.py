@@ -232,27 +232,29 @@ def spectral_bound(params: SpaceParams, d: int) -> BoundResult:
             / (delta_crit r n - lambda_kappa).
 
     Eigenvalue enclosures are used conservatively: the hypothesis is tested
-    against the lower end, the denominator against the upper end.
+    against the lower end, the denominator against the upper end.  Below
+    kappa only the side of the threshold matters, so each hypothesis degree
+    stops its iteration once its enclosure clears the threshold
+    (`spectral_radius(..., decide=)`, which decides it as the full-width
+    enclosure would); only degree kappa, whose ends give the value, its
+    tolerance and its witness, runs to the full width.
     """
     _check_d(params, d)
     dc = delta_crit(params.q, params.r)
     mean = dc * params.dim
     threshold = mean - d  # P(e) at |e|' = d
-    enclosures: dict[int, tuple[float, float]] = {}
     blocks = []  # blocks[mu] serves every operator of degree >= mu
 
-    def lam(k: int) -> tuple[float, float]:
-        if k not in enclosures:
-            while len(blocks) <= k:
-                blocks.append(build_blocks(params, len(blocks)))
-            enclosures[k] = spectral_radius(assemble_operator(blocks[: k + 1]))
-        return enclosures[k]
+    def operator(k: int):
+        while len(blocks) <= k:
+            blocks.append(build_blocks(params, len(blocks)))
+        return assemble_operator(blocks[: k + 1])
 
     for kappa in range(1, params.n + 1):
-        lo_prev, _ = lam(kappa - 1)
+        lo_prev, _ = spectral_radius(operator(kappa - 1), decide=float(threshold))
         if not threshold <= Fraction(lo_prev):
             continue
-        lo_k, hi_k = lam(kappa)
+        lo_k, hi_k = spectral_radius(operator(kappa))
         if Fraction(hi_k) >= mean:
             break  # larger kappa only grows the eigenvalue
         numerator = (

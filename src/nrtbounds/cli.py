@@ -145,9 +145,7 @@ def cmd_lp(args) -> int:
             "ceil": -((-res.bound.numerator) // res.bound.denominator),
         }
         if args.certificate:
-            # the code certificate at d = t+1 bounds arrays of strength t
-            cert = solve_code_lp(params, args.t + 1).certificate
-            chk = _save_certificate(args.certificate, cert)
+            chk = _save_certificate(args.certificate, res.certificate)
             if not chk.accepted or chk.ooa_bound != res.bound:
                 raise CheckFailure("reloaded certificate failed verification")
             payload["certificate"] = args.certificate

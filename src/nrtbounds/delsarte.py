@@ -76,6 +76,9 @@ class OoaLPResult:
     t: int
     bound: Fraction
     distribution: dict[Shape, Fraction]
+    # the code certificate at d = t+1, which bounds arrays of strength t;
+    # None from the direct array simplex
+    certificate: DualCertificate | None = None
 
 
 def evaluate_certificate(cert: DualCertificate, e: Shape):
@@ -180,6 +183,8 @@ def solve_ooa_lp(params: SpaceParams, t: int) -> OoaLPResult:
     T A >= 0, B_0 = 1, and T B = q^(nr) A / M vanishes at 1 <= |e|' <= t)
     with value q^(nr)/M.  Conversely any feasible B' gives the code point
     T B' / sum B' of value q^(nr) / sum B' <= M.  So q^(nr)/M is the optimum.
+    The code program's dual certificate at d = t+1 is returned with it: it
+    certifies q^(nr) F_0/F(0) = q^(nr)/M for arrays of strength t.
     """
     if not 0 <= t <= params.dim:
         raise ValueError(f"strength {t} out of range [0, {params.dim}]")
@@ -199,6 +204,7 @@ def solve_ooa_lp(params: SpaceParams, t: int) -> OoaLPResult:
         t=t,
         bound=params.ambient_size / code.bound,
         distribution=distribution,
+        certificate=code.certificate,
     )
 
 

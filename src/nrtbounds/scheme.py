@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import sqrt
 
 import numpy as np
@@ -31,12 +32,18 @@ from .space import (
 )
 
 
-def L_coeff(params: SpaceParams, i: int) -> Fraction:
-    """L_i = (q^(r-i+1) - 1) / (q^r (q-1))."""
+def _L_terms(params: SpaceParams, i: int) -> tuple[int, int]:
+    """Numerator and denominator of L_i = (q^(r-i+1) - 1) / (q^r (q-1)),
+    unreduced, so that every depth shares the denominator q^r (q-1)."""
     q, r = params.q, params.r
     if not 1 <= i <= r:
         raise ValueError(f"depth {i} out of range [1, {r}]")
-    return Fraction(q ** (r - i + 1) - 1, q**r * (q - 1))
+    return q ** (r - i + 1) - 1, q**r * (q - 1)
+
+
+def L_coeff(params: SpaceParams, i: int) -> Fraction:
+    """L_i = (q^(r-i+1) - 1) / (q^r (q-1))."""
+    return Fraction(*_L_terms(params, i))
 
 
 def P_eval(params: SpaceParams, e: Shape) -> Fraction:
@@ -128,11 +135,17 @@ def _representative_of_shape(params: SpaceParams, h: Shape):
 # Three-term blocks
 
 
+def _over(nums: tuple[tuple[int, ...], ...], den: int) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(Fraction(x, den) for x in row) for row in nums)
+
+
 @dataclass(frozen=True)
 class ThreeTermBlocks:
     """Coefficient blocks of multiplication by P at degree kappa.
 
-    Raw blocks (a, b, c) are exact rationals in the K_f basis; the rescaled
+    Raw blocks (a, b, c) are exact rationals in the K_f basis, held as
+    integer numerators (a_num, b_num, c_num) over the one denominator
+    den = q^r (q-1) and turned into Fractions only when read; the rescaled
     blocks (A, B, C) are floats in the orthonormal basis.  Rows are indexed
     by shapes of length kappa, columns by length kappa+1 / kappa / kappa-1,
     all in lexicographic order.
@@ -143,12 +156,25 @@ class ThreeTermBlocks:
     rows: tuple[Shape, ...]
     cols_up: tuple[Shape, ...]
     cols_down: tuple[Shape, ...]
-    a: tuple[tuple[Fraction, ...], ...]
-    b: tuple[tuple[Fraction, ...], ...]
-    c: tuple[tuple[Fraction, ...], ...]
+    a_num: tuple[tuple[int, ...], ...]
+    b_num: tuple[tuple[int, ...], ...]
+    c_num: tuple[tuple[int, ...], ...]
+    den: int
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
+
+    @cached_property
+    def a(self) -> tuple[tuple[Fraction, ...], ...]:
+        return _over(self.a_num, self.den)
+
+    @cached_property
+    def b(self) -> tuple[tuple[Fraction, ...], ...]:
+        return _over(self.b_num, self.den)
+
+    @cached_property
+    def c(self) -> tuple[tuple[Fraction, ...], ...]:
+        return _over(self.c_num, self.den)
 
 
 def build_blocks(params: SpaceParams, kappa: int) -> ThreeTermBlocks:
@@ -156,15 +182,20 @@ def build_blocks(params: SpaceParams, kappa: int) -> ThreeTermBlocks:
     numbers m_i = intersection_Fi(f, i, h) of each row shape f; orthonormal
     entries by the diagonal similarity X[f,h] = x[f,h] sqrt(v_h/v_f).
 
-    Off the diagonal a single depth i reaches h, and X is taken as
-    float(L_i) sqrt(m_i^2 v_h / v_f).  The rational under the root is the
-    same for (f, h) and (h, f), so B is symmetric and C is the previous
-    degree's A transposed, bit for bit; in the up and down blocks it is an
-    integer.
+    The raw entries are summed as integers N[f,h] = sum_i N_i m_i, where
+    L_i = N_i / D over the common D = q^r (q-1).  The diagonal X[f,f] is
+    the int/int division N[f,f] / D, which rounds correctly and so equals
+    float(Fraction(N[f,f], D)).  Off the diagonal a single depth i reaches
+    h, and X is taken as float(L_i) sqrt(m_i^2 v_h / v_f).  The rational
+    under the root is the same for (f, h) and (h, f), so B is symmetric and
+    C is the previous degree's A transposed, bit for bit; in the up and
+    down blocks it is an integer.
     """
     if kappa > params.n:
         raise ValueError(f"degree {kappa} exceeds n = {params.n}")
-    L = [L_coeff(params, i) for i in range(1, params.r + 1)]
+    terms = [_L_terms(params, i) for i in range(1, params.r + 1)]
+    den = terms[0][1]
+    depths = [(i, N, N / den) for i, (N, _) in enumerate(terms, start=1)]
     rows = tuple(shapes_of_length(params, kappa))
     # columns of shape length kappa+1, kappa, kappa-1: side = kappa + 1 - |h|
     sides = (
@@ -174,18 +205,18 @@ def build_blocks(params: SpaceParams, kappa: int) -> ThreeTermBlocks:
     )
     index = [{h: j for j, h in enumerate(cols)} for cols in sides]
     v = {h: shape_count(params, h) for cols in sides for h in cols}
-    raw = [[[Fraction(0)] * len(cols) for _ in rows] for cols in sides]
+    nums = [[[0] * len(cols) for _ in rows] for cols in sides]
     ortho = [np.zeros((len(rows), len(cols))) for cols in sides]
     for fi, f in enumerate(rows):
-        for i, Li in enumerate(L, start=1):
+        for i, N, Lf in depths:
             for h, m in _nonzero_intersections(params, f, i):
                 side = kappa + 1 - shape_length(h)
                 j = index[side][h]
-                raw[side][fi][j] += Li * m
+                nums[side][fi][j] += N * m
                 if h != f:
-                    ortho[side][fi, j] = float(Li) * sqrt(m * m * v[h] / v[f])
-        ortho[1][fi, fi] = float(raw[1][fi][fi])
-    a, b, c = (tuple(tuple(row) for row in block) for block in raw)
+                    ortho[side][fi, j] = Lf * sqrt(m * m * v[h] / v[f])
+        ortho[1][fi, fi] = nums[1][fi][fi] / den
+    a_num, b_num, c_num = (tuple(tuple(row) for row in block) for block in nums)
     A, B, C = ortho
     return ThreeTermBlocks(
         params=params,
@@ -193,9 +224,10 @@ def build_blocks(params: SpaceParams, kappa: int) -> ThreeTermBlocks:
         rows=rows,
         cols_up=sides[0],
         cols_down=sides[2],
-        a=a,
-        b=b,
-        c=c,
+        a_num=a_num,
+        b_num=b_num,
+        c_num=c_num,
+        den=den,
         A=A,
         B=B,
         C=C,
@@ -247,7 +279,10 @@ class SpectralConvergenceError(Exception):
 
 
 def spectral_radius(
-    op: OperatorS, rel_tol: float = 1e-10, max_iter: int = 10**6
+    op: OperatorS,
+    rel_tol: float = 1e-10,
+    max_iter: int = 10**6,
+    decide: float | None = None,
 ) -> tuple[float, float]:
     """Enclosure (lower, upper) of the largest eigenvalue.
 
@@ -257,6 +292,20 @@ def spectral_radius(
     at every step.  When plain iteration converges too slowly the same
     iteration is accelerated by repeated squaring of the shifted matrix,
     which preserves nonnegativity and hence the validity of the bounds.
+
+    With `decide=x` the same iteration also returns its current pair as
+    soon as the pair is decided: upper < x - margin or lower > x + margin,
+    with margin = 1e-9 (m + |x|).  A decided pair answers "lower >= x?" as
+    the full-width pair (lo, hi) would.  M is entrywise nonnegative, so
+    0 <= rho < m; at the default rel_tol the full width hi - lo is at most
+    1e-10 max(1, hi) < 1e-10 m; and each ratio is a sum of nonnegative
+    terms, rounded to a relative error near dim 2^-53.  The margin is more
+    than ten times that width and rounding together.  So, up to rounding,
+    lo <= rho <= upper < x when the pair stops below x, and
+    lo >= hi - width >= rho - width >= lower - width > x when it stops
+    above.  A threshold within the margin of the enclosure never stops the
+    iteration, and the full-width pair is returned bit for bit as without
+    `decide`.
     """
     M = op.matrix
     dim = M.shape[0]
@@ -265,6 +314,14 @@ def spectral_radius(
     m = float(M.sum(axis=1).max()) + 1.0
     shifted = M + m * np.eye(dim)
     x = np.ones(dim)
+    if decide is not None:
+        below = decide - 1e-9 * (m + abs(decide))
+        above = decide + 1e-9 * (m + abs(decide))
+
+    def settled(lower: float, upper: float) -> bool:
+        if upper - lower <= rel_tol * max(1.0, abs(upper)):
+            return True
+        return decide is not None and (upper < below or lower > above)
 
     def bounds_at(vec: np.ndarray) -> tuple[float, float]:
         y = shifted @ vec
@@ -277,7 +334,7 @@ def spectral_radius(
         y = shifted @ x
         ratios = y / x
         lower, upper = float(ratios.min() - m), float(ratios.max() - m)
-        if upper - lower <= rel_tol * max(1.0, abs(upper)):
+        if settled(lower, upper):
             return (lower, upper)
         x = y / y.max()
         it += 1
@@ -292,7 +349,7 @@ def spectral_radius(
         if (x <= 0).any():
             raise SpectralConvergenceError("iterate lost positivity")
         lower, upper = bounds_at(x)
-        if upper - lower <= rel_tol * max(1.0, abs(upper)):
+        if settled(lower, upper):
             return (lower, upper)
         power = power @ power
         power = power / power.max()

@@ -222,6 +222,20 @@ def test_best_bounds_runs_each_scan_once(monkeypatch):
     assert calls == {"spectral": 1, "r2-scan": 1}
 
 
+def test_best_bounds_never_reads_exact_blocks(monkeypatch):
+    # the spectral bound reads only the float blocks A, B, C
+    from nrtbounds.scheme import ThreeTermBlocks
+
+    def unread(self):
+        raise AssertionError("exact block read")
+
+    for name in ("a", "b", "c"):
+        monkeypatch.setattr(ThreeTermBlocks, name, property(unread))
+    table = best_bounds(SpaceParams(2, 4, 12), 14)
+    spectral = next(b for b in table.bounds if b.name == "spectral")
+    assert spectral.applicable and spectral.witness["kappa"] == 7
+
+
 def test_weight_bounds_enumerate_no_shapes(monkeypatch):
     # hamming, bassalygo-elias, gilbert, rao and varshamov read weight
     # distributions, which come from the one-block enumerator; the

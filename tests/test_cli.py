@@ -202,6 +202,45 @@ def test_lp_program_two_certificate(capsys, tmp_path):
     assert format_rational(chk.ooa_bound) == payload["value"]
 
 
+# The file `lp --q 2 --r 2 --n 3 --t 3 --program II --certificate` wrote when
+# the CLI solved program I a second time for the certificate.
+PROGRAM_TWO_CERTIFICATE = """{
+  "q": 2,
+  "r": 2,
+  "n": 3,
+  "d": 4,
+  "F0": "1/1",
+  "F": {
+    "0,1": "1/3",
+    "1,0": "2/3",
+    "1,1": "1/6",
+    "2,0": "1/3"
+  }
+}"""
+
+
+def test_lp_program_two_certificate_solves_once(capsys, tmp_path, monkeypatch):
+    import nrtbounds.delsarte as delsarte
+
+    calls = []
+    solve = delsarte.simplex_solve
+
+    def counted(lp):
+        calls.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(delsarte, "simplex_solve", counted)
+    cert = tmp_path / "cert.json"
+    code, _, _ = run(
+        capsys,
+        "lp", "--q", "2", "--r", "2", "--n", "3", "--t", "3",
+        "--program", "II", "--certificate", str(cert),
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert cert.read_text() == PROGRAM_TWO_CERTIFICATE
+
+
 def test_budget_exit_code(capsys, tmp_path):
     # generator file over the enumeration cap: 2^17 codewords
     p = 2

@@ -137,6 +137,22 @@ def test_block_dimensions_and_structure():
                 assert np.allclose(blk.C, prev.A.T)
 
 
+@pytest.mark.parametrize("q,r,n", [(2, 2, 5), (3, 2, 4), (2, 3, 4), (2, 4, 3)])
+def test_raw_blocks_are_integers_over_one_denominator(q, r, n):
+    p = SpaceParams(q, r, n)
+    for kappa in range(n + 1):
+        blk = build_blocks(p, kappa)
+        assert blk.den == q**r * (q - 1)
+        for exact, nums in ((blk.a, blk.a_num), (blk.b, blk.b_num), (blk.c, blk.c_num)):
+            assert len(exact) == len(nums)
+            for row, num_row in zip(exact, nums):
+                assert len(row) == len(num_row)
+                for x, num in zip(row, num_row):
+                    assert type(x) is Fraction and type(num) is int
+                    assert x == Fraction(num, blk.den)
+        assert blk.b is blk.b  # built once, on first read
+
+
 def test_normalized_blocks_match_raw_rescaling():
     # A[f,h] = a[f,h] sqrt(v_h / v_f), same for B and C
     for q, r, n in [(2, 2, 4), (3, 2, 3)]:
@@ -186,6 +202,32 @@ def test_spectral_radius_matches_dense_eigensolver():
         lo, hi = spectral_radius(op)
         top = float(np.linalg.eigvalsh(op.matrix)[-1])
         assert lo - 1e-9 <= top <= hi + 1e-9
+
+
+DECIDE_CASES = [(2, 2, 8, 4), (2, 2, 6, 3), (3, 2, 5, 2), (2, 3, 4, 2), (3, 3, 5, 3)]
+
+
+@pytest.mark.parametrize("q,r,n,kappa", DECIDE_CASES)
+def test_spectral_radius_decide_stops_on_one_side(q, r, n, kappa):
+    op = build_operator(SpaceParams(q, r, n), kappa)
+    lo, hi = spectral_radius(op)
+    assert spectral_radius(op, decide=None) == (lo, hi)
+    for x, side in ((lo - 1.0, "above"), (hi + 1.0, "below"), (lo - 1e-3, "above")):
+        lower, upper = spectral_radius(op, decide=x)
+        assert lower <= upper
+        assert x < lower if side == "above" else upper < x
+        # decided before the enclosure is as narrow as the full run's
+        assert upper - lower > hi - lo
+
+
+@pytest.mark.parametrize("q,r,n,kappa", DECIDE_CASES)
+def test_spectral_radius_decide_inside_margin_runs_full_width(q, r, n, kappa):
+    op = build_operator(SpaceParams(q, r, n), kappa)
+    full = spectral_radius(op)
+    lo, hi = full
+    for x in (lo, hi, (lo + hi) / 2):
+        got = spectral_radius(op, decide=x)
+        assert tuple(map(float.hex, got)) == tuple(map(float.hex, full))
 
 
 def test_lambda_monotone_in_degree():
