@@ -17,7 +17,7 @@ from itertools import accumulate
 from math import comb, floor
 
 from .delsarte import CertificateCheck, DualCertificate, check_certificate, format_rational
-from .krawtchouk import BracketingError, K_multi, k_root_min, k_uni, krawtchouk_table
+from .krawtchouk import BracketingError, K_multi, _k_values, k_root_min, krawtchouk_table
 from .scheme import P_eval, assemble_operator, build_blocks, spectral_radius
 from .space import (
     Shape,
@@ -317,18 +317,19 @@ class R2Witness:
         return {"s1": self.s1, "s2": self.s2, "alpha": self.alpha, "beta": self.beta}
 
 
-def _solve_alpha(q: int, nu: float, s2: int) -> float:
+def _solve_alpha(q: int, nu: float, s2: int, left: float) -> float:
     """Solve W(alpha) = -W(0) for W(x) = k_{s2+1}(nu, x) / k_{s2}(nu, x),
-    with alpha between the smallest roots of k_{s2+1} and k_{s2}."""
+    with alpha between left, the smallest root of k_{s2+1}, and the
+    smallest root of k_{s2}.  Both values of W come from one recurrence
+    pass."""
     w0 = (q - 1) * (nu - s2) / (s2 + 1)
 
     def g(x: float) -> float:
-        denom = float(k_uni(q, nu, s2, x))
+        *_, denom, numer = _k_values(q, nu, s2 + 1, x)
         if denom == 0.0:
             return float("-inf")
-        return float(k_uni(q, nu, s2 + 1, x)) / denom + w0
+        return numer / denom + w0
 
-    left = k_root_min(q, nu, s2 + 1)
     if s2 >= 1:
         right = k_root_min(q, nu, s2)
     else:
@@ -363,8 +364,11 @@ def _r2_candidates(params: SpaceParams, d_cap: float):
             nu = n - beta
             if not nu > s2 + 1:
                 continue
+            left = k_root_min(q, nu, s2 + 1)
+            if left + 2 * beta > d_cap:
+                continue  # alpha >= left, so alpha + 2 beta > d_cap as well
             try:
-                alpha = _solve_alpha(q, nu, s2)
+                alpha = _solve_alpha(q, nu, s2, left)
             except (BracketingError, ValueError):
                 continue
             if alpha + 2 * beta <= d_cap:

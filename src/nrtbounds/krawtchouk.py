@@ -18,6 +18,13 @@ polynomials:
     K_f(x) = q^(|f|' - |f|) * prod_{i=1..r} k_{f_i}(n_i, x_{r-i+1}),
     n_i = x_0 + x_1 + ... + x_{r-i+1} - (f_{i+1} + ... + f_r),  x_0 = n - |x|.
 
+At a shape e every factor is an integer value k_s(nu, x) with
+-n <= nu <= n and 0 <= x, s <= n, so the exact eigenmatrix
+`krawtchouk_table` reads them all from one cube of such values, filled by
+one degree recurrence per (nu, x).  `K_multi` evaluates the product
+directly, at shapes and at real or rational points, and is the oracle the
+table is tested against.
+
 An independent cross-check evaluates K_f(e) as a character sum over all
 vectors of shape f against a fixed representative with right-to-left shape e.
 """
@@ -27,6 +34,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -57,18 +66,26 @@ def k_uni(q: int, nu, s: int, x):
     return Fraction(value) if isinstance(value, int) else value
 
 
-def _k_recurrence(q: int, nu, s: int, x):
-    """k_s(nu, x) for s >= 0 by the degree recurrence of `k_uni`: an int at
-    integer nu and x, a Fraction at exact ones, a float otherwise."""
+def _k_values(q: int, nu, s: int, x):
+    """Yield k_0(nu, x), ..., k_s(nu, x) by the degree recurrence of
+    `k_uni`: ints at integer nu and x, Fractions at exact ones, floats
+    otherwise."""
     integral = isinstance(nu, int) and isinstance(x, int)
     exact = isinstance(nu, (int, Fraction)) and isinstance(x, (int, Fraction))
     prev, cur = 0, (1 if integral else Fraction(1) if exact else 1.0)
+    yield cur
     for j in range(s):
         num = ((q - 1) * (nu - j) + j - q * x) * cur - (q - 1) * (nu - j + 1) * prev
         # at integer nu and x every k_j is an integer (a sum of products of
         # integer binomials), so the floor division is exact
         prev, cur = cur, (num // (j + 1) if integral else num / (j + 1))
-    return cur
+        yield cur
+
+
+def _k_recurrence(q: int, nu, s: int, x):
+    """k_s(nu, x) for s >= 0, the last value of `_k_values`."""
+    *_, value = _k_values(q, nu, s, x)
+    return value
 
 
 def uni_recurrence_check(q: int, nu, s: int, x) -> bool:
@@ -104,11 +121,43 @@ def K_multi(params: SpaceParams, f: Shape, x) -> int | float:
     return value
 
 
+def _value_cube(q: int, n: int) -> list[list[list[int]]]:
+    """cube[nu + n][x][s] = k_s(nu, x) for integers -n <= nu <= n and
+    0 <= x, s <= n, one degree recurrence per (nu, x).  The offset keeps
+    nu < 0 from indexing the list from its end."""
+    return [[list(_k_values(q, nu, n, x)) for x in range(n + 1)] for nu in range(-n, n + 1)]
+
+
 @lru_cache(maxsize=None)
 def krawtchouk_table(params: SpaceParams) -> dict[tuple[Shape, Shape], int]:
-    """All eigenvalues K_f(e) for f, e over the shapes of the space."""
+    """All eigenvalues K_f(e) for f, e over the shapes of the space, as ints.
+
+    By the factorization in the module docstring, K_f(e) is q^(|f|'-|f|)
+    times the r values k_{f_i}(n_i, e_{r-i+1}), each read from
+    `_value_cube`: n_i = S - T, with S a prefix sum of (x_0, e_1, ..., e_r)
+    and T a suffix sum of f, lies in -n..n, and n_i < 0 occurs from r = 3
+    on.
+    """
+    q, r, n = params.q, params.r, params.n
+    cube = _value_cube(q, n)
     shapes = list(enumerate_shapes(params))
-    return {(f, e): K_multi(params, f, e) for f in shapes for e in shapes}
+    # points[i] holds, for every e, the prefix sum S = x_0 + ... + x_{r-i}
+    # and the point x_{r-i} of the factor at depth i + 1
+    points = []
+    for e in shapes:
+        prefix = list(accumulate(e, initial=n - sum(e)))  # x_0, x_0 + x_1, ...
+        points.append([(prefix[r - i], e[r - 1 - i]) for i in range(r)])
+    points = list(zip(*points))
+    table = {}
+    for f in shapes:
+        scale = q ** (shape_weight(f) - shape_length(f))
+        values = [scale] * len(shapes)
+        for i in range(r):
+            planes = cube[n - sum(f[i + 1 :]) :]  # planes[S] holds nu = S - T
+            s = f[i]
+            values = list(map(mul, values, [planes[S][x][s] for S, x in points[i]]))
+        table.update(zip([(f, e) for e in shapes], values))
+    return table
 
 
 # ---------------------------------------------------------------------------

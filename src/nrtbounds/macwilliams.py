@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .krawtchouk import K_multi
+from .krawtchouk import krawtchouk_table
 from .space import (
     ArrayTable,
     LinearCode,
@@ -66,13 +66,14 @@ def enumerator_of(obj: LinearCode | ArrayTable, reading: str = RIGHT) -> WeightE
 
 def transform(enum: WeightEnumerator, codesize: int) -> WeightEnumerator:
     """MacWilliams transform: apply the eigenmatrix, B_f = sum_e A_e K_f(e)
-    divided by the code size, in exact Fractions; flips the reading
-    direction."""
+    divided by the code size, in exact Fractions, with K_f(e) read from
+    `krawtchouk_table`; flips the reading direction."""
     params = enum.params
+    table = krawtchouk_table(params)
     support = [(e, c) for e, c in enum.coeffs.items() if c]
     coeffs: dict[Shape, Fraction] = {}
     for f in enumerate_shapes(params):
-        value = Fraction(sum(c * K_multi(params, f, e) for e, c in support), codesize)
+        value = Fraction(sum(c * table[f, e] for e, c in support), codesize)
         if value:
             coeffs[f] = value
     reading = LEFT if enum.reading == RIGHT else RIGHT

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import sqrt
 
 import numpy as np
@@ -177,6 +177,16 @@ class ThreeTermBlocks:
         return _over(self.c_num, self.den)
 
 
+@lru_cache(maxsize=8)
+def _degree(params: SpaceParams, k: int):
+    """The shapes of length k in lexicographic order, their positions in
+    that order, and their counts v.  Consecutive degrees' blocks share
+    column degrees, and the last few degrees cover a scan over kappa."""
+    shapes = tuple(shapes_of_length(params, k)) if k >= 0 else ()
+    index = {h: j for j, h in enumerate(shapes)}
+    return shapes, index, {h: shape_count(params, h) for h in shapes}
+
+
 def build_blocks(params: SpaceParams, kappa: int) -> ThreeTermBlocks:
     """Raw entries x[f,h] = sum_i L_i m_i over the nonzero intersection
     numbers m_i = intersection_Fi(f, i, h) of each row shape f; orthonormal
@@ -196,15 +206,9 @@ def build_blocks(params: SpaceParams, kappa: int) -> ThreeTermBlocks:
     terms = [_L_terms(params, i) for i in range(1, params.r + 1)]
     den = terms[0][1]
     depths = [(i, N, N / den) for i, (N, _) in enumerate(terms, start=1)]
-    rows = tuple(shapes_of_length(params, kappa))
     # columns of shape length kappa+1, kappa, kappa-1: side = kappa + 1 - |h|
-    sides = (
-        tuple(shapes_of_length(params, kappa + 1)),
-        rows,
-        tuple(shapes_of_length(params, kappa - 1)) if kappa >= 1 else (),
-    )
-    index = [{h: j for j, h in enumerate(cols)} for cols in sides]
-    v = {h: shape_count(params, h) for cols in sides for h in cols}
+    sides, index, v = zip(*(_degree(params, k) for k in (kappa + 1, kappa, kappa - 1)))
+    rows = sides[1]
     nums = [[[0] * len(cols) for _ in rows] for cols in sides]
     ortho = [np.zeros((len(rows), len(cols))) for cols in sides]
     for fi, f in enumerate(rows):
@@ -214,7 +218,7 @@ def build_blocks(params: SpaceParams, kappa: int) -> ThreeTermBlocks:
                 j = index[side][h]
                 nums[side][fi][j] += N * m
                 if h != f:
-                    ortho[side][fi, j] = Lf * sqrt(m * m * v[h] / v[f])
+                    ortho[side][fi, j] = Lf * sqrt(m * m * v[side][h] / v[1][f])
         ortho[1][fi, fi] = nums[1][fi][fi] / den
     a_num, b_num, c_num = (tuple(tuple(row) for row in block) for block in nums)
     A, B, C = ortho

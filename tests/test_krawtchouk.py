@@ -11,6 +11,7 @@ from nrtbounds.krawtchouk import (
     gamma,
     inner_product,
     k_root_min,
+    _value_cube,
     k_uni,
     krawtchouk_table,
     linear_K,
@@ -361,3 +362,63 @@ def test_univariate_christoffel_darboux_exact():
 def test_weight_w_is_probability():
     p = SpaceParams(3, 2, 3)
     assert sum(weight_w(p, e) for e in enumerate_shapes(p)) == 1
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (5, 2), (2, 7)])
+def test_value_cube_covers_negative_dimensions(q, n):
+    cube = _value_cube(q, n)
+    assert len(cube) == 2 * n + 1
+    for nu in range(-n, n + 1):
+        for x in range(n + 1):
+            for s in range(n + 1):
+                value = cube[nu + n][x][s]
+                assert type(value) is int and value == k_uni(q, nu, s, x), (nu, x, s)
+
+
+# the spaces the tests above read the table on, and three with n_i < 0
+TABLE_SPACES = [
+    (2, 1, 3), (3, 1, 2), (2, 1, 5), (2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2),
+    (2, 2, 6), (2, 3, 4), (3, 2, 4), (3, 4, 3), (2, 5, 3),
+]
+
+
+def _negative_dimensions(p):
+    """The count of factors k_{f_i}(n_i, .) over all (f, e) with n_i < 0."""
+    r, n = p.r, p.n
+    shapes = list(enumerate_shapes(p))
+    count = 0
+    for f in shapes:
+        for e in shapes:
+            xs = (n - sum(e),) + e
+            count += sum(sum(xs[: r - i + 2]) - sum(f[i:]) < 0 for i in range(1, r + 1))
+    return count
+
+
+@pytest.mark.parametrize("q,r,n", TABLE_SPACES)
+def test_table_matches_K_multi(q, r, n):
+    p = SpaceParams(q, r, n)
+    tbl = krawtchouk_table(p)
+    shapes = list(enumerate_shapes(p))
+    assert list(tbl) == [(f, e) for f in shapes for e in shapes]
+    for (f, e), value in tbl.items():
+        assert type(value) is int and value == K_multi(p, f, e), (f, e)
+
+
+@pytest.mark.parametrize(
+    "q,r,n,count", [(2, 2, 6, 0), (2, 3, 2, 7), (2, 3, 4, 84), (3, 4, 3, 234), (2, 5, 3, 1088)]
+)
+def test_table_spaces_reach_negative_dimensions(q, r, n, count):
+    # the value cube is indexed at nu + n; an index at nu would wrap around
+    assert _negative_dimensions(SpaceParams(q, r, n)) == count
+
+
+def test_table_spot_entries_n30():
+    p = SpaceParams(2, 2, 30)
+    tbl = krawtchouk_table.__wrapped__(p)  # uncached: 246k entries
+    shapes = list(enumerate_shapes(p))
+    assert len(tbl) == len(shapes) ** 2
+    rng = random.Random(30)
+    picks = [(rng.choice(shapes), rng.choice(shapes)) for _ in range(300)]
+    picks += [((0, 0), (0, 30)), ((30, 0), (0, 30)), ((0, 30), (30, 0)), ((15, 15), (15, 15))]
+    for f, e in picks:
+        assert type(tbl[(f, e)]) is int and tbl[(f, e)] == K_multi(p, f, e), (f, e)

@@ -174,3 +174,23 @@ def test_enumerator_json_roundtrip():
     en = enumerator_of(C)
     again = enumerator_from_json(enumerator_to_json(en))
     assert again == en
+
+
+def test_transform_reads_the_table_only(monkeypatch):
+    # the transform and the table it reads never call the K_multi oracle
+    import nrtbounds.krawtchouk as krawtchouk_mod
+
+    def unused(*args):
+        raise AssertionError("K_multi called")
+
+    monkeypatch.setattr(krawtchouk_mod, "K_multi", unused)
+    krawtchouk_table.cache_clear()
+    rng = random.Random(9)
+    for space in DUALITY_SPACES:
+        p = SpaceParams(*space)
+        for _ in range(4):
+            C = random_code(p, rng)
+            assert verify_duality(C)
+            en = enumerator_of(C, RIGHT)
+            back = transform(transform(en, C.size), p.ambient_size // C.size)
+            assert back.coeffs == en.coeffs

@@ -281,3 +281,25 @@ def test_operator_is_leading_block_of_next_degree():
             size = len(small.shapes)
             assert big.shapes[:size] == small.shapes
             assert np.array_equal(big.matrix[:size, :size], small.matrix)
+
+
+def test_build_operator_enumerates_each_degree_once(monkeypatch):
+    import nrtbounds.scheme as scheme_mod
+
+    lengths, counted = [], []
+
+    def enumerating(params, k):
+        lengths.append(k)
+        return shapes_of_length(params, k)
+
+    def counting(params, e):
+        counted.append(e)
+        return shape_count(params, e)
+
+    monkeypatch.setattr(scheme_mod, "shapes_of_length", enumerating)
+    monkeypatch.setattr(scheme_mod, "shape_count", counting)
+    scheme_mod._degree.cache_clear()
+    p = SpaceParams(2, 3, 6)
+    build_operator(p, 4)
+    assert lengths == [1, 0, 2, 3, 4, 5]
+    assert sorted(counted) == sorted(e for k in range(6) for e in shapes_of_length(p, k))
