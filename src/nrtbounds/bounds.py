@@ -16,6 +16,8 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb, floor
 
+import numpy as np
+
 from .delsarte import CertificateCheck, DualCertificate, check_certificate, format_rational
 from .krawtchouk import BracketingError, K_multi, _k_values, k_root_min, krawtchouk_table
 from .scheme import P_eval, assemble_operator, build_blocks, spectral_radius
@@ -24,7 +26,6 @@ from .space import (
     SpaceParams,
     ball_size,
     delta_crit,
-    enumerate_shapes,
     shape_count,
     weight_distribution,
 )
@@ -343,6 +344,8 @@ def _solve_alpha(q: int, nu: float, s2: int, left: float) -> float:
         )
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # the bracket cannot shrink any further
+            break
         if g(mid) > 0:
             lo = mid
         else:
@@ -369,7 +372,7 @@ def _r2_candidates(params: SpaceParams, d_cap: float):
                 continue  # alpha >= left, so alpha + 2 beta > d_cap as well
             try:
                 alpha = _solve_alpha(q, nu, s2, left)
-            except (BracketingError, ValueError):
+            except BracketingError:
                 continue
             if alpha + 2 * beta <= d_cap:
                 yield R2Witness(s1=s1, s2=s2, alpha=alpha, beta=beta)
@@ -452,33 +455,24 @@ def r2_certificate(
 ) -> tuple[DualCertificate, CertificateCheck]:
     """Assemble F(e) = (P(e) - P(a)) U_L(a, e)^2 for a = (alpha, beta) and the
     region L of the winning witness, expand it over the Krawtchouk basis, and
-    run the certificate checker at float tolerance 1e-8."""
+    run the certificate checker at float tolerance 1e-8.
+
+    Over a float copy K of the eigenmatrix, with valencies v = K[:, 0], both
+    steps are matrix products: U_L(a, .) = (K_f(a) / v_f)_{f in L} K[L], and
+    F_g = <F, K_g> / v_g gives the coefficients K (F v) / (q^(nr) v)."""
     a = (w.alpha, w.beta)
+    T = krawtchouk_table(params)
+    K = np.array(T.rows, dtype=float)
+    v = K[:, 0]
     region = r2_region(params, w)
-    shapes = list(enumerate_shapes(params))
-    table = krawtchouk_table(params)
-    counts = {f: shape_count(params, f) for f in shapes}
-    k_at_a = {f: K_multi(params, f, a) for f in shapes}
+    rows = [T.index[f] for f in region]
+    k_at_a = np.array([K_multi(params, f, a) for f in region])
+    u = (k_at_a / v[rows]) @ K[rows]
     p_at_a = float(delta_crit(params.q, 2) * params.dim) - (w.alpha + 2 * w.beta)
-
-    def F(e: Shape) -> float:
-        u = sum(k_at_a[f] * table[(f, e)] / counts[f] for f in region)
-        return (float(P_eval(params, e)) - p_at_a) * u * u
-
-    values = {e: F(e) for e in shapes}
-    # expand into the orthogonal basis: F_g = <F, K_g> / v_g
-    coeffs = {}
-    for g in shapes:
-        acc = 0.0
-        for e in shapes:
-            acc += values[e] * table[(g, e)] * counts[e]
-        coeffs[g] = acc / (params.ambient_size * counts[g])
-    zero = (0, 0)
+    P = np.array([float(P_eval(params, e)) for e in T.shapes]) - p_at_a
+    coeffs = (K @ (P * u * u * v) / (params.ambient_size * v)).tolist()
     cert = DualCertificate(
-        params=params,
-        d=d,
-        F0=coeffs[zero],
-        F={g: c for g, c in coeffs.items() if g != zero},
+        params=params, d=d, F0=coeffs[0], F=dict(zip(T.shapes[1:], coeffs[1:]))
     )
     return cert, check_certificate(cert, tol=1e-8)
 

@@ -26,16 +26,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from .krawtchouk import krawtchouk_table
 from .simplex import EQ, GE, LE, make_lp, simplex_solve
-from .space import (
-    Shape,
-    SpaceParams,
-    enumerate_shapes,
-    shape_count,
-    shape_weight,
-)
+from .space import Shape, SpaceParams, shape_weight
 
 
 class LPError(Exception):
@@ -81,27 +76,20 @@ class OoaLPResult:
     certificate: DualCertificate | None = None
 
 
-def evaluate_certificate(cert: DualCertificate, e: Shape):
-    table = krawtchouk_table(cert.params)
-    return cert.F0 + sum(coeff * table[(g, e)] for g, coeff in cert.F.items())
-
-
-def check_certificate(
-    cert: DualCertificate,
-    params: SpaceParams | None = None,
-    d: int | None = None,
-    tol: float = 0.0,
-) -> CertificateCheck:
+def check_certificate(cert: DualCertificate, tol: float = 0.0) -> CertificateCheck:
     """Verify the sign conditions and emit both bounds.
 
-    With tol = 0 every comparison is exact.  With tol > 0 (float
-    certificates) the conditions are relaxed to F_e >= -tol*scale and
+    F is evaluated at every shape in one pass over the eigenmatrix rows of
+    its terms.  With tol = 0 every comparison is exact.  With tol > 0
+    (float certificates) the conditions are relaxed to F_e >= -tol*scale and
     F(e) <= tol*scale, where scale is the largest |F(e)| over all shapes.
     """
-    params = params or cert.params
-    d = d if d is not None else cert.d
-    values = {e: evaluate_certificate(cert, e) for e in enumerate_shapes(params)}
-    scale = max(1.0, max(abs(float(v)) for v in values.values())) if tol else 0
+    T = krawtchouk_table(cert.params)
+    terms = [0] * len(T.shapes)
+    for g, coeff in cert.F.items():
+        terms = list(map(add, terms, [coeff * k for k in T.rows[T.index[g]]]))
+    values = [cert.F0 + v for v in terms]
+    scale = max(1.0, max(abs(float(v)) for v in values)) if tol else 0
     if not cert.F0 > 0:
         return CertificateCheck(accepted=False, reason="F0 must be positive")
     for e, coeff in cert.F.items():
@@ -109,17 +97,16 @@ def check_certificate(
             return CertificateCheck(
                 accepted=False, reason="negative transform coefficient", witness=e
             )
-    for e, val in values.items():
-        if shape_weight(e) >= d and val > tol * scale:
+    for e, val in zip(T.shapes, values):
+        if shape_weight(e) >= cert.d and val > tol * scale:
             return CertificateCheck(
                 accepted=False, reason="F positive at excluded shape", witness=e
             )
-    zero = (0,) * params.r
-    f_at_zero = values[zero]
+    f_at_zero = values[0]
     return CertificateCheck(
         accepted=True,
         code_bound=f_at_zero / cert.F0,
-        ooa_bound=params.ambient_size * cert.F0 / f_at_zero,
+        ooa_bound=cert.params.ambient_size * cert.F0 / f_at_zero,
     )
 
 
@@ -129,10 +116,9 @@ def solve_code_lp(params: SpaceParams, d: int) -> CodeLPResult:
     nonnegative at every shape.  Returns 1 + optimum."""
     if not 1 <= d <= params.dim + 1:
         raise ValueError(f"distance {d} out of range [1, {params.dim + 1}]")
-    shapes = list(enumerate_shapes(params))
-    zero = (0,) * params.r
-    table = krawtchouk_table(params)
-    free = [e for e in shapes if shape_weight(e) >= d]  # all other A_e are fixed
+    T = krawtchouk_table(params)
+    shapes, zero = T.shapes, T.shapes[0]
+    free = [j for j, e in enumerate(shapes) if shape_weight(e) >= d]  # all other A_e are fixed
 
     if not free:
         cert = DualCertificate(params=params, d=d, F0=Fraction(1), F={})
@@ -144,19 +130,17 @@ def solve_code_lp(params: SpaceParams, d: int) -> CodeLPResult:
             certificate=cert,
         )
 
-    rows = []
-    for f in shapes:
-        coeffs = [-table[(f, e)] for e in free]
-        rows.append((coeffs, LE, shape_count(params, f)))
+    # row f: -sum_e K_f(e) A_e <= K_f(0) = v_f
+    rows = [([-row[j] for j in free], LE, row[0]) for row in T.rows]
     lp = make_lp([1] * len(free), rows, maximize=True)
     res = simplex_solve(lp)
     if res.status != "optimal":
         raise LPError(f"code program returned {res.status}")
 
     distribution = {zero: Fraction(1)}
-    for e, val in zip(free, res.x):
+    for j, val in zip(free, res.x):
         if val != 0:
-            distribution[e] = val
+            distribution[shapes[j]] = val
     y = dict(zip(shapes, res.duals))
     cert = DualCertificate(
         params=params,
@@ -189,14 +173,16 @@ def solve_ooa_lp(params: SpaceParams, t: int) -> OoaLPResult:
     if not 0 <= t <= params.dim:
         raise ValueError(f"strength {t} out of range [0, {params.dim}]")
     code = solve_code_lp(params, t + 1)
-    table = krawtchouk_table(params)
+    T = krawtchouk_table(params)
     # A over one common denominator, so each B_f is one integer sum
     den = lcm(*(a.denominator for a in code.distribution.values()))
-    nums = [(e, a.numerator * (den // a.denominator)) for e, a in code.distribution.items()]
+    nums = [
+        (T.index[e], a.numerator * (den // a.denominator)) for e, a in code.distribution.items()
+    ]
     scale = den * code.bound
     distribution = {}
-    for f in enumerate_shapes(params):
-        b = sum(table[(f, e)] * a for e, a in nums) / scale
+    for f, row in zip(T.shapes, T.rows):
+        b = sum(row[j] * a for j, a in nums) / scale
         if b != 0:
             distribution[f] = b
     return OoaLPResult(
@@ -213,17 +199,13 @@ def _solve_ooa_lp_direct(params: SpaceParams, t: int) -> OoaLPResult:
     `solve_ooa_lp` is tested against."""
     if not 0 <= t <= params.dim:
         raise ValueError(f"strength {t} out of range [0, {params.dim}]")
-    shapes = list(enumerate_shapes(params))
-    zero = (0,) * params.r
-    table = krawtchouk_table(params)
-    free = [e for e in shapes if e != zero]
-    rows = []
-    for f in shapes:
-        if f == zero:
-            continue
-        coeffs = [table[(f, e)] for e in free]
-        rel = EQ if shape_weight(f) <= t else GE
-        rows.append((coeffs, rel, -shape_count(params, f)))
+    T = krawtchouk_table(params)
+    zero, free = T.shapes[0], T.shapes[1:]
+    # row f != 0: sum_{e != 0} K_f(e) B_e = or >= -K_f(0) = -v_f
+    rows = [
+        (list(row[1:]), EQ if shape_weight(f) <= t else GE, -row[0])
+        for f, row in zip(free, T.rows[1:])
+    ]
     lp = make_lp([1] * len(free), rows, maximize=False)
     res = simplex_solve(lp)
     if res.status != "optimal":

@@ -19,11 +19,14 @@ polynomials:
     n_i = x_0 + x_1 + ... + x_{r-i+1} - (f_{i+1} + ... + f_r),  x_0 = n - |x|.
 
 At a shape e every factor is an integer value k_s(nu, x) with
--n <= nu <= n and 0 <= x, s <= n, so the exact eigenmatrix
-`krawtchouk_table` reads them all from one cube of such values, filled by
-one degree recurrence per (nu, x).  `K_multi` evaluates the product
-directly, at shapes and at real or rational points, and is the oracle the
-table is tested against.
+-n <= nu <= n and 0 <= x, s <= n, so `krawtchouk_table` reads them all from
+one cube of such values, filled by one degree recurrence per (nu, x).  It
+returns the exact eigenmatrix T[f][e] = K_f(e) as one dense `Eigenmatrix`:
+the shapes in `enumerate_shapes` order, each row a tuple of Python ints
+(the values overflow int64), and the zero column the valencies
+K_f(0) = v_f.  Consumers read its rows, or single entries by `T[f, e]`.
+`K_multi` evaluates the product directly, at shapes and at real or rational
+points, and is the oracle the matrix is tested against.
 
 An independent cross-check evaluates K_f(e) as a character sum over all
 vectors of shape f against a fixed representative with right-to-left shape e.
@@ -32,6 +35,7 @@ vectors of shape f against a fixed representative with right-to-left shape e.
 from __future__ import annotations
 
 import cmath
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -128,9 +132,23 @@ def _value_cube(q: int, n: int) -> list[list[list[int]]]:
     return [[list(_k_values(q, nu, n, x)) for x in range(n + 1)] for nu in range(-n, n + 1)]
 
 
+@dataclass(frozen=True)
+class Eigenmatrix:
+    """T[f][e] = K_f(e) over the shapes of a space, in `enumerate_shapes`
+    order, so row and column 0 belong to the zero shape."""
+
+    shapes: tuple[Shape, ...]
+    index: dict[Shape, int]  # shape -> its position in `shapes`
+    rows: tuple[tuple[int, ...], ...]
+
+    def __getitem__(self, key: tuple[Shape, Shape]) -> int:
+        f, e = key
+        return self.rows[self.index[f]][self.index[e]]
+
+
 @lru_cache(maxsize=None)
-def krawtchouk_table(params: SpaceParams) -> dict[tuple[Shape, Shape], int]:
-    """All eigenvalues K_f(e) for f, e over the shapes of the space, as ints.
+def krawtchouk_table(params: SpaceParams) -> Eigenmatrix:
+    """The eigenmatrix: every K_f(e) for f, e over the shapes of the space.
 
     By the factorization in the module docstring, K_f(e) is q^(|f|'-|f|)
     times the r values k_{f_i}(n_i, e_{r-i+1}), each read from
@@ -140,7 +158,7 @@ def krawtchouk_table(params: SpaceParams) -> dict[tuple[Shape, Shape], int]:
     """
     q, r, n = params.q, params.r, params.n
     cube = _value_cube(q, n)
-    shapes = list(enumerate_shapes(params))
+    shapes = tuple(enumerate_shapes(params))
     # points[i] holds, for every e, the prefix sum S = x_0 + ... + x_{r-i}
     # and the point x_{r-i} of the factor at depth i + 1
     points = []
@@ -148,16 +166,15 @@ def krawtchouk_table(params: SpaceParams) -> dict[tuple[Shape, Shape], int]:
         prefix = list(accumulate(e, initial=n - sum(e)))  # x_0, x_0 + x_1, ...
         points.append([(prefix[r - i], e[r - 1 - i]) for i in range(r)])
     points = list(zip(*points))
-    table = {}
+    rows = []
     for f in shapes:
-        scale = q ** (shape_weight(f) - shape_length(f))
-        values = [scale] * len(shapes)
+        values = [q ** (shape_weight(f) - shape_length(f))] * len(shapes)
         for i in range(r):
             planes = cube[n - sum(f[i + 1 :]) :]  # planes[S] holds nu = S - T
             s = f[i]
             values = list(map(mul, values, [planes[S][x][s] for S, x in points[i]]))
-        table.update(zip([(f, e) for e in shapes], values))
-    return table
+        rows.append(tuple(values))
+    return Eigenmatrix(shapes, {e: j for j, e in enumerate(shapes)}, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .space import (
     SpaceParams,
     dual_code,
     enumerate_code,
-    enumerate_shapes,
     shape_bar_of,
     shape_of,
 )
@@ -67,13 +66,13 @@ def enumerator_of(obj: LinearCode | ArrayTable, reading: str = RIGHT) -> WeightE
 def transform(enum: WeightEnumerator, codesize: int) -> WeightEnumerator:
     """MacWilliams transform: apply the eigenmatrix, B_f = sum_e A_e K_f(e)
     divided by the code size, in exact Fractions, with K_f(e) read from
-    `krawtchouk_table`; flips the reading direction."""
+    `krawtchouk_table` row by row; flips the reading direction."""
     params = enum.params
-    table = krawtchouk_table(params)
-    support = [(e, c) for e, c in enum.coeffs.items() if c]
+    T = krawtchouk_table(params)
+    support = [(T.index[e], c) for e, c in enum.coeffs.items() if c]
     coeffs: dict[Shape, Fraction] = {}
-    for f in enumerate_shapes(params):
-        value = Fraction(sum(c * table[f, e] for e, c in support), codesize)
+    for f, row in zip(T.shapes, T.rows):
+        value = Fraction(sum(c * row[j] for j, c in support), codesize)
         if value:
             coeffs[f] = value
     reading = LEFT if enum.reading == RIGHT else RIGHT

@@ -282,12 +282,11 @@ class SpectralConvergenceError(Exception):
     """Power iteration failed to certify the requested enclosure width."""
 
 
-def spectral_radius(
-    op: OperatorS,
-    rel_tol: float = 1e-10,
-    max_iter: int = 10**6,
-    decide: float | None = None,
-) -> tuple[float, float]:
+REL_TOL = 1e-10  # relative width of a full enclosure
+MAX_ITER = 10**6
+
+
+def spectral_radius(op: OperatorS, decide: float | None = None) -> tuple[float, float]:
     """Enclosure (lower, upper) of the largest eigenvalue.
 
     Power iteration from the all-ones vector on the shifted matrix M + mI
@@ -301,7 +300,7 @@ def spectral_radius(
     soon as the pair is decided: upper < x - margin or lower > x + margin,
     with margin = 1e-9 (m + |x|).  A decided pair answers "lower >= x?" as
     the full-width pair (lo, hi) would.  M is entrywise nonnegative, so
-    0 <= rho < m; at the default rel_tol the full width hi - lo is at most
+    0 <= rho < m; at REL_TOL the full width hi - lo is at most
     1e-10 max(1, hi) < 1e-10 m; and each ratio is a sum of nonnegative
     terms, rounded to a relative error near dim 2^-53.  The margin is more
     than ten times that width and rounding together.  So, up to rounding,
@@ -323,7 +322,7 @@ def spectral_radius(
         above = decide + 1e-9 * (m + abs(decide))
 
     def settled(lower: float, upper: float) -> bool:
-        if upper - lower <= rel_tol * max(1.0, abs(upper)):
+        if upper - lower <= REL_TOL * max(1.0, abs(upper)):
             return True
         return decide is not None and (upper < below or lower > above)
 
@@ -332,9 +331,8 @@ def spectral_radius(
         ratios = y / vec
         return float(ratios.min() - m), float(ratios.max() - m)
 
-    plain_budget = min(max_iter, 4000)
     it = 0
-    while it < plain_budget:
+    while it < 4000:
         y = shifted @ x
         ratios = y / x
         lower, upper = float(ratios.min() - m), float(ratios.max() - m)
@@ -347,7 +345,7 @@ def spectral_radius(
     power = shifted.copy()
     x = np.ones(dim)
     squarings = 0
-    while it < max_iter:
+    while it < MAX_ITER:
         x = power @ np.ones(dim)
         x = x / x.max()
         if (x <= 0).any():
@@ -362,7 +360,7 @@ def spectral_radius(
         if squarings > 120:
             break
     raise SpectralConvergenceError(
-        f"no enclosure of width {rel_tol} after {it} iterations"
+        f"no enclosure of width {REL_TOL} after {it} iterations"
     )
 
 
@@ -371,11 +369,12 @@ def spectral_radius(
 
 
 def cd_kernel(params: SpaceParams, L, a: Shape, e: Shape) -> Fraction:
-    """U_L(a, e) = sum_{f in L} K_f(a) K_f(e) / v_f, exact."""
-    table = krawtchouk_table(params)
+    """U_L(a, e) = sum_{f in L} K_f(a) K_f(e) / v_f, exact, with v_f = K_f(0)."""
+    T = krawtchouk_table(params)
+    zero = T.shapes[0]
     total = Fraction(0)
     for f in L:
-        total += Fraction(table[(f, a)] * table[(f, e)], shape_count(params, f))
+        total += Fraction(T[f, a] * T[f, e], T[f, zero])
     return total
 
 
@@ -387,20 +386,17 @@ def cd_check(params: SpaceParams, kappa: int, a: Shape, e: Shape) -> bool:
             = sum_{|f|=kappa, |h|=kappa+1} (a_kappa[f,h]/v_f)
                   (K_h(e) K_f(a) - K_f(e) K_h(a))
     """
-    table = krawtchouk_table(params)
+    T = krawtchouk_table(params)
+    zero = T.shapes[0]
     L = [f for mu in range(kappa + 1) for f in shapes_of_length(params, mu)]
     lhs = (P_eval(params, e) - P_eval(params, a)) * cd_kernel(params, L, a, e)
     blocks = build_blocks(params, kappa)
     rhs = Fraction(0)
     for fi, f in enumerate(blocks.rows):
-        vf = shape_count(params, f)
+        vf = T[f, zero]
         for hi, h in enumerate(blocks.cols_up):
             coeff = blocks.a[fi][hi]
             if coeff == 0:
                 continue
-            rhs += (
-                coeff
-                * (table[(h, e)] * table[(f, a)] - table[(f, e)] * table[(h, a)])
-                / vf
-            )
+            rhs += coeff * (T[h, e] * T[f, a] - T[f, e] * T[h, a]) / vf
     return lhs == rhs

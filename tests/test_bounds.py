@@ -16,6 +16,7 @@ from nrtbounds.bounds import (
     r2_bound,
     r2_certificate,
     r2_ooa_bound,
+    r2_region,
     rao,
     singleton,
     spectral_bound,
@@ -257,11 +258,14 @@ def test_weight_bounds_enumerate_no_shapes(monkeypatch):
     assert calls == []
 
 
-def test_r2_certificate_evaluates_krawtchouk_once_per_shape(monkeypatch):
+def test_r2_certificate_evaluates_krawtchouk_once_per_region_shape(monkeypatch):
+    # U_L(a, .) reads K_f(a) only for f in the region L
     import nrtbounds.bounds as bounds_mod
 
     p = SpaceParams(2, 2, 8)
-    witness = R2Witness(**r2_bound(p, 12).witness)
+    witness = R2Witness(**r2_bound(p, 2).witness)
+    region = r2_region(p, witness)
+    assert 1 < len(region) < len(list(enumerate_shapes(p)))
     calls = []
 
     def counting(params, f, x):
@@ -269,9 +273,9 @@ def test_r2_certificate_evaluates_krawtchouk_once_per_shape(monkeypatch):
         return K_multi(params, f, x)
 
     monkeypatch.setattr(bounds_mod, "K_multi", counting)
-    _, chk = r2_certificate(p, 12, witness)
+    _, chk = r2_certificate(p, 2, witness)
     assert chk.accepted
-    assert sorted(calls) == list(enumerate_shapes(p))
+    assert calls == region
 
 
 def test_table_array_bounds_are_code_reciprocals():

@@ -7,7 +7,6 @@ from nrtbounds.delsarte import (
     certificate_from_json,
     certificate_to_json,
     check_certificate,
-    evaluate_certificate,
     solve_code_lp,
     solve_ooa_lp,
 )
@@ -113,11 +112,12 @@ def test_certificate_json_roundtrip():
     assert check_certificate(again).code_bound == res.bound
 
 
-def test_evaluate_certificate_at_zero_is_total_mass():
+def test_certificate_at_zero_is_total_mass():
+    # F(0) = F0 + sum_f F_f K_f(0), and K_f(0) = v_f
     p = SpaceParams(2, 2, 2)
     res = solve_code_lp(p, 3)
     cert = res.certificate
-    val = evaluate_certificate(cert, (0, 0))
+    val = check_certificate(cert).code_bound * cert.F0
     assert val == cert.F0 + sum(
         c * shape_count(p, f) for f, c in cert.F.items()
     )

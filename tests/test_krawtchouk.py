@@ -397,11 +397,15 @@ def _negative_dimensions(p):
 @pytest.mark.parametrize("q,r,n", TABLE_SPACES)
 def test_table_matches_K_multi(q, r, n):
     p = SpaceParams(q, r, n)
-    tbl = krawtchouk_table(p)
+    T = krawtchouk_table(p)
     shapes = list(enumerate_shapes(p))
-    assert list(tbl) == [(f, e) for f in shapes for e in shapes]
-    for (f, e), value in tbl.items():
-        assert type(value) is int and value == K_multi(p, f, e), (f, e)
+    assert list(T.shapes) == shapes
+    assert T.index == {e: j for j, e in enumerate(shapes)}
+    assert [len(row) for row in T.rows] == [len(shapes)] * len(shapes)
+    for f, row in zip(shapes, T.rows):
+        assert row[0] == shape_count(p, f)  # K_f(0) = v_f
+        for e, value in zip(shapes, row):
+            assert type(value) is int and value == K_multi(p, f, e) == T[f, e], (f, e)
 
 
 @pytest.mark.parametrize(
@@ -414,11 +418,14 @@ def test_table_spaces_reach_negative_dimensions(q, r, n, count):
 
 def test_table_spot_entries_n30():
     p = SpaceParams(2, 2, 30)
-    tbl = krawtchouk_table.__wrapped__(p)  # uncached: 246k entries
+    T = krawtchouk_table.__wrapped__(p)  # uncached: 246k entries
     shapes = list(enumerate_shapes(p))
-    assert len(tbl) == len(shapes) ** 2
+    assert list(T.shapes) == shapes
+    assert [len(row) for row in T.rows] == [len(shapes)] * len(shapes)
+    assert [row[0] for row in T.rows] == [shape_count(p, f) for f in shapes]
     rng = random.Random(30)
     picks = [(rng.choice(shapes), rng.choice(shapes)) for _ in range(300)]
     picks += [((0, 0), (0, 30)), ((30, 0), (0, 30)), ((0, 30), (30, 0)), ((15, 15), (15, 15))]
     for f, e in picks:
-        assert type(tbl[(f, e)]) is int and tbl[(f, e)] == K_multi(p, f, e), (f, e)
+        value = T.rows[T.index[f]][T.index[e]]
+        assert type(value) is int and value == T[f, e] == K_multi(p, f, e), (f, e)

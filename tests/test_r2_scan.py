@@ -1,22 +1,40 @@
-"""The depth-2 root scan against the scan it replaced.
+"""The depth-2 root scan and certificate against the forms they replaced.
 
 `_solve_alpha` reads k_{s2}(nu, x) and k_{s2+1}(nu, x) from one recurrence
-pass, and `_r2_candidates` skips the bisection of a pair whose bracket's left
-end already exceeds the cap.  The references below are the earlier forms: two
-separate `k_uni` evaluations per bisection step, and a bisection for every
-pair.  Both must agree bit for bit.
+pass and stops once the bracket cannot shrink, `_r2_candidates` skips the
+bisection of a pair whose bracket's left end already exceeds the cap, and
+`r2_certificate` is two matrix products.  The references below are the
+earlier forms: 80 bisection steps with two separate `k_uni` evaluations
+each, a bisection for every pair, and two shape-by-shape loops.  The scans
+must agree bit for bit, the certificate coefficients to 1e-12 of the
+largest.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import ceil
 
 import pytest
 
 import nrtbounds.bounds as bounds_mod
-from nrtbounds.bounds import R2Witness, _r2_candidates, _solve_alpha
-from nrtbounds.krawtchouk import BracketingError, k_root_min, k_uni
-from nrtbounds.space import SpaceParams
+from nrtbounds.bounds import (
+    R2Witness,
+    _r2_candidates,
+    _solve_alpha,
+    r2_certificate,
+    r2_region,
+)
+from nrtbounds.krawtchouk import (
+    BracketingError,
+    K_multi,
+    _k_values,
+    k_root_min,
+    k_uni,
+    krawtchouk_table,
+)
+from nrtbounds.scheme import P_eval
+from nrtbounds.space import SpaceParams, delta_crit, enumerate_shapes, shape_count
 
 # the spaces of the bounds-r2 benchmark workload
 R2_SPACES = [(4, 8), (3, 9), (2, 12)]
@@ -101,6 +119,29 @@ def test_one_pass_alpha_is_bit_identical(q, n):
 
 
 @pytest.mark.parametrize("q,n", R2_SPACES)
+def test_alpha_bisection_stops_when_the_bracket_stops_moving(q, n, monkeypatch):
+    # the reference evaluates W at both ends and then 80 times; once the
+    # midpoint equals an end the bracket cannot move, and the solve stops
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _k_values(*args)
+
+    monkeypatch.setattr(bounds_mod, "_k_values", counting)
+    counts = []
+    for s2, nu in scanned_pairs(q, n):
+        before = len(calls)
+        try:
+            _solve_alpha(q, nu, s2, k_root_min(q, nu, s2 + 1))
+        except BracketingError:
+            continue
+        counts.append(len(calls) - before)
+    assert max(counts) <= 82
+    assert sum(counts) < 0.9 * 82 * len(counts)
+
+
+@pytest.mark.parametrize("q,n", R2_SPACES)
 def test_candidates_match_full_scan_at_every_d(q, n, monkeypatch):
     params = SpaceParams(q, 2, n)
     calls = []
@@ -115,3 +156,47 @@ def test_candidates_match_full_scan_at_every_d(q, n, monkeypatch):
         assert list(_r2_candidates(params, float(d))) == want, d
     pairs = sum(1 for _ in scanned_pairs(q, n))
     assert 0 < len(calls) < pairs * (params.dim + 1)
+
+
+def certificate_by_loops(params: SpaceParams, w: R2Witness) -> list[float]:
+    """The coefficients F_0, F_g of the depth-2 certificate, in shape order,
+    from the shape-by-shape loops that the matrix products replaced."""
+    a = (w.alpha, w.beta)
+    region = r2_region(params, w)
+    shapes = list(enumerate_shapes(params))
+    table = krawtchouk_table(params)
+    counts = {f: shape_count(params, f) for f in shapes}
+    k_at_a = {f: K_multi(params, f, a) for f in region}
+    p_at_a = float(delta_crit(params.q, 2) * params.dim) - (w.alpha + 2 * w.beta)
+
+    def F(e) -> float:
+        u = sum(k_at_a[f] * table[f, e] / counts[f] for f in region)
+        return (float(P_eval(params, e)) - p_at_a) * u * u
+
+    values = {e: F(e) for e in shapes}
+    coeffs = []
+    for g in shapes:
+        acc = 0.0
+        for e in shapes:
+            acc += values[e] * table[g, e] * counts[e]
+        coeffs.append(acc / (params.ambient_size * counts[g]))
+    return coeffs
+
+
+@pytest.mark.parametrize("q,n", R2_SPACES + [(2, 8)])
+def test_certificate_products_match_loops(q, n):
+    # every candidate witness of the scan at any d, checked at the smallest
+    # d that admits it, where the sign conditions are strictest
+    params = SpaceParams(q, 2, n)
+    shapes = list(enumerate_shapes(params))
+    witnesses = dict.fromkeys(
+        w for d in range(1, params.dim + 2) for w in _r2_candidates(params, float(d))
+    )
+    assert len(witnesses) >= 20
+    for w in witnesses:
+        cert, chk = r2_certificate(params, max(1, ceil(w.alpha + 2 * w.beta)), w)
+        assert chk.accepted, (w, chk.reason)
+        want = certificate_by_loops(params, w)
+        got = [cert.F0] + [cert.F[g] for g in shapes[1:]]
+        largest = max(abs(c) for c in want)
+        assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-12 * largest, w
