@@ -20,13 +20,14 @@ import numpy as np
 
 from .delsarte import CertificateCheck, DualCertificate, check_certificate, format_rational
 from .krawtchouk import BracketingError, K_multi, _k_values, k_root_min, krawtchouk_table
-from .scheme import P_eval, assemble_operator, build_blocks, spectral_radius
+from .scheme import operators, spectral_radius
 from .space import (
     Shape,
     SpaceParams,
     ball_size,
     delta_crit,
     shape_count,
+    shape_weight,
     weight_distribution,
 )
 
@@ -238,24 +239,20 @@ def spectral_bound(params: SpaceParams, d: int) -> BoundResult:
     stops its iteration once its enclosure clears the threshold
     (`spectral_radius(..., decide=)`, which decides it as the full-width
     enclosure would); only degree kappa, whose ends give the value, its
-    tolerance and its witness, runs to the full width.
+    tolerance and its witness, runs to the full width.  The operators come
+    from one `operators` walk, so each is built once, and S_kappa only
+    once the hypothesis at kappa - 1 holds.
     """
     _check_d(params, d)
     dc = delta_crit(params.q, params.r)
     mean = dc * params.dim
     threshold = mean - d  # P(e) at |e|' = d
-    blocks = []  # blocks[mu] serves every operator of degree >= mu
-
-    def operator(k: int):
-        while len(blocks) <= k:
-            blocks.append(build_blocks(params, len(blocks)))
-        return assemble_operator(blocks[: k + 1])
-
-    for kappa in range(1, params.n + 1):
-        lo_prev, _ = spectral_radius(operator(kappa - 1), decide=float(threshold))
+    ops = operators(params)
+    for kappa, prev in zip(range(1, params.n + 1), ops):
+        lo_prev, _ = spectral_radius(prev, decide=float(threshold))
         if not threshold <= Fraction(lo_prev):
             continue
-        lo_k, hi_k = spectral_radius(operator(kappa))
+        lo_k, hi_k = spectral_radius(next(ops))
         if Fraction(hi_k) >= mean:
             break  # larger kappa only grows the eigenvalue
         numerator = (
@@ -468,8 +465,8 @@ def r2_certificate(
     rows = [T.index[f] for f in region]
     k_at_a = np.array([K_multi(params, f, a) for f in region])
     u = (k_at_a / v[rows]) @ K[rows]
-    p_at_a = float(delta_crit(params.q, 2) * params.dim) - (w.alpha + 2 * w.beta)
-    P = np.array([float(P_eval(params, e)) for e in T.shapes]) - p_at_a
+    # P(e) - P(a) = (alpha + 2 beta) - |e|', the mean delta_crit r n cancels
+    P = (w.alpha + 2 * w.beta) - np.array([shape_weight(e) for e in T.shapes], dtype=float)
     coeffs = (K @ (P * u * u * v) / (params.ambient_size * v)).tolist()
     cert = DualCertificate(
         params=params, d=d, F0=coeffs[0], F=dict(zip(T.shapes[1:], coeffs[1:]))

@@ -2,9 +2,10 @@
 
 Multiplication by the affine function P(e) = delta_crit * r * n - |e|' acts
 block-tridiagonally on the Krawtchouk basis, grouped by shape length.  This
-module builds the raw (exact rational) and orthonormally rescaled (float)
-coefficient blocks, assembles the symmetric operator truncated at a given
-degree, and encloses its largest eigenvalue with Collatz-Wielandt bounds.
+module builds the exact rational coefficient blocks, the float symmetric
+operators truncated at each degree in turn (the blocks under the orthonormal
+rescaling), and encloses an operator's largest eigenvalue with
+Collatz-Wielandt bounds.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import islice
 from math import sqrt
 
 import numpy as np
@@ -141,14 +143,14 @@ def _over(nums: tuple[tuple[int, ...], ...], den: int) -> tuple[tuple[Fraction, 
 
 @dataclass(frozen=True)
 class ThreeTermBlocks:
-    """Coefficient blocks of multiplication by P at degree kappa.
+    """Coefficient blocks of multiplication by P at degree kappa, in the K_f
+    basis.
 
-    Raw blocks (a, b, c) are exact rationals in the K_f basis, held as
-    integer numerators (a_num, b_num, c_num) over the one denominator
-    den = q^r (q-1) and turned into Fractions only when read; the rescaled
-    blocks (A, B, C) are floats in the orthonormal basis.  Rows are indexed
-    by shapes of length kappa, columns by length kappa+1 / kappa / kappa-1,
-    all in lexicographic order.
+    The blocks (a, b, c) are exact rationals, held as integer numerators
+    (a_num, b_num, c_num) over the one denominator den = q^r (q-1) and
+    turned into Fractions only when read.  Rows are indexed by shapes of
+    length kappa, columns by length kappa+1 / kappa / kappa-1, all in
+    lexicographic order.
     """
 
     params: SpaceParams
@@ -160,9 +162,6 @@ class ThreeTermBlocks:
     b_num: tuple[tuple[int, ...], ...]
     c_num: tuple[tuple[int, ...], ...]
     den: int
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
 
     @cached_property
     def a(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -189,39 +188,22 @@ def _degree(params: SpaceParams, k: int):
 
 def build_blocks(params: SpaceParams, kappa: int) -> ThreeTermBlocks:
     """Raw entries x[f,h] = sum_i L_i m_i over the nonzero intersection
-    numbers m_i = intersection_Fi(f, i, h) of each row shape f; orthonormal
-    entries by the diagonal similarity X[f,h] = x[f,h] sqrt(v_h/v_f).
-
-    The raw entries are summed as integers N[f,h] = sum_i N_i m_i, where
-    L_i = N_i / D over the common D = q^r (q-1).  The diagonal X[f,f] is
-    the int/int division N[f,f] / D, which rounds correctly and so equals
-    float(Fraction(N[f,f], D)).  Off the diagonal a single depth i reaches
-    h, and X is taken as float(L_i) sqrt(m_i^2 v_h / v_f).  The rational
-    under the root is the same for (f, h) and (h, f), so B is symmetric and
-    C is the previous degree's A transposed, bit for bit; in the up and
-    down blocks it is an integer.
-    """
+    numbers m_i = intersection_Fi(f, i, h) of each row shape f, summed as
+    integers N[f,h] = sum_i N_i m_i, where L_i = N_i / D over the common
+    D = q^r (q-1)."""
     if kappa > params.n:
         raise ValueError(f"degree {kappa} exceeds n = {params.n}")
     terms = [_L_terms(params, i) for i in range(1, params.r + 1)]
-    den = terms[0][1]
-    depths = [(i, N, N / den) for i, (N, _) in enumerate(terms, start=1)]
     # columns of shape length kappa+1, kappa, kappa-1: side = kappa + 1 - |h|
-    sides, index, v = zip(*(_degree(params, k) for k in (kappa + 1, kappa, kappa - 1)))
+    sides, index, _ = zip(*(_degree(params, k) for k in (kappa + 1, kappa, kappa - 1)))
     rows = sides[1]
     nums = [[[0] * len(cols) for _ in rows] for cols in sides]
-    ortho = [np.zeros((len(rows), len(cols))) for cols in sides]
     for fi, f in enumerate(rows):
-        for i, N, Lf in depths:
+        for i, (N, _) in enumerate(terms, start=1):
             for h, m in _nonzero_intersections(params, f, i):
                 side = kappa + 1 - shape_length(h)
-                j = index[side][h]
-                nums[side][fi][j] += N * m
-                if h != f:
-                    ortho[side][fi, j] = Lf * sqrt(m * m * v[side][h] / v[1][f])
-        ortho[1][fi, fi] = nums[1][fi][fi] / den
+                nums[side][fi][index[side][h]] += N * m
     a_num, b_num, c_num = (tuple(tuple(row) for row in block) for block in nums)
-    A, B, C = ortho
     return ThreeTermBlocks(
         params=params,
         kappa=kappa,
@@ -231,10 +213,7 @@ def build_blocks(params: SpaceParams, kappa: int) -> ThreeTermBlocks:
         a_num=a_num,
         b_num=b_num,
         c_num=c_num,
-        den=den,
-        A=A,
-        B=B,
-        C=C,
+        den=terms[0][1],
     )
 
 
@@ -242,40 +221,51 @@ def build_blocks(params: SpaceParams, kappa: int) -> ThreeTermBlocks:
 # The truncated multiplication operator and its spectral radius
 
 
-@dataclass(frozen=True)
-class OperatorS:
-    """Symmetric block-tridiagonal matrix of P-multiplication projected onto
-    polynomials of degree <= kappa, in the orthonormal basis."""
+def operators(params: SpaceParams):
+    """The symmetric operators S_0, S_1, ..., S_n in turn: S_k is P-
+    multiplication projected onto polynomials of degree <= k, in the
+    orthonormal basis, with rows and columns the shapes of length 0..k,
+    grouped by length and lexicographic within a length.  S_k is S_(k-1)
+    padded with the rows of the shapes of length k; each yield is a new
+    array.
 
-    params: SpaceParams
-    kappa: int
-    shapes: tuple[Shape, ...]  # row/column index, grouped by length
-    matrix: np.ndarray
+    S[f,h] = x[f,h] sqrt(v_h/v_f), the raw entries of `build_blocks` under
+    the diagonal similarity.  The diagonal S[f,f] is the int/int division
+    N[f,f] / D, which rounds correctly and so equals float(Fraction(N[f,f],
+    D)).  Off the diagonal a single depth i reaches h, and S[f,h] is taken
+    as float(L_i) sqrt(m_i^2 v_h / v_f) from the row of the longer shape,
+    or of either shape at equal length, and mirrored into S[h,f].  By
+    detailed balance, v_h x[f,h] = v_f x[h,f], the rational under the root
+    is the same from either side, so S is symmetric bit for bit.
+    """
+    terms = [_L_terms(params, i) for i in range(1, params.r + 1)]
+    den = terms[0][1]
+    depths = [(i, N, N / den) for i, (N, _) in enumerate(terms, start=1)]
+    pos: dict[Shape, int] = {}  # row of each shape entered so far
+    v: dict[Shape, int] = {}
+    S = np.zeros((0, 0))
+    for k in range(params.n + 1):
+        shapes, _, counts = _degree(params, k)
+        pos.update(zip(shapes, range(len(pos), len(pos) + len(shapes))))
+        v.update(counts)
+        S = np.pad(S, (0, len(shapes)))
+        for f in shapes:
+            fi, diag = pos[f], 0
+            for i, N, Lf in depths:
+                for h, m in _nonzero_intersections(params, f, i):
+                    if h == f:
+                        diag += N * m
+                    elif h in pos:  # length k+1 enters with the next degree
+                        S[fi, pos[h]] = S[pos[h], fi] = Lf * sqrt(m * m * v[h] / v[f])
+            S[fi, fi] = diag / den
+        yield S
 
 
-def build_operator(params: SpaceParams, kappa: int) -> OperatorS:
+def build_operator(params: SpaceParams, kappa: int) -> np.ndarray:
+    """The operator truncated at degree kappa (see `operators`)."""
     if kappa > params.n:
         raise ValueError(f"degree {kappa} exceeds n = {params.n}")
-    return assemble_operator([build_blocks(params, mu) for mu in range(kappa + 1)])
-
-
-def assemble_operator(blocks: list[ThreeTermBlocks]) -> OperatorS:
-    """The operator truncated at degree kappa from the blocks of degrees
-    0..kappa, in order; its rows are the blocks' row shapes."""
-    kappa = len(blocks) - 1
-    offsets = [0]
-    for blk in blocks:
-        offsets.append(offsets[-1] + len(blk.rows))
-    mat = np.zeros((offsets[-1], offsets[-1]))
-    for mu, blk in enumerate(blocks):
-        o, o2 = offsets[mu], offsets[mu + 1]
-        mat[o:o2, o:o2] = blk.B
-        if mu < kappa:
-            o3 = offsets[mu + 2]
-            mat[o:o2, o2:o3] = blk.A
-            mat[o2:o3, o:o2] = blk.A.T
-    shapes = tuple(s for blk in blocks for s in blk.rows)
-    return OperatorS(params=blocks[0].params, kappa=kappa, shapes=shapes, matrix=mat)
+    return next(islice(operators(params), kappa, None))
 
 
 class SpectralConvergenceError(Exception):
@@ -286,15 +276,13 @@ REL_TOL = 1e-10  # relative width of a full enclosure
 MAX_ITER = 10**6
 
 
-def spectral_radius(op: OperatorS, decide: float | None = None) -> tuple[float, float]:
-    """Enclosure (lower, upper) of the largest eigenvalue.
+def spectral_radius(M: np.ndarray, decide: float | None = None) -> tuple[float, float]:
+    """Enclosure (lower, upper) of the largest eigenvalue of the operator M.
 
     Power iteration from the all-ones vector on the shifted matrix M + mI
     (m = max row sum + 1, so the iterate stays strictly positive), with
     Collatz-Wielandt ratio bounds min_i (Mx)_i/x_i <= rho <= max_i (Mx)_i/x_i
-    at every step.  When plain iteration converges too slowly the same
-    iteration is accelerated by repeated squaring of the shifted matrix,
-    which preserves nonnegativity and hence the validity of the bounds.
+    at every step, for at most MAX_ITER steps.
 
     With `decide=x` the same iteration also returns its current pair as
     soon as the pair is decided: upper < x - margin or lower > x + margin,
@@ -310,7 +298,6 @@ def spectral_radius(op: OperatorS, decide: float | None = None) -> tuple[float, 
     iteration, and the full-width pair is returned bit for bit as without
     `decide`.
     """
-    M = op.matrix
     dim = M.shape[0]
     if dim == 1:
         return (float(M[0, 0]), float(M[0, 0]))
@@ -320,47 +307,17 @@ def spectral_radius(op: OperatorS, decide: float | None = None) -> tuple[float, 
     if decide is not None:
         below = decide - 1e-9 * (m + abs(decide))
         above = decide + 1e-9 * (m + abs(decide))
-
-    def settled(lower: float, upper: float) -> bool:
-        if upper - lower <= REL_TOL * max(1.0, abs(upper)):
-            return True
-        return decide is not None and (upper < below or lower > above)
-
-    def bounds_at(vec: np.ndarray) -> tuple[float, float]:
-        y = shifted @ vec
-        ratios = y / vec
-        return float(ratios.min() - m), float(ratios.max() - m)
-
-    it = 0
-    while it < 4000:
+    for _ in range(MAX_ITER):
         y = shifted @ x
         ratios = y / x
         lower, upper = float(ratios.min() - m), float(ratios.max() - m)
-        if settled(lower, upper):
+        if upper - lower <= REL_TOL * max(1.0, abs(upper)):
+            return (lower, upper)
+        if decide is not None and (upper < below or lower > above):
             return (lower, upper)
         x = y / y.max()
-        it += 1
-
-    # squaring acceleration: x <- (M + mI)^(2^k) * ones, renormalized
-    power = shifted.copy()
-    x = np.ones(dim)
-    squarings = 0
-    while it < MAX_ITER:
-        x = power @ np.ones(dim)
-        x = x / x.max()
-        if (x <= 0).any():
-            raise SpectralConvergenceError("iterate lost positivity")
-        lower, upper = bounds_at(x)
-        if settled(lower, upper):
-            return (lower, upper)
-        power = power @ power
-        power = power / power.max()
-        squarings += 1
-        it += 1
-        if squarings > 120:
-            break
     raise SpectralConvergenceError(
-        f"no enclosure of width {REL_TOL} after {it} iterations"
+        f"no enclosure of width {REL_TOL} after {MAX_ITER} iterations"
     )
 
 

@@ -1,12 +1,16 @@
-"""Pinned three-term blocks: the exact output of `build_blocks` at every
-degree of six small spaces, as recorded from the implementation that
-preceded the generator of nonzero intersection numbers.
+"""Pinned three-term blocks: the exact output of `build_blocks` and the
+float operator the spectral iteration reads, at every degree of six small
+spaces, as recorded from the implementation that preceded the generator of
+nonzero intersection numbers.
 
 The spectral bound floors the end of a float eigenvalue enclosure, so one
-ulp in an orthonormal entry can move a reported floor.  The fixture
-`block_paths.json` therefore holds the float blocks A, B, C bit for bit (as
-`float.hex`) and the raw blocks a, b, c as exact `p/q` strings; an entry
-that is not a Fraction would not match.
+ulp in an operator entry can move a reported floor.  The fixture
+`block_paths.json` therefore holds the raw blocks a, b, c as exact `p/q`
+strings (an entry that is not a Fraction would not match) and, bit for bit
+as `float.hex`, the orthonormal blocks A, B, C of degree kappa: the slices
+of `build_operator(params, kappa + 1)` (of S_n at kappa = n) whose rows are
+the shapes of length kappa and whose columns are those of length kappa + 1,
+kappa and kappa - 1.
 
 Re-record (only from code known to keep every entry):
 
@@ -21,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from nrtbounds.scheme import build_blocks
+from nrtbounds.scheme import build_blocks, build_operator
 from nrtbounds.space import SpaceParams
 
 FIXTURE = Path(__file__).with_name("block_paths.json")
@@ -41,7 +45,9 @@ def _shapes(shapes) -> list[str]:
     return [",".join(map(str, e)) for e in shapes]
 
 
-def encode(blk) -> dict:
+def encode(blk, S, start: int) -> dict:
+    """The exact blocks and the slices of the operator S whose rows are the
+    block's rows, which sit at S[start:start + len(blk.rows)]."""
     out = {
         "rows": _shapes(blk.rows),
         "cols_up": _shapes(blk.cols_up),
@@ -49,16 +55,26 @@ def encode(blk) -> dict:
     }
     for name in ("a", "b", "c"):
         out[name] = [[_rational(x) for x in row] for row in getattr(blk, name)]
-    for name in ("A", "B", "C"):
-        out[name] = [[float.hex(x) for x in row] for row in getattr(blk, name).tolist()]
+    stop = start + len(blk.rows)
+    ortho = {
+        "A": S[start:stop, stop : stop + len(blk.cols_up)],
+        "B": S[start:stop, start:stop],
+        "C": S[start:stop, start - len(blk.cols_down) : start],
+    }
+    for name, block in ortho.items():
+        out[name] = [[float.hex(x) for x in row] for row in block.tolist()]
     return out
 
 
 def cases(space):
     """(key, encoded blocks) for every degree of the space."""
     params = SpaceParams(*space)
+    start = 0
     for kappa in range(params.n + 1):
-        yield f"{_space_name(*space)} k{kappa}", encode(build_blocks(params, kappa))
+        blk = build_blocks(params, kappa)
+        S = build_operator(params, min(kappa + 1, params.n))
+        yield f"{_space_name(*space)} k{kappa}", encode(blk, S, start)
+        start += len(blk.rows)
 
 
 @pytest.fixture(scope="module")

@@ -224,14 +224,13 @@ def test_best_bounds_runs_each_scan_once(monkeypatch):
 
 
 def test_best_bounds_never_reads_exact_blocks(monkeypatch):
-    # the spectral bound reads only the float blocks A, B, C
-    from nrtbounds.scheme import ThreeTermBlocks
+    # the spectral bound reads only the float operators, never build_blocks
+    import nrtbounds.scheme as scheme_mod
 
-    def unread(self):
-        raise AssertionError("exact block read")
+    def unread(*args, **kwargs):
+        raise AssertionError("exact blocks built")
 
-    for name in ("a", "b", "c"):
-        monkeypatch.setattr(ThreeTermBlocks, name, property(unread))
+    monkeypatch.setattr(scheme_mod, "build_blocks", unread)
     table = best_bounds(SpaceParams(2, 4, 12), 14)
     spectral = next(b for b in table.bounds if b.name == "spectral")
     assert spectral.applicable and spectral.witness["kappa"] == 7

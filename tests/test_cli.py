@@ -300,3 +300,19 @@ def test_numerical_failure_exit_code(capsys, monkeypatch, module, name):
     assert code == 4
     assert out == ""
     assert "no convergence" in err and len(err.splitlines()) == 1
+
+
+def test_spectral_iteration_cap_exits_4(capsys, monkeypatch):
+    # the Collatz-Wielandt loop ends after MAX_ITER steps with an error,
+    # which the CLI reports as a numerical failure
+    import nrtbounds.scheme as scheme_mod
+    from nrtbounds.space import SpaceParams
+
+    monkeypatch.setattr(scheme_mod, "MAX_ITER", 2)
+    op = scheme_mod.build_operator(SpaceParams(2, 2, 6), 3)
+    with pytest.raises(scheme_mod.SpectralConvergenceError, match="after 2 iterations"):
+        scheme_mod.spectral_radius(op)
+    code, out, err = run(capsys, "bounds", "--q", "2", "--r", "2", "--n", "6", "--d", "8")
+    assert code == 4
+    assert out == ""
+    assert "after 2 iterations" in err and len(err.splitlines()) == 1

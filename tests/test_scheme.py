@@ -13,6 +13,7 @@ from nrtbounds.scheme import (
     cd_kernel,
     intersection_Fi,
     intersection_general,
+    operators,
     spectral_radius,
 )
 from nrtbounds.space import (
@@ -130,11 +131,9 @@ def test_block_dimensions_and_structure():
         for kappa in range(0, min(3, n) + 1):
             blk = build_blocks(p, kappa)
             assert len(blk.rows) == comb(kappa + r - 1, r - 1)
-            assert np.allclose(blk.B, blk.B.T)
-            assert (blk.A >= 0).all() and (blk.B >= 0).all() and (blk.C >= 0).all()
-            if kappa >= 1:
-                prev = build_blocks(p, kappa - 1)
-                assert np.allclose(blk.C, prev.A.T)
+            S = build_operator(p, kappa)
+            assert np.array_equal(S, S.T)
+            assert (S >= 0).all()
 
 
 @pytest.mark.parametrize("q,r,n", [(2, 2, 5), (3, 2, 4), (2, 3, 4), (2, 4, 3)])
@@ -154,22 +153,22 @@ def test_raw_blocks_are_integers_over_one_denominator(q, r, n):
 
 
 def test_normalized_blocks_match_raw_rescaling():
-    # A[f,h] = a[f,h] sqrt(v_h / v_f), same for B and C
+    # the orthonormal blocks are slices of the operator:
+    # S[f,h] = x[f,h] sqrt(v_h / v_f) for the raw blocks x = a, b, c
     for q, r, n in [(2, 2, 4), (3, 2, 3)]:
         p = SpaceParams(q, r, n)
-        for kappa in range(0, 4):
+        S = build_operator(p, n)
+        shapes = [f for mu in range(n + 1) for f in shapes_of_length(p, mu)]
+        pos = {f: j for j, f in enumerate(shapes)}
+        assert len(pos) == S.shape[0]
+        for kappa in range(n + 1):
             blk = build_blocks(p, kappa)
             for fi, f in enumerate(blk.rows):
                 vf = shape_count(p, f)
-                for hi, h in enumerate(blk.cols_up):
-                    want = float(blk.a[fi][hi]) * (shape_count(p, h) / vf) ** 0.5
-                    assert blk.A[fi, hi] == pytest.approx(want, rel=1e-12)
-                for hi, h in enumerate(blk.rows):
-                    want = float(blk.b[fi][hi]) * (shape_count(p, h) / vf) ** 0.5
-                    assert blk.B[fi, hi] == pytest.approx(want, rel=1e-12)
-                for hi, h in enumerate(blk.cols_down):
-                    want = float(blk.c[fi][hi]) * (shape_count(p, h) / vf) ** 0.5
-                    assert blk.C[fi, hi] == pytest.approx(want, rel=1e-12)
+                for x, cols in ((blk.a, blk.cols_up), (blk.b, blk.rows), (blk.c, blk.cols_down)):
+                    for hi, h in enumerate(cols):
+                        want = float(x[fi][hi]) * (shape_count(p, h) / vf) ** 0.5
+                        assert S[pos[f], pos[h]] == pytest.approx(want, rel=1e-12)
 
 
 def test_detailed_balance_of_raw_operator():
@@ -200,7 +199,7 @@ def test_spectral_radius_matches_dense_eigensolver():
     for q, r, n, kappa in [(2, 2, 6, 3), (3, 2, 5, 2), (2, 3, 4, 2)]:
         op = build_operator(SpaceParams(q, r, n), kappa)
         lo, hi = spectral_radius(op)
-        top = float(np.linalg.eigvalsh(op.matrix)[-1])
+        top = float(np.linalg.eigvalsh(op)[-1])
         assert lo - 1e-9 <= top <= hi + 1e-9
 
 
@@ -269,18 +268,19 @@ def test_operator_dimension_formula():
     for q, r, n, kappa in [(2, 2, 5, 3), (2, 3, 4, 2), (3, 2, 4, 4)]:
         op = build_operator(SpaceParams(q, r, n), kappa)
         want = sum(comb(mu + r - 1, r - 1) for mu in range(kappa + 1))
-        assert op.matrix.shape == (want, want)
-        assert len(op.shapes) == want
+        assert op.shape == (want, want)
 
 
 def test_operator_is_leading_block_of_next_degree():
     for q, r, n in [(2, 2, 5), (3, 2, 4), (2, 3, 4)]:
         p = SpaceParams(q, r, n)
-        for kappa in range(n):
-            small, big = build_operator(p, kappa), build_operator(p, kappa + 1)
-            size = len(small.shapes)
-            assert big.shapes[:size] == small.shapes
-            assert np.array_equal(big.matrix[:size, :size], small.matrix)
+        ops = list(operators(p))
+        assert len(ops) == n + 1
+        for kappa, (small, big) in enumerate(zip(ops, ops[1:])):
+            size = small.shape[0]
+            assert big.shape[0] == size + len(shapes_of_length(p, kappa + 1))
+            assert np.array_equal(big[:size, :size], small)
+            assert big.tobytes() == build_operator(p, kappa + 1).tobytes()
 
 
 def test_build_operator_enumerates_each_degree_once(monkeypatch):
@@ -301,5 +301,5 @@ def test_build_operator_enumerates_each_degree_once(monkeypatch):
     scheme_mod._degree.cache_clear()
     p = SpaceParams(2, 3, 6)
     build_operator(p, 4)
-    assert lengths == [1, 0, 2, 3, 4, 5]
-    assert sorted(counted) == sorted(e for k in range(6) for e in shapes_of_length(p, k))
+    assert lengths == [0, 1, 2, 3, 4]
+    assert sorted(counted) == sorted(e for k in range(5) for e in shapes_of_length(p, k))
