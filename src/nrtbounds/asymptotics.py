@@ -6,8 +6,9 @@ limiting eigenvalue expression over weight profiles; the depth-2 curve
 minimizes a two-parameter entropy expression under a root-position
 constraint.  Everything here is double precision with deterministic grids
 and local refinement; exactness is not meaningful for these quantities.
-The grids are scanned with numpy one row at a time, through the same
-functions that the refinement calls on floats.
+The grids are scanned with numpy in blocks of about BLOCK points, and the
+sphere-exponent curves are evaluated on a whole grid in one array call,
+through the same functions that the refinements call on floats.
 """
 
 from __future__ import annotations
@@ -39,23 +40,70 @@ class RootBracketError(Exception):
     pass
 
 
-def _poly_sum(q: int, r: int, z: float) -> float:
+def _powers(z, r: int) -> list:
+    """z, z^2, ..., z^r as running products, which give the same floats on
+    a float and on an array (numpy's power and libm's pow do not)."""
+    out = [z]
+    for _ in range(r - 1):
+        out.append(out[-1] * z)
+    return out
+
+
+def _log(x):
+    """libm's natural log at a float or elementwise on an array, so that
+    both give the same floats (numpy's log may differ by an ulp)."""
+    if isinstance(x, np.ndarray):
+        return np.array([math.log(v) for v in x.tolist()])
+    return math.log(x)
+
+
+def _poly_sum(q: int, r: int, z):
     """A(z) = ((q-1)/q) (z + z^2 + ... + z^r)."""
-    return (q - 1) / q * sum(z**i for i in range(1, r + 1))
+    return (q - 1) / q * sum(_powers(z, r))
 
 
-def z0_solve(q: int, r: int, x: float) -> float:
-    """Unique positive root z0 of  x r (1 + A(z)) = ((q-1)/q) sum i z^i.
+def _extremes(x):
+    """(min, max) of an array, or (x, x) of a float."""
+    return (x.min(), x.max()) if isinstance(x, np.ndarray) else (x, x)
+
+
+def z0_solve(q: int, r: int, x):
+    """Unique positive root z0 of  x r (1 + A(z)) = ((q-1)/q) sum i z^i,
+    at a float or elementwise on an array.
 
     The root grows with x and reaches q at the critical distance, so the
     initial bracket is expanded geometrically until it straddles the root.
+    Each element bisects on its own and stops once its bracket cannot
+    shrink any further.
     """
-    if not 0 < x < 1:
-        raise ValueError(f"x={x} outside (0, 1)")
+    lo, hi = _extremes(x)
+    if not (0 < lo and hi < 1):
+        raise ValueError(f"x={hi if 0 < lo else lo} outside (0, 1)")
 
-    def g(z: float) -> float:
-        rhs = (q - 1) / q * sum(i * z**i for i in range(1, r + 1))
+    def g(z):
+        rhs = (q - 1) / q * sum(i * zi for i, zi in enumerate(_powers(z, r), 1))
         return x * r * (1 + _poly_sum(q, r, z)) - rhs
+
+    if isinstance(x, np.ndarray):
+        lo = np.full(x.shape, 1e-30)
+        hi = np.full(x.shape, float(max(q, r) + 1))
+        for _ in range(201):
+            grow = g(hi) > 0
+            if not grow.any():
+                break
+            hi[grow] *= 2
+        else:
+            raise RootBracketError(f"no sign change up to z={hi.max()}")
+        live = np.ones(x.shape, dtype=bool)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            live &= (mid != lo) & (mid != hi)  # frozen for good, as the float break
+            if not live.any():
+                break
+            up = g(mid) > 0
+            lo = np.where(live & up, mid, lo)
+            hi = np.where(live & ~up, mid, hi)
+        return 0.5 * (lo + hi)
 
     lo = 1e-30
     hi = float(max(q, r) + 1)
@@ -85,61 +133,72 @@ def h_q(q: int, x):
     """q-ary entropy -x log_q(x/(q-1)) - (1-x) log_q(1-x), with 0 log 0 = 0,
     at a float or elementwise on an array."""
     array = isinstance(x, np.ndarray)
-    lo, hi = (x.min(), x.max()) if array else (x, x)
-    if lo < 0 or hi > 1:
-        raise ValueError(f"x={x} outside [0, 1]")
+    lo, hi = _extremes(x)
+    if not (0 <= lo and hi <= 1):
+        raise ValueError(f"x={hi if 0 <= lo else lo} outside [0, 1]")
     log, log_q = (np.log if array else math.log), math.log(q)
     a, b = x / (q - 1), 1 - x
     # a zero argument is read as 1, whose log is 0
     return -(x * (log(a + (a == 0)) / log_q)) - b * (log(b + (b == 0)) / log_q)
 
 
-def H(q: int, r: int, x: float) -> float:
-    """Sphere-volume exponent: x (1 - log_q z0) + (1/r) log_q(1 + A(z0))."""
-    if x == 0:
+def H(q: int, r: int, x):
+    """Sphere-volume exponent x (1 - log_q z0) + (1/r) log_q(1 + A(z0)), with
+    H(0) = 0, at a float or elementwise on an array."""
+    dc = float(delta_crit(q, r))
+    lo, hi = _extremes(x)
+    if not (0 <= lo and hi <= dc):
+        raise ValueError(f"x={hi if 0 <= lo else lo} outside [0, delta_crit]")
+    array = isinstance(x, np.ndarray)
+    if not array and x == 0:
         return 0.0
-    if not 0 < x <= float(delta_crit(q, r)):
-        raise ValueError(f"x={x} outside (0, delta_crit]")
-    z0 = z0_solve(q, r, x)
-    return x * (1 - math.log(z0, q)) + math.log(1 + _poly_sum(q, r, z0), q) / r
+    y = np.where(x > 0, x, dc) if array else x  # any root will do where x = 0
+    z0, log_q = z0_solve(q, r, y), math.log(q)
+    h = y * (1 - _log(z0) / log_q) + _log(1 + _poly_sum(q, r, z0)) / log_q / r
+    return np.where(x > 0, h, 0.0) if array else h
 
 
 # ---------------------------------------------------------------------------
-# Elementary curves (rate as a function of relative distance)
+# Elementary curves (rate as a function of relative distance), each at a
+# float or elementwise on an array
 
 
-def gv_curve(q: int, r: int, delta: float) -> float:
+def _cut(delta, inside, dc=math.nan):
+    """1 at delta <= 0, 0 at delta >= dc (never when dc is NaN), and
+    inside(delta) in between."""
+    if not isinstance(delta, np.ndarray):
+        return 1.0 if delta <= 0 else 0.0 if delta >= dc else inside(delta)
+    out = np.where(delta <= 0, 1.0, 0.0)
+    mid = ~((delta <= 0) | (delta >= dc))  # NaN goes to inside, which rejects it
+    if mid.any():
+        out[mid] = inside(delta[mid])
+    return out
+
+
+def gv_curve(q: int, r: int, delta):
+    return _cut(delta, lambda d: 1.0 - H(q, r, d), float(delta_crit(q, r)))
+
+
+def hamming_curve(q: int, r: int, delta):
+    return _cut(delta, lambda d: 1.0 - H(q, r, d / 2))
+
+
+def plotkin_curve(q: int, r: int, delta):
     dc = float(delta_crit(q, r))
-    if delta <= 0:
-        return 1.0
-    if delta >= dc:
-        return 0.0
-    return 1.0 - H(q, r, delta)
+    return _cut(delta, lambda d: 1.0 - d / dc, dc)
 
 
-def hamming_curve(q: int, r: int, delta: float) -> float:
-    if delta <= 0:
-        return 1.0
-    return 1.0 - H(q, r, delta / 2)
-
-
-def plotkin_curve(q: int, r: int, delta: float) -> float:
+def be_curve(q: int, r: int, delta):
     dc = float(delta_crit(q, r))
-    if delta <= 0:
-        return 1.0
-    if delta >= dc:
-        return 0.0
-    return 1.0 - delta / dc
+    sqrt = np.sqrt if isinstance(delta, np.ndarray) else math.sqrt
+    return _cut(delta, lambda d: 1.0 - H(q, r, dc * (1.0 - sqrt(1.0 - d / dc))), dc)
 
 
-def be_curve(q: int, r: int, delta: float) -> float:
-    dc = float(delta_crit(q, r))
-    if delta <= 0:
-        return 1.0
-    if delta >= dc:
-        return 0.0
-    inner = dc * (1.0 - math.sqrt(1.0 - delta / dc))
-    return 1.0 - H(q, r, inner)
+def curve_grid(curve, q: int, r: int, grid: int) -> tuple[list[float], list[float]]:
+    """An elementary curve at delta_crit j / grid, j = 1..grid, in one array
+    call; returns the deltas and the rates."""
+    deltas = float(delta_crit(q, r)) * np.arange(1, grid + 1) / grid
+    return deltas.tolist(), curve(q, r, deltas).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -158,29 +217,34 @@ def lambda_expression(q: int, r: int, taus):
     """
     tau = sum(taus)
     sqrt = np.sqrt if isinstance(tau, np.ndarray) else math.sqrt
+    clamped = [_nonneg(t) for t in taus]  # products of these need no clamp
     total = 0.0
     for i in range(1, r + 1):
         li = (q ** (r - i + 1) - 1) / (q**r * (q - 1))
-        ti = _nonneg(taus[i - 1])
+        ti = clamped[i - 1]
         term = 2.0 * sqrt(_nonneg((1 - tau) * ti * (q - 1) * q ** (i - 1)))
         term += (q - 2) * ti * (q**r - q ** (i - 1))
         term += (
             2.0
             * (q - 1)
             / q
-            * sum(sqrt(_nonneg(taus[k - 1] * ti) * q ** (i + k)) for k in range(1, i))
+            * sum(sqrt(clamped[k - 1] * ti * q ** (i + k)) for k in range(1, i))
         )
         total += li * term
     return total
 
 
-def _lattice(total: float, parts: int, steps: int) -> list[np.ndarray]:
-    """Deterministic lattice on {x >= 0, sum x = total}, one array per
-    coordinate.  Coordinate k takes the steps j/steps, j = 0..steps, of what
-    coordinates 1..k-1 left, the last coordinate takes the rest, and the
-    points are in lexicographic order of their step indices."""
+BLOCK = 4096  # grid points per array call of the scans
+
+
+def _lattice(totals: np.ndarray, parts: int, steps: int) -> list[np.ndarray]:
+    """Deterministic lattices on {x >= 0, sum x = total}, one after another
+    for each of the totals, one array per coordinate.  Coordinate k takes
+    the steps j/steps, j = 0..steps, of what coordinates 1..k-1 left, the
+    last coordinate takes the rest, and the points of a lattice are in
+    lexicographic order of their step indices."""
     j = np.arange(steps + 1)
-    rest = np.array([total], dtype=float)
+    rest = totals
     cols: list[np.ndarray] = []
     for _ in range(parts - 1):
         head = np.multiply.outer(rest, j) / steps
@@ -190,15 +254,14 @@ def _lattice(total: float, parts: int, steps: int) -> list[np.ndarray]:
 
 
 def _lattice_rows(total: float, parts: int, steps: int):
-    """The points of `_lattice`, in order, in blocks of columns: one block
-    per step of the first coordinate when parts > 2, else one block."""
-    if parts <= 2:
-        yield _lattice(total, parts, steps)
-        return
-    for j in range(steps + 1):
-        head = total * j / steps
-        rest = _lattice(total - head, parts - 1, steps)
-        yield [np.full(len(rest[0]), head)] + rest
+    """The points of the `_lattice` of one total, in order, in blocks of
+    whole slices of the first coordinate, about BLOCK points (and at least
+    one slice) each; parts is at least 2."""
+    size = (steps + 1) ** (parts - 2)  # points per slice
+    per = max(1, BLOCK // size)
+    for j in range(0, steps + 1, per):
+        head = total * np.arange(j, min(j + per, steps + 1)) / steps
+        yield [head.repeat(size)] + _lattice(total - head, parts - 1, steps)
 
 
 def lambda_asym(q: int, r: int, tau: float) -> tuple[float, tuple[float, ...]]:
@@ -217,7 +280,7 @@ def lambda_asym(q: int, r: int, tau: float) -> tuple[float, tuple[float, ...]]:
     best_val = -math.inf
     for cols in _lattice_rows(tau, r, steps):
         vals = lambda_expression(q, r, cols)
-        k = int(np.argmax(vals))  # the first maximum of the row
+        k = int(np.argmax(vals))  # the first maximum of the block
         if vals[k] > best_val:
             best_val, taus = float(vals[k]), [float(c[k]) for c in cols]
     # pairwise mass transfers; the expression is concave along each line
@@ -296,9 +359,11 @@ def lp_curve_default_taus(q: int, grid: int) -> list[float]:
 # Depth-2 curve
 
 
-def _phi_objective(q: int, t1: float, t2):
-    """Depth-2 objective at (t1, t2); t2 is a float or an array."""
-    return 0.5 * (t2 + h_q(q, t1) + (1 - t1) * h_q(q, t2 / (1 - t1)))
+def _phi_objective(q: int, t1, t2, h1=None):
+    """Depth-2 objective at (t1, t2), at floats or elementwise on arrays;
+    h1, when given, is h_q(q, t1)."""
+    h1 = h_q(q, t1) if h1 is None else h1
+    return 0.5 * (t2 + h1 + (1 - t1) * h_q(q, t2 / (1 - t1)))
 
 
 def _phi_t2_terms(q: int, t2):
@@ -308,11 +373,12 @@ def _phi_t2_terms(q: int, t2):
     return g2, (2 - g2) * (1 - t2)
 
 
-def _phi_feasible(q: int, t1: float, t2, delta: float, t2_terms=None):
-    """Root-position constraint at (t1, t2); t2 is a float or an array, and
-    t2_terms, when given, is `_phi_t2_terms(q, t2)`."""
+def _phi_feasible(q: int, t1, t2, delta: float, t2_terms=None, g1=None):
+    """Root-position constraint at (t1, t2), at floats or elementwise on
+    arrays that broadcast; t2_terms, when given, is `_phi_t2_terms(q, t2)`,
+    and g1 is gamma(q, t1)."""
     g2, w2 = t2_terms or _phi_t2_terms(q, t2)
-    return g2 + w2 * gamma(q, t1) <= 2 * delta
+    return g2 + w2 * (gamma(q, t1) if g1 is None else g1) <= 2 * delta
 
 
 def phi_r2(q: int, delta: float) -> float:
@@ -330,16 +396,21 @@ def phi_r2_with_witness(q: int, delta: float):
     steps = 200
     t2_row = t2_max * np.arange(steps + 1) / steps
     row_terms = _phi_t2_terms(q, t2_row)  # the same on every t1 row
+    per = max(1, BLOCK // (steps + 1))  # t1 rows per block
     best = None
-    for i in range(steps + 1):
-        t1 = t1_max * i / steps
-        t2 = t2_row[_phi_feasible(q, t1, t2_row, delta, row_terms)]
-        if not t2.size:
+    for i in range(0, steps + 1, per):
+        t1 = t1_max * np.arange(i, min(i + per, steps + 1)) / steps
+        # gamma and h_q of t1 come from float calls, as in the refinement
+        g1 = np.array([gamma(q, v) for v in t1.tolist()])
+        feasible = _phi_feasible(q, t1[:, None], t2_row, delta, row_terms, g1[:, None])
+        rows, cols = np.nonzero(feasible)
+        if not rows.size:
             continue
-        vals = _phi_objective(q, t1, t2)
-        k = int(np.argmin(vals))  # the first minimum of the row
+        h1 = np.array([h_q(q, v) for v in t1.tolist()])
+        vals = _phi_objective(q, t1[rows], t2_row[cols], h1[rows])
+        k = int(np.argmin(vals))  # the first minimum of the block, row by row
         if best is None or vals[k] < best[0]:
-            best = (float(vals[k]), t1, float(t2[k]))
+            best = (float(vals[k]), float(t1[rows[k]]), float(t2_row[cols[k]]))
     if best is None:
         return 1.0, None
     val, t1, t2 = best

@@ -15,6 +15,7 @@ from . import __version__
 from .asymptotics import (
     RootBracketError,
     be_curve,
+    curve_grid,
     gv_curve,
     hamming_curve,
     lp_curve,
@@ -166,10 +167,8 @@ def cmd_asym(args) -> int:
             "plotkin": plotkin_curve,
             "be": be_curve,
         }[name]
-        dc = float(delta_crit(q, r))
-        for j in range(1, grid + 1):
-            delta = dc * j / grid
-            rows.append((delta, fn(q, r, delta), ""))
+        deltas, rates = curve_grid(fn, q, r, grid)
+        rows = [(delta, rate, "") for delta, rate in zip(deltas, rates)]
     elif name == "lp":
         for pt in lp_curve(q, r, lp_curve_default_taus(q, grid)):
             rows.append((pt.delta, pt.rate, f"{pt.meta['tau']:.12g}"))

@@ -313,6 +313,6 @@ def gamma(q: int, y):
         (q-1)/q - ((q-2)/q) y - (2/q) sqrt((q-1) y (1-y))
     """
     lo, hi = (y.min(), y.max()) if isinstance(y, np.ndarray) else (y, y)
-    if not (0 <= lo and hi <= (q - 1) / q):
-        raise ValueError(f"y={y} outside [0, (q-1)/q]")
+    if not (0 <= lo and hi <= (q - 1) / q):  # name the extreme, not the array
+        raise ValueError(f"y={hi if 0 <= lo else lo} outside [0, (q-1)/q]")
     return (q - 1) / q - (q - 2) / q * y - 2 / q * ((q - 1) * y * (1 - y)) ** 0.5

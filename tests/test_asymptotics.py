@@ -147,23 +147,42 @@ def _points(cols):
     return list(zip(*(c.tolist() for c in cols)))
 
 
+# one slice per block, a few small slices per block, and the default,
+# read at collection, before any monkeypatch
+BLOCKS = (1, 7, asymptotics.BLOCK)
+
+
 @pytest.mark.parametrize("parts", [2, 3, 4])
 @pytest.mark.parametrize("steps", [7, 40, 200])
-def test_lattice_rows_keep_the_recursive_order(parts, steps):
+def test_lattice_rows_keep_the_recursive_order(parts, steps, monkeypatch):
     total = 0.7
-    rows = asymptotics._lattice_rows(total, parts, steps)
-    if parts * steps < 800:
-        assert [p for cols in rows for p in _points(cols)] == list(
-            _reference_grid(total, parts, steps)
-        )
-        return
-    # 201^3 points: compare five whole rows, one per first coordinate
-    for j, cols in enumerate(rows):
-        if j in (0, 1, 100, 199, 200):
+    size = (steps + 1) ** (parts - 2)  # points per first-coordinate slice
+    for block in BLOCKS:
+        monkeypatch.setattr(asymptotics, "BLOCK", block)
+        rows = asymptotics._lattice_rows(total, parts, steps)
+        if parts * steps < 800:
+            assert [p for cols in rows for p in _points(cols)] == list(
+                _reference_grid(total, parts, steps)
+            ), block
+            continue
+        # 201^3 points: compare five whole slices, one per first coordinate,
+        # point by point across the blocks that hold them
+        want = {}
+        for j in (0, 1, 100, 199, 200):
             head = total * j / steps
-            want = [(head,) + rest for rest in _reference_grid(total - head, parts - 1, steps)]
-            assert _points(cols) == want
-    assert j == steps
+            want[j] = [(head,) + rest for rest in _reference_grid(total - head, parts - 1, steps)]
+        got = {j: [] for j in want}
+        start = 0  # index of the block's first point
+        for cols in rows:
+            n = len(cols[0])
+            assert n % size == 0 and n <= max(size, block)  # whole slices only
+            for j in got:
+                lo, hi = max(j * size, start), min((j + 1) * size, start + n)
+                if lo < hi:
+                    got[j] += _points([c[lo - start : hi - start] for c in cols])
+            start += n
+        assert got == want, block
+        assert start == (steps + 1) ** (parts - 1)
 
 
 def test_array_evaluation_matches_floats():
@@ -191,11 +210,10 @@ def test_array_evaluation_matches_floats():
 
 def test_grid_scans_keep_the_first_best_point(monkeypatch):
     # with a constant objective every grid point ties and the refinement
-    # never improves, so the scan's first point is returned
+    # never improves, so the scan's first point is returned, whatever the
+    # block size
     monkeypatch.setattr(asymptotics, "lambda_expression", lambda q, r, taus: 0.0 * sum(taus))
-    for r in (2, 3, 4):
-        assert lambda_asym(2, r, 0.3) == (0.0, (0.0,) * (r - 1) + (0.3,))
-    monkeypatch.setattr(asymptotics, "_phi_objective", lambda q, t1, t2: 0.0 * t2)
+    monkeypatch.setattr(asymptotics, "_phi_objective", lambda q, t1, t2, h1=None: 0.0 * t2)
     q, delta, steps = 2, 0.1, 200
     first = next(
         (t1, t2)
@@ -203,7 +221,78 @@ def test_grid_scans_keep_the_first_best_point(monkeypatch):
         for t2 in ((q - 1) / q * j / steps for j in range(steps + 1))
         if asymptotics._phi_feasible(q, t1, t2, delta)
     )
-    assert phi_r2_with_witness(q, delta) == (0.0, first)
+    for block in BLOCKS:
+        monkeypatch.setattr(asymptotics, "BLOCK", block)
+        for r in (2, 3, 4):
+            assert lambda_asym(2, r, 0.3) == (0.0, (0.0,) * (r - 1) + (0.3,)), block
+        assert phi_r2_with_witness(q, delta) == (0.0, first), block
+
+
+CURVES = (gv_curve, hamming_curve, plotkin_curve, be_curve)
+
+
+@pytest.mark.parametrize("q, r", [(2, 1), (2, 3), (3, 2), (5, 4)])
+def test_sphere_exponent_arrays_match_floats(q, r):
+    # powers are running products and logs are libm's on both paths, so the
+    # array bisection takes the float one's steps and the values are equal
+    dc = float(delta_crit(q, r))
+    rng = np.random.default_rng(q * 10 + r)
+    x = np.concatenate([[1e-9, dc / 2, dc], rng.uniform(0, dc, 200)])
+    assert z0_solve(q, r, x).tolist() == [z0_solve(q, r, float(v)) for v in x]
+    x = np.concatenate([[0.0], x])
+    assert H(q, r, x).tolist() == [H(q, r, float(v)) for v in x]
+    deltas = np.concatenate([[-0.1, 0.0, dc, 1.5 * dc], rng.uniform(0, dc, 200)])
+    for fn in CURVES:
+        if fn is hamming_curve:
+            deltas = deltas[deltas <= 2 * dc]
+        got = fn(q, r, deltas)
+        assert isinstance(got, np.ndarray) and got.shape == deltas.shape
+        assert got.tolist() == [fn(q, r, float(d)) for d in deltas], fn.__name__
+
+
+@pytest.mark.parametrize(
+    "fn, bad",
+    [
+        (z0_solve, 0.0),
+        (z0_solve, 1.0),
+        (z0_solve, math.nan),
+        (H, -1e-9),
+        (H, 0.9),
+        (H, math.nan),
+        (gv_curve, math.nan),
+        (hamming_curve, 1.8),
+        (hamming_curve, math.nan),
+        (be_curve, math.nan),
+    ],
+)
+def test_sphere_exponent_arrays_reject_what_floats_reject(fn, bad):
+    q, r = 2, 2  # delta_crit = 5/8
+    with pytest.raises(ValueError):
+        fn(q, r, bad)
+    x = np.full(5, 0.3)
+    x[3] = bad
+    with pytest.raises(ValueError):
+        fn(q, r, x)
+
+
+def test_array_range_errors_name_one_value():
+    from nrtbounds.krawtchouk import gamma
+
+    x = np.linspace(0.1, 0.4, 399)
+    cases = [
+        (lambda v: h_q(2, v), 1.5, -0.25),
+        (lambda v: gamma(2, v), 0.75, -0.25),
+        (lambda v: z0_solve(2, 2, v), 1.5, -0.25),
+        (lambda v: H(2, 2, v), 0.75, -0.25),
+    ]
+    for fn, high, low in cases:
+        for bad in (high, low):
+            y = x.copy()
+            y[200] = bad
+            with pytest.raises(ValueError) as err:
+                fn(y)
+            message = str(err.value)
+            assert str(bad) in message and len(message) < 60, message
 
 
 def test_lp_curve_limits():

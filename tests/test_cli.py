@@ -109,6 +109,28 @@ def test_asym_csv(capsys):
     assert float(first[1]) > 0.8
 
 
+@pytest.mark.parametrize("grid", [100, 1000])
+@pytest.mark.parametrize("curve", ["gv", "be", "hamming", "plotkin"])
+def test_asym_curve_csv_matches_float_calls(capsys, curve, grid):
+    # the CLI evaluates the whole grid in one array call; it must print what
+    # one float call per point prints
+    from nrtbounds import asymptotics
+    from nrtbounds.space import delta_crit
+
+    fn = getattr(asymptotics, f"{curve}_curve")
+    for q, r in [(2, 2), (3, 4)]:
+        code, out, _ = run(
+            capsys, "asym", "--q", str(q), "--r", str(r), "--curve", curve, "--grid", str(grid)
+        )
+        assert code == 0
+        dc = float(delta_crit(q, r))
+        want = ["delta,rate,curve,q,r,meta"]
+        for j in range(1, grid + 1):
+            delta = dc * j / grid
+            want.append(f"{delta:.12g},{fn(q, r, delta):.12g},{curve},{q},{r},")
+        assert out == "\n".join(want) + "\n\n"  # print adds a newline
+
+
 def test_asym_psi_and_lp(capsys):
     code, out, _ = run(
         capsys, "asym", "--q", "2", "--r", "1", "--curve", "psi", "--grid", "5"
