@@ -6,13 +6,15 @@ limiting eigenvalue expression over weight profiles; the depth-2 curve
 minimizes a two-parameter entropy expression under a root-position
 constraint.  Everything here is double precision with deterministic grids
 and local refinement; exactness is not meaningful for these quantities.
-The grids are scanned with numpy in blocks of about BLOCK points, and the
-sphere-exponent curves are evaluated on a whole grid in one array call,
-through the same functions that the refinements call on floats.
+The grids are scanned with numpy in blocks of about BLOCK points, through
+the same functions that the refinements call on floats.  The
+sphere-exponent curves are written for arrays and evaluate a whole grid in
+one call; a float runs through them as a one-element array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,26 +42,9 @@ class RootBracketError(Exception):
     pass
 
 
-def _powers(z, r: int) -> list:
-    """z, z^2, ..., z^r as running products, which give the same floats on
-    a float and on an array (numpy's power and libm's pow do not)."""
-    out = [z]
-    for _ in range(r - 1):
-        out.append(out[-1] * z)
-    return out
-
-
-def _log(x):
-    """libm's natural log at a float or elementwise on an array, so that
-    both give the same floats (numpy's log may differ by an ulp)."""
-    if isinstance(x, np.ndarray):
-        return np.array([math.log(v) for v in x.tolist()])
-    return math.log(x)
-
-
 def _poly_sum(q: int, r: int, z):
     """A(z) = ((q-1)/q) (z + z^2 + ... + z^r)."""
-    return (q - 1) / q * sum(_powers(z, r))
+    return (q - 1) / q * sum(z**i for i in range(1, r + 1))
 
 
 def _extremes(x):
@@ -67,6 +52,19 @@ def _extremes(x):
     return (x.min(), x.max()) if isinstance(x, np.ndarray) else (x, x)
 
 
+def _elementwise(fn):
+    """Let fn(q, r, x), written for an array x, take a float x too."""
+
+    @functools.wraps(fn)
+    def at(q: int, r: int, x):
+        if isinstance(x, np.ndarray):
+            return fn(q, r, x)
+        return float(fn(q, r, np.array([float(x)]))[0])
+
+    return at
+
+
+@_elementwise
 def z0_solve(q: int, r: int, x):
     """Unique positive root z0 of  x r (1 + A(z)) = ((q-1)/q) sum i z^i,
     at a float or elementwise on an array.
@@ -81,46 +79,27 @@ def z0_solve(q: int, r: int, x):
         raise ValueError(f"x={hi if 0 < lo else lo} outside (0, 1)")
 
     def g(z):
-        rhs = (q - 1) / q * sum(i * zi for i, zi in enumerate(_powers(z, r), 1))
+        rhs = (q - 1) / q * sum(i * z**i for i in range(1, r + 1))
         return x * r * (1 + _poly_sum(q, r, z)) - rhs
 
-    if isinstance(x, np.ndarray):
-        lo = np.full(x.shape, 1e-30)
-        hi = np.full(x.shape, float(max(q, r) + 1))
-        for _ in range(201):
-            grow = g(hi) > 0
-            if not grow.any():
-                break
-            hi[grow] *= 2
-        else:
-            raise RootBracketError(f"no sign change up to z={hi.max()}")
-        live = np.ones(x.shape, dtype=bool)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            live &= (mid != lo) & (mid != hi)  # frozen for good, as the float break
-            if not live.any():
-                break
-            up = g(mid) > 0
-            lo = np.where(live & up, mid, lo)
-            hi = np.where(live & ~up, mid, hi)
-        return 0.5 * (lo + hi)
-
-    lo = 1e-30
-    hi = float(max(q, r) + 1)
-    grow = 0
-    while g(hi) > 0:
-        hi *= 2
-        grow += 1
-        if grow > 200:
-            raise RootBracketError(f"no sign change up to z={hi}")
+    lo = np.full(x.shape, 1e-30)
+    hi = np.full(x.shape, float(max(q, r) + 1))
+    for _ in range(201):
+        grow = g(hi) > 0
+        if not grow.any():
+            break
+        hi[grow] *= 2
+    else:
+        raise RootBracketError(f"no sign change up to z={hi.max()}")
+    live = np.ones(x.shape, dtype=bool)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # the bracket cannot shrink any further
+        live &= (mid != lo) & (mid != hi)  # the bracket cannot shrink any further
+        if not live.any():
             break
-        if g(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
+        up = g(mid) > 0
+        lo = np.where(live & up, mid, lo)
+        hi = np.where(live & ~up, mid, hi)
     return 0.5 * (lo + hi)
 
 
@@ -142,6 +121,7 @@ def h_q(q: int, x):
     return -(x * (log(a + (a == 0)) / log_q)) - b * (log(b + (b == 0)) / log_q)
 
 
+@_elementwise
 def H(q: int, r: int, x):
     """Sphere-volume exponent x (1 - log_q z0) + (1/r) log_q(1 + A(z0)), with
     H(0) = 0, at a float or elementwise on an array."""
@@ -149,13 +129,10 @@ def H(q: int, r: int, x):
     lo, hi = _extremes(x)
     if not (0 <= lo and hi <= dc):
         raise ValueError(f"x={hi if 0 <= lo else lo} outside [0, delta_crit]")
-    array = isinstance(x, np.ndarray)
-    if not array and x == 0:
-        return 0.0
-    y = np.where(x > 0, x, dc) if array else x  # any root will do where x = 0
+    y = np.where(x > 0, x, dc)  # any root will do where x = 0
     z0, log_q = z0_solve(q, r, y), math.log(q)
-    h = y * (1 - _log(z0) / log_q) + _log(1 + _poly_sum(q, r, z0)) / log_q / r
-    return np.where(x > 0, h, 0.0) if array else h
+    h = y * (1 - np.log(z0) / log_q) + np.log(1 + _poly_sum(q, r, z0)) / log_q / r
+    return np.where(x > 0, h, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,35 +140,36 @@ def H(q: int, r: int, x):
 # float or elementwise on an array
 
 
-def _cut(delta, inside, dc=math.nan):
+def _cut(delta: np.ndarray, inside, dc=math.nan) -> np.ndarray:
     """1 at delta <= 0, 0 at delta >= dc (never when dc is NaN), and
     inside(delta) in between."""
-    if not isinstance(delta, np.ndarray):
-        return 1.0 if delta <= 0 else 0.0 if delta >= dc else inside(delta)
     out = np.where(delta <= 0, 1.0, 0.0)
-    mid = ~((delta <= 0) | (delta >= dc))  # NaN goes to inside, which rejects it
+    mid = ~((delta <= 0) | (delta >= dc))  # NaN goes to inside: H rejects it, plotkin passes it on
     if mid.any():
         out[mid] = inside(delta[mid])
     return out
 
 
+@_elementwise
 def gv_curve(q: int, r: int, delta):
     return _cut(delta, lambda d: 1.0 - H(q, r, d), float(delta_crit(q, r)))
 
 
+@_elementwise
 def hamming_curve(q: int, r: int, delta):
     return _cut(delta, lambda d: 1.0 - H(q, r, d / 2))
 
 
+@_elementwise
 def plotkin_curve(q: int, r: int, delta):
     dc = float(delta_crit(q, r))
     return _cut(delta, lambda d: 1.0 - d / dc, dc)
 
 
+@_elementwise
 def be_curve(q: int, r: int, delta):
     dc = float(delta_crit(q, r))
-    sqrt = np.sqrt if isinstance(delta, np.ndarray) else math.sqrt
-    return _cut(delta, lambda d: 1.0 - H(q, r, dc * (1.0 - sqrt(1.0 - d / dc))), dc)
+    return _cut(delta, lambda d: 1.0 - H(q, r, dc * (1.0 - np.sqrt(1.0 - d / dc))), dc)
 
 
 def curve_grid(curve, q: int, r: int, grid: int) -> tuple[list[float], list[float]]:

@@ -231,23 +231,79 @@ def test_grid_scans_keep_the_first_best_point(monkeypatch):
 CURVES = (gv_curve, hamming_curve, plotkin_curve, be_curve)
 
 
+def _scalar_z0(q, r, x):
+    # one float bisection with libm's pow, the reference for the array one
+    a = (q - 1) / q
+
+    def g(z):
+        return x * r * (1 + a * sum(z**i for i in range(1, r + 1))) - a * sum(
+            i * z**i for i in range(1, r + 1)
+        )
+
+    lo, hi = 1e-30, float(max(q, r) + 1)
+    while g(hi) > 0:
+        hi *= 2
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def _scalar_H(q, r, x):
+    if x == 0:
+        return 0.0
+    z0 = _scalar_z0(q, r, x)
+    a = (q - 1) / q * sum(z0**i for i in range(1, r + 1))
+    return x * (1 - math.log(z0, q)) + math.log(1 + a, q) / r
+
+
+def _scalar_curve(fn, q, r, d):
+    dc = float(delta_crit(q, r))
+    if d <= 0:
+        return 1.0
+    if fn is hamming_curve:
+        return 1.0 - _scalar_H(q, r, d / 2)
+    if d >= dc:
+        return 0.0
+    if fn is gv_curve:
+        return 1.0 - _scalar_H(q, r, d)
+    if fn is plotkin_curve:
+        return 1.0 - d / dc
+    return 1.0 - _scalar_H(q, r, dc * (1.0 - math.sqrt(1.0 - d / dc)))
+
+
 @pytest.mark.parametrize("q, r", [(2, 1), (2, 3), (3, 2), (5, 4)])
 def test_sphere_exponent_arrays_match_floats(q, r):
-    # powers are running products and logs are libm's on both paths, so the
-    # array bisection takes the float one's steps and the values are equal
+    # a float runs through the array code, and the array code agrees with
+    # one libm bisection per point to within numpy's and libm's pow and log
+    # (1 - H loses relative precision near delta_crit, hence a few ulps of 1
+    # absolute)
     dc = float(delta_crit(q, r))
     rng = np.random.default_rng(q * 10 + r)
     x = np.concatenate([[1e-9, dc / 2, dc], rng.uniform(0, dc, 200)])
-    assert z0_solve(q, r, x).tolist() == [z0_solve(q, r, float(v)) for v in x]
+    got = z0_solve(q, r, x)
+    assert got.tolist() == [z0_solve(q, r, float(v)) for v in x]
+    assert got == pytest.approx([_scalar_z0(q, r, v) for v in x.tolist()], rel=1e-15, abs=0)
     x = np.concatenate([[0.0], x])
-    assert H(q, r, x).tolist() == [H(q, r, float(v)) for v in x]
+    got = H(q, r, x)
+    assert got.tolist() == [H(q, r, float(v)) for v in x]
+    assert got == pytest.approx([_scalar_H(q, r, v) for v in x.tolist()], rel=1e-15, abs=5e-16)
+    block = x[:200].reshape(10, 20)  # any shape is elementwise
+    assert H(q, r, block).tolist() == got[:200].reshape(10, 20).tolist()
+    assert H(q, r, x[1:2].reshape(())).shape == ()
     deltas = np.concatenate([[-0.1, 0.0, dc, 1.5 * dc], rng.uniform(0, dc, 200)])
     for fn in CURVES:
         if fn is hamming_curve:
             deltas = deltas[deltas <= 2 * dc]
         got = fn(q, r, deltas)
         assert isinstance(got, np.ndarray) and got.shape == deltas.shape
-        assert got.tolist() == [fn(q, r, float(d)) for d in deltas], fn.__name__
+        floats = [fn(q, r, float(d)) for d in deltas]
+        assert all(type(v) is float for v in floats) and got.tolist() == floats
+        want = [_scalar_curve(fn, q, r, d) for d in deltas.tolist()]
+        assert got == pytest.approx(want, rel=1e-15, abs=5e-16), fn.__name__
+        assert fn(q, r, deltas[:200].reshape(20, 10)).tolist() == got[:200].reshape(20, 10).tolist()
 
 
 @pytest.mark.parametrize(
