@@ -4,8 +4,9 @@ Every bound is a pure function of the space parameters and the distance d
 (codes) or strength t (arrays), returning a BoundResult.  Values are exact
 rationals wherever the formula is rational; the two bounds that involve
 eigenvalues or polynomial roots return floats with an explicit error bar.
-A bound whose precondition fails returns an inapplicable result rather than
-raising.
+A distance or strength outside the space raises ValueError (the checks in
+`space`); a bound whose precondition fails returns an inapplicable result
+rather than raising.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .space import (
     Shape,
     SpaceParams,
     ball_size,
+    check_distance,
+    check_strength,
     delta_crit,
     shape_count,
     shape_weight,
@@ -89,23 +92,18 @@ def _inapplicable(name: str, side: str, reason: str) -> BoundResult:
     return BoundResult(name=name, side=side, applicable=False, reason=reason)
 
 
-def _check_d(params: SpaceParams, d: int) -> None:
-    if not 1 <= d <= params.dim + 1:
-        raise ValueError(f"distance {d} out of range [1, {params.dim + 1}]")
-
-
 # ---------------------------------------------------------------------------
 # Elementary bounds
 
 
 def singleton(params: SpaceParams, d: int) -> BoundResult:
-    _check_d(params, d)
+    check_distance(params, d)
     return _exact("singleton", UPPER_CODE, Fraction(params.q ** (params.dim - d + 1)))
 
 
 def plotkin(params: SpaceParams, d: int) -> BoundResult:
     """d / (d - n r delta_crit), valid only above the critical distance."""
-    _check_d(params, d)
+    check_distance(params, d)
     mean = delta_crit(params.q, params.r) * params.dim
     if d <= mean:
         return _inapplicable("plotkin", UPPER_CODE, "requires d > n r delta_crit")
@@ -114,6 +112,7 @@ def plotkin(params: SpaceParams, d: int) -> BoundResult:
 
 def dual_plotkin_ooa(params: SpaceParams, t: int) -> BoundResult:
     """q^(nr) (1 - n r delta_crit / (t+1)), valid for t > n r delta_crit - 1."""
+    check_strength(params, t)
     mean = delta_crit(params.q, params.r) * params.dim
     if not t > mean - 1:
         return _inapplicable(
@@ -126,7 +125,7 @@ def dual_plotkin_ooa(params: SpaceParams, t: int) -> BoundResult:
 
 def hamming(params: SpaceParams, d: int) -> BoundResult:
     """q^(rn) / ball(tau) with tau = floor((d-1)/2)."""
-    _check_d(params, d)
+    check_distance(params, d)
     tau = (d - 1) // 2
     return _exact(
         "hamming",
@@ -138,8 +137,7 @@ def hamming(params: SpaceParams, d: int) -> BoundResult:
 
 def rao(params: SpaceParams, t: int) -> BoundResult:
     """ball(tau) with tau = floor(t/2)."""
-    if not 0 <= t <= params.dim:
-        raise ValueError(f"strength {t} out of range [0, {params.dim}]")
+    check_strength(params, t)
     tau = t // 2
     return _exact(
         "rao", LOWER_OOA, Fraction(ball_size(params, tau)), witness={"tau": tau}
@@ -148,7 +146,7 @@ def rao(params: SpaceParams, t: int) -> BoundResult:
 
 def johnson(params: SpaceParams, d: int, w: int) -> BoundResult:
     """Constant-weight bound dn / (dn - 2wn + w^2/(r delta_crit))."""
-    _check_d(params, d)
+    check_distance(params, d)
     dc = delta_crit(params.q, params.r)
     denom = Fraction(d * params.n) - 2 * w * params.n + Fraction(w * w) / (params.r * dc)
     if denom <= 0:
@@ -169,7 +167,7 @@ def bassalygo_elias(params: SpaceParams, d: int) -> BoundResult:
     delta_crit))); the radical condition is tested exactly as
     (n r delta_crit - w)^2 >= n r delta_crit (n r delta_crit - d).
     """
-    _check_d(params, d)
+    check_distance(params, d)
     dc = delta_crit(params.q, params.r)
     mean = dc * params.dim  # n r delta_crit
     if d > mean:
@@ -195,7 +193,7 @@ def bassalygo_elias(params: SpaceParams, d: int) -> BoundResult:
 def gilbert(params: SpaceParams, d: int) -> BoundResult:
     """Existence: some code of distance d has at least ceil(q^(nr)/ball(d-1))
     words."""
-    _check_d(params, d)
+    check_distance(params, d)
     ball = ball_size(params, min(d - 1, params.dim))
     value = -(-params.ambient_size // ball)  # ceiling
     return _exact("gilbert", LOWER_CODE, Fraction(value))
@@ -243,7 +241,7 @@ def spectral_bound(params: SpaceParams, d: int) -> BoundResult:
     from one `operators` walk, so each is built once, and S_kappa only
     once the hypothesis at kappa - 1 holds.
     """
-    _check_d(params, d)
+    check_distance(params, d)
     dc = delta_crit(params.q, params.r)
     mean = dc * params.dim
     threshold = mean - d  # P(e) at |e|' = d
@@ -297,6 +295,7 @@ def _reciprocal(params: SpaceParams, name: str, code: BoundResult) -> BoundResul
 
 def spectral_bound_ooa(params: SpaceParams, t: int) -> BoundResult:
     """Reciprocal form of the spectral bound for arrays of strength t."""
+    check_strength(params, t)
     return _reciprocal(params, "spectral-ooa", spectral_bound(params, t + 1))
 
 
@@ -396,18 +395,17 @@ def r2_bound(params: SpaceParams, d: int) -> BoundResult:
     value, and assembles the underlying sign-certificate for the winning
     pair, requiring acceptance at float tolerance 1e-8.
     """
+    check_distance(params, d)
     if params.r != 2:
         return _inapplicable("r2", UPPER_CODE, "defined for block depth r = 2")
-    _check_d(params, d)
-    best: tuple[float, R2Witness] | None = None
-    for w in _r2_candidates(params, float(d)):
-        value = _r2_value(params, w)
-        key = (value, w.s1 + w.s2, (w.s1, w.s2))
-        if best is None or key < (best[0], best[1].s1 + best[1].s2, (best[1].s1, best[1].s2)):
-            best = (value, w)
-    if best is None:
+    # smallest value, then fewest degrees, then smallest (s1, s2), which is unique
+    ranked = [
+        (_r2_value(params, w), w.s1 + w.s2, w.s1, w.s2, w)
+        for w in _r2_candidates(params, float(d))
+    ]
+    if not ranked:
         return _inapplicable("r2", UPPER_CODE, "no admissible degree pair")
-    value, w = best
+    value, *_, w = min(ranked)
     _, check = r2_certificate(params, d, w)
     if not check.accepted:
         raise AssertionError(
@@ -426,6 +424,7 @@ def r2_bound(params: SpaceParams, d: int) -> BoundResult:
 
 def r2_ooa_bound(params: SpaceParams, t: int) -> BoundResult:
     """Reciprocal form of the depth-2 bound for arrays of strength t."""
+    check_strength(params, t)
     return _reciprocal(params, "r2-ooa", r2_bound(params, t + 1))
 
 
@@ -499,7 +498,7 @@ class BoundTable:
 def best_bounds(params: SpaceParams, d: int) -> BoundTable:
     """Evaluate every bound at distance d (strength d-1 for the array side);
     inapplicable bounds are included with their reason, never dropped."""
-    _check_d(params, d)
+    check_distance(params, d)
     spectral = spectral_bound(params, d)
     results: list[BoundResult] = [
         singleton(params, d),

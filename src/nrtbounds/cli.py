@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import ceil, floor
 
 from . import __version__
 from .asymptotics import (
@@ -37,7 +38,7 @@ from .delsarte import (
     solve_ooa_lp,
 )
 from .krawtchouk import BracketingError
-from .macwilliams import enumerator_of, enumerator_to_json, transform, verify_duality
+from .macwilliams import enumerator_of, transform, verify_duality
 from .scheme import SpectralConvergenceError
 from .space import (
     BudgetExceeded,
@@ -49,6 +50,7 @@ from .space import (
     ooa_strength,
     read_array_file,
     shape_count,
+    shape_key,
     shape_weight,
     sphere_size,
     weight_distribution,
@@ -78,14 +80,12 @@ def cmd_sphere(args) -> int:
     params = _params(args)
     shapes = sorted(enumerate_shapes(params), key=lambda e: (shape_weight(e), e))
     if args.d is not None:
-        if not 0 <= args.d <= params.dim:
-            raise ValueError(f"weight {args.d} out of range [0, {params.dim}]")
         shapes = [e for e in shapes if shape_weight(e) == args.d]
     payload = {
         "params": {"q": params.q, "r": params.r, "n": params.n},
         "shapes": [
             {
-                "shape": ",".join(str(c) for c in e),
+                "shape": shape_key(e),
                 "weight": shape_weight(e),
                 "count": shape_count(params, e),
             }
@@ -93,7 +93,7 @@ def cmd_sphere(args) -> int:
         ],
     }
     if args.d is not None:
-        payload["sphere_size"] = sphere_size(params, args.d)
+        payload["sphere_size"] = sphere_size(params, args.d)  # checks the weight
     else:
         payload["total"] = params.ambient_size
         payload["sphere_sizes"] = weight_distribution(params)
@@ -118,38 +118,29 @@ def _save_certificate(path: str, cert) -> CertificateCheck:
 
 def cmd_lp(args) -> int:
     params = _params(args)
-    if args.program == "I":
-        if args.d is None:
-            raise ValueError("program I needs --d")
-        res = solve_code_lp(params, args.d)
-        payload = {
-            "params": {"q": params.q, "r": params.r, "n": params.n},
-            "program": "I",
-            "d": args.d,
-            "value": format_rational(res.bound),
-            "floor": res.bound.numerator // res.bound.denominator,
-        }
-        if args.certificate:
-            chk = _save_certificate(args.certificate, res.certificate)
-            if not chk.accepted or chk.code_bound != res.bound:
-                raise CheckFailure("reloaded certificate failed verification")
-            payload["certificate"] = args.certificate
-    else:
-        if args.t is None:
-            raise ValueError("program II needs --t")
-        res = solve_ooa_lp(params, args.t)
-        payload = {
-            "params": {"q": params.q, "r": params.r, "n": params.n},
-            "program": "II",
-            "t": args.t,
-            "value": format_rational(res.bound),
-            "ceil": -((-res.bound.numerator) // res.bound.denominator),
-        }
-        if args.certificate:
-            chk = _save_certificate(args.certificate, res.certificate)
-            if not chk.accepted or chk.ooa_bound != res.bound:
-                raise CheckFailure("reloaded certificate failed verification")
-            payload["certificate"] = args.certificate
+    # the program's parameter, its solver, the rounding printed under its
+    # own name, and the bound of the reloaded certificate that must match
+    key, solve, rounding, certified = (
+        ("d", solve_code_lp, floor, "code_bound")
+        if args.program == "I"
+        else ("t", solve_ooa_lp, ceil, "ooa_bound")
+    )
+    k = getattr(args, key)
+    if k is None:
+        raise ValueError(f"program {args.program} needs --{key}")
+    res = solve(params, k)
+    payload = {
+        "params": {"q": params.q, "r": params.r, "n": params.n},
+        "program": args.program,
+        key: k,
+        "value": format_rational(res.bound),
+        rounding.__name__: rounding(res.bound),
+    }
+    if args.certificate:
+        chk = _save_certificate(args.certificate, res.certificate)
+        if not chk.accepted or getattr(chk, certified) != res.bound:
+            raise CheckFailure("reloaded certificate failed verification")
+        payload["certificate"] = args.certificate
     _emit(json.dumps(payload, indent=2), args.out)
     return 0
 
@@ -219,8 +210,8 @@ def cmd_macwilliams(args) -> int:
     payload = {
         "params": {"q": code.params.q, "r": code.params.r, "n": code.params.n},
         "k": code.k,
-        "primal": json.loads(enumerator_to_json(primal)),
-        "dual": json.loads(enumerator_to_json(dual)),
+        "primal": primal.as_json_dict(),
+        "dual": dual.as_json_dict(),
     }
     if code.params.ambient_size <= 1 << 16:
         if not verify_duality(code):

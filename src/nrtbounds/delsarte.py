@@ -25,12 +25,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import add
 
 from .krawtchouk import krawtchouk_table
 from .simplex import EQ, GE, LE, make_lp, simplex_solve
-from .space import Shape, SpaceParams, shape_weight
+from .space import (
+    Shape,
+    SpaceParams,
+    check_distance,
+    check_strength,
+    parse_shape_key,
+    shape_key,
+    shape_weight,
+)
 
 
 class LPError(Exception):
@@ -114,8 +121,7 @@ def solve_code_lp(params: SpaceParams, d: int) -> CodeLPResult:
     """Largest-code bound: maximize sum of A_e over shapes of weight >= d,
     with A at the zero shape pinned to 1 and the Krawtchouk transform of A
     nonnegative at every shape.  Returns 1 + optimum."""
-    if not 1 <= d <= params.dim + 1:
-        raise ValueError(f"distance {d} out of range [1, {params.dim + 1}]")
+    check_distance(params, d)
     T = krawtchouk_table(params)
     shapes, zero = T.shapes, T.shapes[0]
     free = [j for j, e in enumerate(shapes) if shape_weight(e) >= d]  # all other A_e are fixed
@@ -170,26 +176,13 @@ def solve_ooa_lp(params: SpaceParams, t: int) -> OoaLPResult:
     The code program's dual certificate at d = t+1 is returned with it: it
     certifies q^(nr) F_0/F(0) = q^(nr)/M for arrays of strength t.
     """
-    if not 0 <= t <= params.dim:
-        raise ValueError(f"strength {t} out of range [0, {params.dim}]")
+    check_strength(params, t)
     code = solve_code_lp(params, t + 1)
-    T = krawtchouk_table(params)
-    # A over one common denominator, so each B_f is one integer sum
-    den = lcm(*(a.denominator for a in code.distribution.values()))
-    nums = [
-        (T.index[e], a.numerator * (den // a.denominator)) for e, a in code.distribution.items()
-    ]
-    scale = den * code.bound
-    distribution = {}
-    for f, row in zip(T.shapes, T.rows):
-        b = sum(row[j] * a for j, a in nums) / scale
-        if b != 0:
-            distribution[f] = b
     return OoaLPResult(
         params=params,
         t=t,
         bound=params.ambient_size / code.bound,
-        distribution=distribution,
+        distribution=krawtchouk_table(params).transform(code.distribution, code.bound),
         certificate=code.certificate,
     )
 
@@ -197,8 +190,7 @@ def solve_ooa_lp(params: SpaceParams, t: int) -> OoaLPResult:
 def _solve_ooa_lp_direct(params: SpaceParams, t: int) -> OoaLPResult:
     """The array program solved by its own simplex: the reference that
     `solve_ooa_lp` is tested against."""
-    if not 0 <= t <= params.dim:
-        raise ValueError(f"strength {t} out of range [0, {params.dim}]")
+    check_strength(params, t)
     T = krawtchouk_table(params)
     zero, free = T.shapes[0], T.shapes[1:]
     # row f != 0: sum_{e != 0} K_f(e) B_e = or >= -K_f(0) = -v_f
@@ -228,18 +220,6 @@ def format_rational(x: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
-def shape_key(e: Shape) -> str:
-    return ",".join(str(c) for c in e)
-
-
-def parse_shape_key(key: str) -> Shape:
-    return tuple(int(c) for c in key.split(","))
-
-
 def certificate_to_json(cert: DualCertificate) -> str:
     p = cert.params
     payload = {
@@ -259,6 +239,6 @@ def certificate_from_json(text: str) -> DualCertificate:
     return DualCertificate(
         params=params,
         d=payload["d"],
-        F0=parse_rational(payload["F0"]),
-        F={parse_shape_key(k): parse_rational(v) for k, v in payload["F"].items()},
+        F0=Fraction(payload["F0"]),
+        F={parse_shape_key(k): Fraction(v) for k, v in payload["F"].items()},
     )

@@ -24,7 +24,8 @@ one cube of such values, filled by one degree recurrence per (nu, x).  It
 returns the exact eigenmatrix T[f][e] = K_f(e) as one dense `Eigenmatrix`:
 the shapes in `enumerate_shapes` order, each row a tuple of Python ints
 (the values overflow int64), and the zero column the valencies
-K_f(0) = v_f.  Consumers read its rows, or single entries by `T[f, e]`.
+K_f(0) = v_f.  Consumers read its rows, single entries by `T[f, e]`, or
+its product with a vector by `T.transform`.
 `K_multi` evaluates the product directly, at shapes and at real or rational
 points, and is the oracle the matrix is tested against.
 
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import lcm
 from operator import mul
 
 import numpy as np
@@ -47,8 +49,11 @@ from .space import (
     BudgetExceeded,
     Shape,
     SpaceParams,
+    check_depth,
     enumerate_shapes,
     enumerate_vectors,
+    representative,
+    reverse_blocks,
     shape_count,
     shape_length,
     shape_of,
@@ -145,6 +150,20 @@ class Eigenmatrix:
         f, e = key
         return self.rows[self.index[f]][self.index[e]]
 
+    def transform(self, A: dict[Shape, Fraction], c: int | Fraction) -> dict[Shape, Fraction]:
+        """The nonzero entries of B = T A / c, B_f = sum_e K_f(e) A_e / c,
+        for A and a nonzero rational c.  A is put over one common
+        denominator D, so each B_f is one integer sum divided by D c."""
+        den = lcm(*(a.denominator for a in A.values()))
+        terms = [(self.index[e], a.numerator * (den // a.denominator)) for e, a in A.items() if a]
+        scale = den * c
+        B = {}
+        for f, row in zip(self.shapes, self.rows):
+            b = sum(row[j] * a for j, a in terms)
+            if b:
+                B[f] = Fraction(b, scale)
+        return B
+
 
 @lru_cache(maxsize=None)
 def krawtchouk_table(params: SpaceParams) -> Eigenmatrix:
@@ -181,20 +200,6 @@ def krawtchouk_table(params: SpaceParams) -> Eigenmatrix:
 # Character-sum cross-check
 
 
-def canonical_bar_representative(params: SpaceParams, e: Shape):
-    """A fixed vector whose right-to-left shape equals e: for each j, e_j
-    blocks carry a single 1 at position r - j + 1."""
-    validate_shape(params, e)
-    r = params.r
-    vec = []
-    for j in range(1, r + 1):
-        block = [0] * r
-        block[r - j] = 1
-        vec.extend(block * e[j - 1])
-    vec.extend([0] * (r * (params.n - sum(e))))
-    return tuple(vec)
-
-
 def K_fourier_oracle(
     params: SpaceParams, f: Shape, e: Shape, cap: int = 1 << 16
 ) -> int:
@@ -205,12 +210,11 @@ def K_fourier_oracle(
     arithmetic with the imaginary part required to vanish to 1e-6.
     """
     validate_shape(params, f)
-    validate_shape(params, e)
+    x = reverse_blocks(params, representative(params, e))  # validates e
     if params.ambient_size > cap:
         raise BudgetExceeded(
             f"character sum over {params.ambient_size} vectors exceeds cap {cap}"
         )
-    x = canonical_bar_representative(params, e)
     groups = _vectors_by_shape(params)
     zs = groups.get(f, ())
     q = params.q
@@ -248,8 +252,7 @@ def linear_K(params: SpaceParams, i: int) -> tuple:
 
         q^(i-1) (q-1) (n - x_r - ... - x_{r-i+2}) - q^i x_{r-i+1}
     """
-    if not 1 <= i <= params.r:
-        raise ValueError(f"depth {i} out of range [1, {params.r}]")
+    check_depth(params, i)
     q, r, n = params.q, params.r, params.n
     coeffs = [0] * (r + 1)
     coeffs[0] = q ** (i - 1) * (q - 1) * n

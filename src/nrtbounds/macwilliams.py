@@ -26,7 +26,9 @@ from .space import (
     SpaceParams,
     dual_code,
     enumerate_code,
+    parse_shape_key,
     shape_bar_of,
+    shape_key,
     shape_of,
 )
 
@@ -42,11 +44,13 @@ class WeightEnumerator:
     def total(self) -> Fraction:
         return sum(self.coeffs.values(), Fraction(0))
 
-
-def _rows_of(obj: LinearCode | ArrayTable) -> ArrayTable:
-    if isinstance(obj, LinearCode):
-        return enumerate_code(obj)
-    return obj
+    def as_json_dict(self) -> dict:
+        p = self.params
+        return {
+            "params": {"q": p.q, "r": p.r, "n": p.n},
+            "reading": self.reading,
+            "coeffs": {shape_key(e): str(v) for e, v in sorted(self.coeffs.items())},
+        }
 
 
 def enumerator_of(obj: LinearCode | ArrayTable, reading: str = RIGHT) -> WeightEnumerator:
@@ -54,7 +58,7 @@ def enumerator_of(obj: LinearCode | ArrayTable, reading: str = RIGHT) -> WeightE
     reading)."""
     if reading not in (RIGHT, LEFT):
         raise ValueError(f"reading must be 'right' or 'left', got {reading!r}")
-    table = _rows_of(obj)
+    table = enumerate_code(obj) if isinstance(obj, LinearCode) else obj
     shape_fn = shape_of if reading == RIGHT else shape_bar_of
     coeffs: dict[Shape, Fraction] = {}
     for row in table.rows:
@@ -65,18 +69,11 @@ def enumerator_of(obj: LinearCode | ArrayTable, reading: str = RIGHT) -> WeightE
 
 def transform(enum: WeightEnumerator, codesize: int) -> WeightEnumerator:
     """MacWilliams transform: apply the eigenmatrix, B_f = sum_e A_e K_f(e)
-    divided by the code size, in exact Fractions, with K_f(e) read from
-    `krawtchouk_table` row by row; flips the reading direction."""
-    params = enum.params
-    T = krawtchouk_table(params)
-    support = [(T.index[e], c) for e, c in enum.coeffs.items() if c]
-    coeffs: dict[Shape, Fraction] = {}
-    for f, row in zip(T.shapes, T.rows):
-        value = Fraction(sum(c * row[j] for j, c in support), codesize)
-        if value:
-            coeffs[f] = value
+    divided by the code size (`Eigenmatrix.transform`); flips the reading
+    direction."""
+    coeffs = krawtchouk_table(enum.params).transform(enum.coeffs, codesize)
     reading = LEFT if enum.reading == RIGHT else RIGHT
-    return WeightEnumerator(params=params, reading=reading, coeffs=coeffs)
+    return WeightEnumerator(params=enum.params, reading=reading, coeffs=coeffs)
 
 
 def verify_duality(code: LinearCode) -> bool:
@@ -93,24 +90,11 @@ def verify_duality(code: LinearCode) -> bool:
 
 
 def enumerator_to_json(enum: WeightEnumerator) -> str:
-    p = enum.params
-    payload = {
-        "params": {"q": p.q, "r": p.r, "n": p.n},
-        "reading": enum.reading,
-        "coeffs": {
-            ",".join(str(c) for c in e): str(v)
-            for e, v in sorted(enum.coeffs.items())
-        },
-    }
-    return json.dumps(payload, indent=2)
+    return json.dumps(enum.as_json_dict(), indent=2)
 
 
 def enumerator_from_json(text: str) -> WeightEnumerator:
     payload = json.loads(text)
-    p = payload["params"]
-    params = SpaceParams(q=p["q"], r=p["r"], n=p["n"])
-    coeffs = {
-        tuple(int(c) for c in key.split(",")): Fraction(val)
-        for key, val in payload["coeffs"].items()
-    }
+    params = SpaceParams(**payload["params"])
+    coeffs = {parse_shape_key(key): Fraction(val) for key, val in payload["coeffs"].items()}
     return WeightEnumerator(params=params, reading=payload["reading"], coeffs=coeffs)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
 from itertools import islice
 from math import sqrt
 
@@ -23,8 +22,10 @@ from .space import (
     BudgetExceeded,
     Shape,
     SpaceParams,
+    check_depth,
     delta_crit,
     enumerate_vectors,
+    representative,
     shape_count,
     shape_length,
     shape_of,
@@ -37,9 +38,8 @@ from .space import (
 def _L_terms(params: SpaceParams, i: int) -> tuple[int, int]:
     """Numerator and denominator of L_i = (q^(r-i+1) - 1) / (q^r (q-1)),
     unreduced, so that every depth shares the denominator q^r (q-1)."""
+    check_depth(params, i)
     q, r = params.q, params.r
-    if not 1 <= i <= r:
-        raise ValueError(f"depth {i} out of range [1, {r}]")
     return q ** (r - i + 1) - 1, q**r * (q - 1)
 
 
@@ -100,8 +100,7 @@ def intersection_Fi(params: SpaceParams, f: Shape, i: int, h: Shape) -> int:
     count of z with shape(z) = f and shape(z - x) = F_i, for a fixed x of
     shape h.  Nonzero only for the moves listed in `_nonzero_intersections`.
     """
-    if not 1 <= i <= params.r:
-        raise ValueError(f"depth {i} out of range [1, {params.r}]")
+    check_depth(params, i)
     return next((m for g, m in _nonzero_intersections(params, f, i) if g == h), 0)
 
 
@@ -114,7 +113,7 @@ def intersection_general(
         raise BudgetExceeded(
             f"ambient size {params.ambient_size} exceeds oracle cap {cap}"
         )
-    x = _representative_of_shape(params, h)
+    x = representative(params, h)
     count = 0
     for z in enumerate_vectors(params):
         if shape_of(params, z) == g and shape_of(params, vector_sub(params, z, x)) == f:
@@ -122,23 +121,8 @@ def intersection_general(
     return count
 
 
-def _representative_of_shape(params: SpaceParams, h: Shape):
-    r = params.r
-    vec = []
-    for depth in range(1, r + 1):
-        block = [0] * r
-        block[depth - 1] = 1
-        vec.extend(block * h[depth - 1])
-    vec.extend([0] * (r * (params.n - sum(h))))
-    return tuple(vec)
-
-
 # ---------------------------------------------------------------------------
 # Three-term blocks
-
-
-def _over(nums: tuple[tuple[int, ...], ...], den: int) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x, den) for x in row) for row in nums)
 
 
 @dataclass(frozen=True)
@@ -146,11 +130,9 @@ class ThreeTermBlocks:
     """Coefficient blocks of multiplication by P at degree kappa, in the K_f
     basis.
 
-    The blocks (a, b, c) are exact rationals, held as integer numerators
-    (a_num, b_num, c_num) over the one denominator den = q^r (q-1) and
-    turned into Fractions only when read.  Rows are indexed by shapes of
-    length kappa, columns by length kappa+1 / kappa / kappa-1, all in
-    lexicographic order.
+    The blocks (a, b, c) are exact rationals over the denominator
+    q^r (q-1).  Rows are indexed by shapes of length kappa, columns by
+    length kappa+1 / kappa / kappa-1, all in lexicographic order.
     """
 
     params: SpaceParams
@@ -158,29 +140,14 @@ class ThreeTermBlocks:
     rows: tuple[Shape, ...]
     cols_up: tuple[Shape, ...]
     cols_down: tuple[Shape, ...]
-    a_num: tuple[tuple[int, ...], ...]
-    b_num: tuple[tuple[int, ...], ...]
-    c_num: tuple[tuple[int, ...], ...]
-    den: int
-
-    @cached_property
-    def a(self) -> tuple[tuple[Fraction, ...], ...]:
-        return _over(self.a_num, self.den)
-
-    @cached_property
-    def b(self) -> tuple[tuple[Fraction, ...], ...]:
-        return _over(self.b_num, self.den)
-
-    @cached_property
-    def c(self) -> tuple[tuple[Fraction, ...], ...]:
-        return _over(self.c_num, self.den)
+    a: tuple[tuple[Fraction, ...], ...]
+    b: tuple[tuple[Fraction, ...], ...]
+    c: tuple[tuple[Fraction, ...], ...]
 
 
-@lru_cache(maxsize=8)
 def _degree(params: SpaceParams, k: int):
     """The shapes of length k in lexicographic order, their positions in
-    that order, and their counts v.  Consecutive degrees' blocks share
-    column degrees, and the last few degrees cover a scan over kappa."""
+    that order, and their counts v."""
     shapes = tuple(shapes_of_length(params, k)) if k >= 0 else ()
     index = {h: j for j, h in enumerate(shapes)}
     return shapes, index, {h: shape_count(params, h) for h in shapes}
@@ -203,17 +170,10 @@ def build_blocks(params: SpaceParams, kappa: int) -> ThreeTermBlocks:
             for h, m in _nonzero_intersections(params, f, i):
                 side = kappa + 1 - shape_length(h)
                 nums[side][fi][index[side][h]] += N * m
-    a_num, b_num, c_num = (tuple(tuple(row) for row in block) for block in nums)
+    den = terms[0][1]
+    a, b, c = (tuple(tuple(Fraction(x, den) for x in row) for row in block) for block in nums)
     return ThreeTermBlocks(
-        params=params,
-        kappa=kappa,
-        rows=rows,
-        cols_up=sides[0],
-        cols_down=sides[2],
-        a_num=a_num,
-        b_num=b_num,
-        c_num=c_num,
-        den=terms[0][1],
+        params=params, kappa=kappa, rows=rows, cols_up=sides[0], cols_down=sides[2], a=a, b=b, c=c
     )
 
 

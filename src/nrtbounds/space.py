@@ -7,7 +7,9 @@ position ``i*r + j`` holds symbol ``j`` (0-based) of block ``i``.
 The *shape* of a vector is the tuple ``e = (e_1, ..., e_r)`` where ``e_i``
 counts blocks whose rightmost nonzero symbol sits at in-block position i
 (1-based); all-zero blocks are counted by ``e_0 = n - sum(e)``.  The NRT
-weight of a vector of shape e is ``sum(i * e_i)``.
+weight of a vector of shape e is ``sum(i * e_i)``.  The dual space reads
+each block right to left: its shape ``shape_bar_of`` is the shape of the
+vector under ``reverse_blocks``.
 """
 
 from __future__ import annotations
@@ -75,8 +77,7 @@ def shape_of(params: SpaceParams, v: Vector) -> Shape:
     validate_vector(params, v)
     r = params.r
     e = [0] * r
-    for i in range(params.n):
-        block = v[i * r : (i + 1) * r]
+    for block in blocks(params, v):
         for j in range(r - 1, -1, -1):
             if block[j] != 0:
                 e[j] += 1
@@ -84,19 +85,28 @@ def shape_of(params: SpaceParams, v: Vector) -> Shape:
     return tuple(e)
 
 
+def reverse_blocks(params: SpaceParams, v: Vector) -> Vector:
+    """v with the symbols of each block in reverse order: the dual space
+    reads each block right to left."""
+    validate_vector(params, v)
+    return tuple(s for block in blocks(params, v) for s in reversed(block))
+
+
 def shape_bar_of(params: SpaceParams, v: Vector) -> Shape:
     """Shape read right-to-left: e_j counts blocks whose first nonzero symbol
     is at position r - j + 1 (all earlier positions zero)."""
-    validate_vector(params, v)
+    return shape_of(params, reverse_blocks(params, v))
+
+
+def representative(params: SpaceParams, e: Shape) -> Vector:
+    """A fixed vector of shape e: for each depth i, e_i blocks carry a single
+    1 at depth i, followed by the n - |e| zero blocks."""
+    validate_shape(params, e)
     r = params.r
-    e = [0] * r
-    for i in range(params.n):
-        block = v[i * r : (i + 1) * r]
-        for j in range(r):
-            if block[j] != 0:
-                e[r - j - 1] += 1
-                break
-    return tuple(e)
+    vec = ()
+    for i, count in enumerate(e):  # the blocks with their 1 at depth i + 1
+        vec += ((0,) * i + (1,) + (0,) * (r - 1 - i)) * count
+    return vec + (0,) * (r * (params.n - sum(e)))
 
 
 def shape_length(e: Shape) -> int:
@@ -116,6 +126,35 @@ def validate_shape(params: SpaceParams, e: Shape) -> None:
         raise ValueError("shape parts must be nonnegative")
     if sum(e) > params.n:
         raise ValueError(f"shape length {sum(e)} exceeds n = {params.n}")
+
+
+def shape_key(e: Shape) -> str:
+    """The text key of a shape in JSON output: its parts joined by commas."""
+    return ",".join(str(c) for c in e)
+
+
+def parse_shape_key(key: str) -> Shape:
+    return tuple(int(c) for c in key.split(","))
+
+
+def check_distance(params: SpaceParams, d: int) -> None:
+    if not 1 <= d <= params.dim + 1:
+        raise ValueError(f"distance {d} out of range [1, {params.dim + 1}]")
+
+
+def check_strength(params: SpaceParams, t: int) -> None:
+    if not 0 <= t <= params.dim:
+        raise ValueError(f"strength {t} out of range [0, {params.dim}]")
+
+
+def check_weight(params: SpaceParams, w: int) -> None:
+    if not 0 <= w <= params.dim:
+        raise ValueError(f"weight {w} out of range [0, {params.dim}]")
+
+
+def check_depth(params: SpaceParams, i: int) -> None:
+    if not 1 <= i <= params.r:
+        raise ValueError(f"depth {i} out of range [1, {params.r}]")
 
 
 def ordered_weight(params: SpaceParams, v: Vector) -> int:
@@ -174,15 +213,13 @@ def weight_distribution(params: SpaceParams) -> list[int]:
 
 def sphere_size(params: SpaceParams, d: int) -> int:
     """Number of vectors at NRT weight exactly d."""
-    if not 0 <= d <= params.dim:
-        raise ValueError(f"weight {d} out of range [0, {params.dim}]")
+    check_weight(params, d)
     return weight_distribution(params)[d]
 
 
 def ball_size(params: SpaceParams, d: int) -> int:
     """Number of vectors at NRT weight at most d."""
-    if not 0 <= d <= params.dim:
-        raise ValueError(f"weight {d} out of range [0, {params.dim}]")
+    check_weight(params, d)
     return sum(weight_distribution(params)[: d + 1])
 
 

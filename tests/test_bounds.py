@@ -31,6 +31,26 @@ from nrtbounds.space import SpaceParams, ball_size, delta_crit, enumerate_shapes
 P22 = SpaceParams(2, 2, 2)
 
 
+@pytest.mark.parametrize("bound", [rao, dual_plotkin_ooa, spectral_bound_ooa, r2_ooa_bound])
+@pytest.mark.parametrize("q,r,n", [(2, 2, 3), (2, 3, 2), (3, 1, 4)])
+def test_array_bounds_reject_strengths_outside_the_space(bound, q, r, n):
+    p = SpaceParams(q, r, n)
+    for t in (-1, p.dim + 1, 100):
+        with pytest.raises(ValueError, match=rf"^strength {t} out of range \[0, {p.dim}\]$"):
+            bound(p, t)
+    for t in (0, p.dim):
+        assert bound(p, t).name  # the ends are in range
+
+
+@pytest.mark.parametrize("q,r,n", [(2, 2, 3), (2, 3, 2), (3, 1, 4)])
+def test_r2_bound_rejects_distances_outside_the_space_at_any_depth(q, r, n):
+    p = SpaceParams(q, r, n)
+    for d in (0, p.dim + 2):
+        with pytest.raises(ValueError, match=rf"^distance {d} out of range \[1, {p.dim + 1}\]$"):
+            r2_bound(p, d)
+    assert r2_bound(p, p.dim + 1).applicable == (r == 2)
+
+
 def test_singleton():
     assert singleton(P22, 1).value == 16
     assert singleton(P22, 2).value == 8

@@ -7,7 +7,6 @@ import pytest
 from nrtbounds.krawtchouk import (
     K_fourier_oracle,
     K_multi,
-    canonical_bar_representative,
     gamma,
     inner_product,
     k_root_min,
@@ -22,6 +21,8 @@ from nrtbounds.krawtchouk import (
 from nrtbounds.space import (
     SpaceParams,
     enumerate_shapes,
+    representative,
+    reverse_blocks,
     shape_bar_of,
     shape_count,
 )
@@ -194,10 +195,31 @@ def test_eigenmatrix_squares_to_ambient_size(q, r, n):
             assert entry == (p.ambient_size if f == e else 0), (f, e)
 
 
+@pytest.mark.parametrize("q,r,n", [(2, 2, 3), (3, 2, 2), (2, 3, 2)])
+def test_eigenmatrix_transform(q, r, n):
+    p = SpaceParams(q, r, n)
+    T = krawtchouk_table(p)
+    rng = random.Random(q * 100 + r * 10 + n)
+    A = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for e in T.shapes}
+    A[T.shapes[-1]] = Fraction(0)  # a zero entry contributes nothing
+    c = Fraction(rng.randint(1, 50), rng.randint(1, 50))
+    B = T.transform(A, c)
+    for f in T.shapes:
+        direct = sum((K_multi(p, f, e) * a for e, a in A.items()), Fraction(0)) / c
+        assert B.get(f, 0) == direct
+        assert f in B or direct == 0  # only the nonzero entries are kept
+    assert all(type(b) is Fraction for b in B.values())
+    # T T = q^(nr) I, so transforming twice multiplies by q^(nr)
+    again = T.transform(T.transform(A, 1), 1)
+    assert again == {e: p.ambient_size * a for e, a in A.items() if a}
+    assert T.transform(A, 3) == {f: b * c / 3 for f, b in B.items()}  # an int divisor
+    assert T.transform({}, 1) == {}
+
+
 def test_canonical_representative():
     p = SpaceParams(2, 2, 3)
     for e in enumerate_shapes(p):
-        v = canonical_bar_representative(p, e)
+        v = reverse_blocks(p, representative(p, e))
         assert shape_bar_of(p, v) == e
 
 

@@ -141,15 +141,13 @@ def test_raw_blocks_are_integers_over_one_denominator(q, r, n):
     p = SpaceParams(q, r, n)
     for kappa in range(n + 1):
         blk = build_blocks(p, kappa)
-        assert blk.den == q**r * (q - 1)
-        for exact, nums in ((blk.a, blk.a_num), (blk.b, blk.b_num), (blk.c, blk.c_num)):
-            assert len(exact) == len(nums)
-            for row, num_row in zip(exact, nums):
-                assert len(row) == len(num_row)
-                for x, num in zip(row, num_row):
-                    assert type(x) is Fraction and type(num) is int
-                    assert x == Fraction(num, blk.den)
-        assert blk.b is blk.b  # built once, on first read
+        for block, cols in ((blk.a, blk.cols_up), (blk.b, blk.rows), (blk.c, blk.cols_down)):
+            assert len(block) == len(blk.rows)
+            for row in block:
+                assert len(row) == len(cols)
+                for x in row:
+                    assert type(x) is Fraction
+                    assert (q**r * (q - 1)) % x.denominator == 0
 
 
 def test_normalized_blocks_match_raw_rescaling():
@@ -298,7 +296,6 @@ def test_build_operator_enumerates_each_degree_once(monkeypatch):
 
     monkeypatch.setattr(scheme_mod, "shapes_of_length", enumerating)
     monkeypatch.setattr(scheme_mod, "shape_count", counting)
-    scheme_mod._degree.cache_clear()
     p = SpaceParams(2, 3, 6)
     build_operator(p, 4)
     assert lengths == [0, 1, 2, 3, 4]

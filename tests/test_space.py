@@ -9,6 +9,10 @@ from nrtbounds.space import (
     LinearCode,
     SpaceParams,
     ball_size,
+    check_depth,
+    check_distance,
+    check_strength,
+    check_weight,
     delta_crit,
     dual_code,
     enumerate_code,
@@ -21,8 +25,12 @@ from nrtbounds.space import (
     ordered_distance,
     ordered_weight,
     parse_array_text,
+    parse_shape_key,
+    representative,
+    reverse_blocks,
     shape_bar_of,
     shape_count,
+    shape_key,
     shape_of,
     shape_weight,
     shapes_of_length,
@@ -55,7 +63,47 @@ def test_shape_bar_is_shape_of_reversed_blocks(q, r, n):
         reversed_blocks = tuple(
             s for i in range(n) for s in v[i * r : (i + 1) * r][::-1]
         )
+        assert reverse_blocks(p, v) == reversed_blocks
+        assert reverse_blocks(p, reversed_blocks) == v
         assert shape_bar_of(p, v) == shape_of(p, reversed_blocks)
+    with pytest.raises(ValueError, match="vector length"):
+        reverse_blocks(p, (0,) * (r * n + 1))
+
+
+@pytest.mark.parametrize("q,r,n", [(2, 2, 3), (3, 3, 2), (2, 4, 2), (2, 1, 4)])
+def test_representative_has_its_shape(q, r, n):
+    p = SpaceParams(q, r, n)
+    for e in enumerate_shapes(p):
+        v = representative(p, e)
+        assert shape_of(p, v) == e
+        assert set(v) <= {0, 1} and sum(v) == sum(e)  # one 1 per nonzero block
+    with pytest.raises(ValueError):
+        representative(p, (n + 1,) + (0,) * (r - 1))
+
+
+@pytest.mark.parametrize(
+    "check,name,lo,hi",
+    [
+        (check_distance, "distance", 1, 7),
+        (check_strength, "strength", 0, 6),
+        (check_weight, "weight", 0, 6),
+        (check_depth, "depth", 1, 3),
+    ],
+)
+def test_range_checks(check, name, lo, hi):
+    p = SpaceParams(2, 3, 2)
+    for x in (lo, hi):
+        check(p, x)
+    for x in (lo - 1, hi + 1):
+        with pytest.raises(ValueError, match=rf"^{name} {x} out of range \[{lo}, {hi}\]$"):
+            check(p, x)
+
+
+def test_shape_key_round_trip():
+    assert shape_key((3, 0, 12)) == "3,0,12"
+    assert shape_key((0,)) == "0"
+    for e in enumerate_shapes(SpaceParams(3, 3, 4)):
+        assert parse_shape_key(shape_key(e)) == e
 
 
 def test_weight_and_distance_examples():
