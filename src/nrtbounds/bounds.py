@@ -11,8 +11,7 @@ rather than raising.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, floor
@@ -51,29 +50,19 @@ class BoundResult:
     reason: str | None = None  # why inapplicable
 
     def as_json_dict(self) -> dict:
-        val: str | float | None
-        if self.value is None:
-            val = None
-        elif isinstance(self.value, Fraction):
-            val = format_rational(self.value)
-        else:
-            val = float(f"{self.value:.12g}")
-        witness = None
+        """The fields in declaration order, with exact values as "p/q"
+        strings and float values at 12 significant digits."""
+        out = asdict(self)
+        if isinstance(self.value, Fraction):
+            out["value"] = format_rational(self.value)
+        elif self.value is not None:
+            out["value"] = float(f"{self.value:.12g}")
         if self.witness is not None:
-            witness = {
+            out["witness"] = {
                 k: (format_rational(v) if isinstance(v, Fraction) else v)
                 for k, v in self.witness.items()
             }
-        return {
-            "name": self.name,
-            "side": self.side,
-            "applicable": self.applicable,
-            "value": val,
-            "floor": self.floor,
-            "tolerance": self.tolerance,
-            "witness": witness,
-            "reason": self.reason,
-        }
+        return out
 
 
 def _exact(name: str, side: str, value: Fraction, witness: dict | None = None) -> BoundResult:
@@ -310,9 +299,6 @@ class R2Witness:
     alpha: float
     beta: float
 
-    def as_dict(self) -> dict:
-        return {"s1": self.s1, "s2": self.s2, "alpha": self.alpha, "beta": self.beta}
-
 
 def _solve_alpha(q: int, nu: float, s2: int, left: float) -> float:
     """Solve W(alpha) = -W(0) for W(x) = k_{s2+1}(nu, x) / k_{s2}(nu, x),
@@ -418,7 +404,7 @@ def r2_bound(params: SpaceParams, d: int) -> BoundResult:
         value=value,
         floor=floor(value),
         tolerance=1e-8 * value,
-        witness=w.as_dict(),
+        witness=asdict(w),
     )
 
 
@@ -486,13 +472,7 @@ class BoundTable:
     best_lower: str | None
 
     def as_json_dict(self) -> dict:
-        return {
-            "params": {"q": self.params.q, "r": self.params.r, "n": self.params.n},
-            "d": self.d,
-            "bounds": [b.as_json_dict() for b in self.bounds],
-            "best_upper": self.best_upper,
-            "best_lower": self.best_lower,
-        }
+        return {**asdict(self), "bounds": [b.as_json_dict() for b in self.bounds]}
 
 
 def best_bounds(params: SpaceParams, d: int) -> BoundTable:
@@ -529,7 +509,3 @@ def best_bounds(params: SpaceParams, d: int) -> BoundTable:
         best_upper=best_upper,
         best_lower=best_lower,
     )
-
-
-def bound_table_json(table: BoundTable) -> str:
-    return json.dumps(table.as_json_dict(), indent=2)

@@ -1,7 +1,10 @@
 """Command-line surface: JSON tables and CSV curves on stdout (or --out).
 
-Exit codes: 0 success, 2 usage error, 3 budget or scale cap exceeded,
-4 internal consistency failure (e.g. a certificate that does not verify).
+Each `cmd_*` only computes and returns its payload: a dict whose records
+are their dataclass fields in declaration order, or CSV text for `asym`.
+`main` alone writes it, once.  Exit codes: 0 success, 2 usage error,
+3 budget or scale cap exceeded, 4 internal consistency failure (e.g. a
+certificate that does not verify).
 Logs go to stderr so output stays pipeline-composable.
 """
 
@@ -10,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from math import ceil, floor
 
 from . import __version__
@@ -26,7 +30,7 @@ from .asymptotics import (
     plotkin_curve,
     psi_nets,
 )
-from .bounds import best_bounds, bound_table_json
+from .bounds import best_bounds
 from .delsarte import (
     CertificateCheck,
     LPError,
@@ -38,13 +42,15 @@ from .delsarte import (
     solve_ooa_lp,
 )
 from .krawtchouk import BracketingError
-from .macwilliams import enumerator_of, transform, verify_duality
+from .macwilliams import enumerator_of, transform
 from .scheme import SpectralConvergenceError
 from .space import (
     BudgetExceeded,
     LinearCode,
+    NetParams,
     SpaceParams,
     delta_crit,
+    dual_code,
     enumerate_shapes,
     net_to_ooa,
     ooa_strength,
@@ -63,26 +69,17 @@ class CheckFailure(Exception):
     pass
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {out}", file=sys.stderr)
-    else:
-        print(text)
-
-
 def _params(args) -> SpaceParams:
     return SpaceParams(q=args.q, r=args.r, n=args.n)
 
 
-def cmd_sphere(args) -> int:
+def cmd_sphere(args) -> dict:
     params = _params(args)
     shapes = sorted(enumerate_shapes(params), key=lambda e: (shape_weight(e), e))
     if args.d is not None:
         shapes = [e for e in shapes if shape_weight(e) == args.d]
     payload = {
-        "params": {"q": params.q, "r": params.r, "n": params.n},
+        "params": asdict(params),
         "shapes": [
             {
                 "shape": shape_key(e),
@@ -97,15 +94,11 @@ def cmd_sphere(args) -> int:
     else:
         payload["total"] = params.ambient_size
         payload["sphere_sizes"] = weight_distribution(params)
-    _emit(json.dumps(payload, indent=2), args.out)
-    return 0
+    return payload
 
 
-def cmd_bounds(args) -> int:
-    params = _params(args)
-    table = best_bounds(params, args.d)
-    _emit(bound_table_json(table), args.out)
-    return 0
+def cmd_bounds(args) -> dict:
+    return best_bounds(_params(args), args.d).as_json_dict()
 
 
 def _save_certificate(path: str, cert) -> CertificateCheck:
@@ -116,7 +109,7 @@ def _save_certificate(path: str, cert) -> CertificateCheck:
         return check_certificate(certificate_from_json(fh.read()))
 
 
-def cmd_lp(args) -> int:
+def cmd_lp(args) -> dict:
     params = _params(args)
     # the program's parameter, its solver, the rounding printed under its
     # own name, and the bound of the reloaded certificate that must match
@@ -130,7 +123,7 @@ def cmd_lp(args) -> int:
         raise ValueError(f"program {args.program} needs --{key}")
     res = solve(params, k)
     payload = {
-        "params": {"q": params.q, "r": params.r, "n": params.n},
+        "params": asdict(params),
         "program": args.program,
         key: k,
         "value": format_rational(res.bound),
@@ -141,11 +134,10 @@ def cmd_lp(args) -> int:
         if not chk.accepted or getattr(chk, certified) != res.bound:
             raise CheckFailure("reloaded certificate failed verification")
         payload["certificate"] = args.certificate
-    _emit(json.dumps(payload, indent=2), args.out)
-    return 0
+    return payload
 
 
-def cmd_asym(args) -> int:
+def cmd_asym(args) -> str:
     q, r, grid = args.q, args.r, args.grid
     if grid < 1:
         raise ValueError(f"--grid must be at least 1, got {grid}")
@@ -184,61 +176,44 @@ def cmd_asym(args) -> int:
     lines = ["delta,rate,curve,q,r,meta"]
     for delta, rate, meta in rows:
         lines.append(f"{delta:.12g},{rate:.12g},{name},{q},{r},{meta}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_verify_ooa(args) -> int:
+def cmd_verify_ooa(args) -> dict:
     table = read_array_file(args.file)
-    result = ooa_strength(table)
-    p = table.params
-    payload = {
-        "params": {"q": p.q, "r": p.r, "n": p.n},
+    return {
+        "params": asdict(table.params),
         "rows": len(table.rows),
-        "strength": result.strength,
-        "index": result.index,
+        **asdict(ooa_strength(table)),
     }
-    _emit(json.dumps(payload, indent=2), args.out)
-    return 0
 
 
-def cmd_macwilliams(args) -> int:
+def cmd_macwilliams(args) -> dict:
     table = read_array_file(args.gen)
     code = LinearCode(params=table.params, generators=table.rows)
     primal = enumerator_of(code, "right")
     dual = transform(primal, code.size)
     payload = {
-        "params": {"q": code.params.q, "r": code.params.r, "n": code.params.n},
+        "params": asdict(code.params),
         "k": code.k,
         "primal": primal.as_json_dict(),
         "dual": dual.as_json_dict(),
     }
-    if code.params.ambient_size <= 1 << 16:
-        if not verify_duality(code):
-            raise CheckFailure("transform disagrees with the exhaustive dual")
-        payload["verified"] = True
-    else:
+    try:
+        exhaustive = dual_code(code)
+    except BudgetExceeded:
         payload["verified"] = False
         print("ambient too large, duality not re-verified", file=sys.stderr)
-    _emit(json.dumps(payload, indent=2), args.out)
-    return 0
+        return payload
+    if enumerator_of(exhaustive, "left").coeffs != dual.coeffs:
+        raise CheckFailure("transform disagrees with the exhaustive dual")
+    payload["verified"] = True
+    return payload
 
 
-def cmd_net(args) -> int:
+def cmd_net(args) -> dict:
     ooa = net_to_ooa(args.t, args.m, args.s, args.q)
-    payload = {
-        "net": {"t": args.t, "m": args.m, "s": args.s, "q": args.q},
-        "ooa": {
-            "strength": ooa.strength,
-            "n": ooa.n,
-            "r": ooa.r,
-            "q": ooa.q,
-            "index": ooa.index,
-            "size": ooa.size,
-        },
-    }
-    _emit(json.dumps(payload, indent=2), args.out)
-    return 0
+    return {"net": asdict(NetParams(t=args.t, m=args.m, s=args.s, q=args.q)), "ooa": asdict(ooa)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +291,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        payload = args.fn(args)
+        text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            print(f"wrote {args.out}", file=sys.stderr)
+        else:
+            print(text)
+        return 0
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return BUDGET_ERROR

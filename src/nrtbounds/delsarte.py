@@ -23,7 +23,7 @@ the reference the tests compare against.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import add
 
@@ -221,11 +221,8 @@ def format_rational(x: Fraction) -> str:
 
 
 def certificate_to_json(cert: DualCertificate) -> str:
-    p = cert.params
     payload = {
-        "q": p.q,
-        "r": p.r,
-        "n": p.n,
+        **asdict(cert.params),
         "d": cert.d,
         "F0": format_rational(cert.F0),
         "F": {shape_key(e): format_rational(v) for e, v in sorted(cert.F.items())},

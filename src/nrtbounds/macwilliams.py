@@ -15,7 +15,7 @@ is the left-reading enumerator of its dual.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .krawtchouk import krawtchouk_table
@@ -45,9 +45,8 @@ class WeightEnumerator:
         return sum(self.coeffs.values(), Fraction(0))
 
     def as_json_dict(self) -> dict:
-        p = self.params
         return {
-            "params": {"q": p.q, "r": p.r, "n": p.n},
+            "params": asdict(self.params),
             "reading": self.reading,
             "coeffs": {shape_key(e): str(v) for e, v in sorted(self.coeffs.items())},
         }

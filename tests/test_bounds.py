@@ -7,7 +7,6 @@ from nrtbounds.bounds import (
     R2Witness,
     bassalygo_elias,
     best_bounds,
-    bound_table_json,
     dual_plotkin_ooa,
     gilbert,
     hamming,
@@ -204,7 +203,7 @@ def test_best_bounds_table():
     # at d = 4 the exponent bound 2^(nr-d+1) = 2 undercuts plotkin's 8/3
     assert table.best_upper == "singleton"
     # inapplicable entries are present, not dropped
-    payload = json.loads(bound_table_json(table))
+    payload = json.loads(json.dumps(table.as_json_dict()))
     assert payload["d"] == 4
     assert len(payload["bounds"]) == len(table.bounds)
     for entry in payload["bounds"]:

@@ -4,6 +4,7 @@ import pytest
 
 from nrtbounds.cli import main
 from nrtbounds.delsarte import certificate_from_json, check_certificate, format_rational
+from nrtbounds.space import ArrayTable
 
 
 def run(capsys, *argv):
@@ -292,7 +293,10 @@ def test_internal_check_exit_code(capsys, tmp_path, monkeypatch):
 
     path = tmp_path / "gen.txt"
     path.write_text("2 2 1\n1 1\n")
-    monkeypatch.setattr(cli_mod, "verify_duality", lambda code: False)
+    # the code {00, 11} is its own dual; a one-row table is not
+    monkeypatch.setattr(
+        cli_mod, "dual_code", lambda code: ArrayTable(params=code.params, rows=((0, 0),))
+    )
     code, _, err = run(capsys, "macwilliams", "--gen", str(path))
     assert code == 4
     assert "check failed" in err
