@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 from .space import (
     ArrayTable,
     BudgetExceeded,
+    CheckFailure,
     LinearCode,
     SpaceParams,
     ball_size,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .krawtchouk import gamma
-from .space import delta_crit
+from .space import CheckFailure, delta_crit
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ class NetCurvePoint:
     alpha: float
 
 
-class RootBracketError(Exception):
-    pass
+class RootBracketError(CheckFailure):
+    """The saddle-point equation of H has no sign change to bracket its root."""
 
 
 def _poly_sum(q: int, r: int, z):

@@ -22,6 +22,7 @@ from .delsarte import CertificateCheck, DualCertificate, check_certificate, form
 from .krawtchouk import BracketingError, K_multi, _k_values, k_root_min, krawtchouk_table
 from .scheme import operators, spectral_radius
 from .space import (
+    CheckFailure,
     Shape,
     SpaceParams,
     ball_size,
@@ -166,7 +167,7 @@ def bassalygo_elias(params: SpaceParams, d: int) -> BoundResult:
     spheres = weight_distribution(params)
     best: Fraction | None = None
     best_w = None
-    w = 0
+    w = 0  # always admissible, with johnson applicable (denominator dn > 0)
     while w <= mean and (mean - w) ** 2 >= mean * (mean - d):
         inner = johnson(params, d, w)
         if inner.applicable:
@@ -174,8 +175,6 @@ def bassalygo_elias(params: SpaceParams, d: int) -> BoundResult:
             if best is None or candidate < best:
                 best, best_w = candidate, w
         w += 1
-    if best is None:
-        return _inapplicable("bassalygo-elias", UPPER_CODE, "no admissible weight")
     return _exact("bassalygo-elias", UPPER_CODE, best, witness={"w": best_w})
 
 
@@ -183,7 +182,7 @@ def gilbert(params: SpaceParams, d: int) -> BoundResult:
     """Existence: some code of distance d has at least ceil(q^(nr)/ball(d-1))
     words."""
     check_distance(params, d)
-    ball = ball_size(params, min(d - 1, params.dim))
+    ball = ball_size(params, d - 1)
     value = -(-params.ambient_size // ball)  # ceiling
     return _exact("gilbert", LOWER_CODE, Fraction(value))
 
@@ -270,7 +269,7 @@ def _reciprocal(params: SpaceParams, name: str, code: BoundResult) -> BoundResul
     if not code.applicable:
         return _inapplicable(name, LOWER_OOA, code.reason)
     value = params.ambient_size / code.value
-    hi = params.ambient_size / (code.value - code.tolerance) if code.tolerance else value
+    hi = params.ambient_size / (code.value - code.tolerance)
     return BoundResult(
         name=name,
         side=LOWER_OOA,
@@ -341,8 +340,6 @@ def _r2_candidates(params: SpaceParams, d_cap: float):
     q = params.q
     for s1 in range(1, n + 1):
         for s2 in range(0, n + 1):
-            if s1 + s2 > n:  # needs (s1, s2) to be a valid shape
-                continue
             if not n - s2 > s1:  # smallest root of degree s1 needs n - s2 > s1
                 continue
             beta = k_root_min(q, n - s2, s1)
@@ -379,7 +376,7 @@ def r2_bound(params: SpaceParams, d: int) -> BoundResult:
 
     Scans all admissible degree pairs (s1, s2), takes the smallest bound
     value, and assembles the underlying sign-certificate for the winning
-    pair, requiring acceptance at float tolerance 1e-8.
+    pair, and raises CheckFailure unless it is accepted at float tolerance 1e-8.
     """
     check_distance(params, d)
     if params.r != 2:
@@ -394,7 +391,7 @@ def r2_bound(params: SpaceParams, d: int) -> BoundResult:
     value, *_, w = min(ranked)
     _, check = r2_certificate(params, d, w)
     if not check.accepted:
-        raise AssertionError(
+        raise CheckFailure(
             f"depth-2 certificate rejected for witness {w}: {check.reason}"
         )
     return BoundResult(
@@ -421,7 +418,7 @@ def r2_region(params: SpaceParams, w: R2Witness) -> list[Shape]:
     region = []
     for f2 in range(0, w.s2 + 1):
         phi = 0
-        while phi + 1 <= n - f2 - 1 and f2 + phi + 1 <= n:
+        while phi + 1 <= n - f2 - 1:
             root = k_root_min(q, n - f2, phi + 1)
             if root > w.beta + 1e-12:
                 phi += 1

@@ -2,9 +2,10 @@
 
 Each `cmd_*` only computes and returns its payload: a dict whose records
 are their dataclass fields in declaration order, or CSV text for `asym`.
-`main` alone writes it, once.  Exit codes: 0 success, 2 usage error,
-3 budget or scale cap exceeded, 4 internal consistency failure (e.g. a
-certificate that does not verify).
+`main` alone writes it, once.  Exit codes: 0 success, 2 usage error
+(ValueError, OSError), 3 budget or scale cap exceeded (BudgetExceeded),
+4 internal consistency failure (CheckFailure, which every solver,
+certificate and root-finding failure subclasses, or a failed assert).
 Logs go to stderr so output stays pipeline-composable.
 """
 
@@ -18,7 +19,6 @@ from math import ceil, floor
 
 from . import __version__
 from .asymptotics import (
-    RootBracketError,
     be_curve,
     curve_grid,
     gv_curve,
@@ -33,7 +33,6 @@ from .asymptotics import (
 from .bounds import best_bounds
 from .delsarte import (
     CertificateCheck,
-    LPError,
     certificate_from_json,
     certificate_to_json,
     check_certificate,
@@ -41,11 +40,10 @@ from .delsarte import (
     solve_code_lp,
     solve_ooa_lp,
 )
-from .krawtchouk import BracketingError
 from .macwilliams import enumerator_of, transform
-from .scheme import SpectralConvergenceError
 from .space import (
     BudgetExceeded,
+    CheckFailure,
     LinearCode,
     NetParams,
     SpaceParams,
@@ -63,10 +61,6 @@ from .space import (
 )
 
 USAGE_ERROR, BUDGET_ERROR, CHECK_ERROR = 2, 3, 4
-
-
-class CheckFailure(Exception):
-    pass
 
 
 def _params(args) -> SpaceParams:
@@ -139,6 +133,7 @@ def cmd_lp(args) -> dict:
 
 def cmd_asym(args) -> str:
     q, r, grid = args.q, args.r, args.grid
+    dc = float(delta_crit(q, r))  # checks q >= 2 and r >= 1 for every curve
     if grid < 1:
         raise ValueError(f"--grid must be at least 1, got {grid}")
     rows: list[tuple[float, float, str]] = []  # delta, rate, meta
@@ -158,7 +153,6 @@ def cmd_asym(args) -> str:
     elif name == "lp2":
         if r != 2:
             raise ValueError("curve lp2 is defined for r = 2")
-        dc = float(delta_crit(q, 2))
         for j in range(1, grid + 1):
             delta = min(dc * j / grid, dc)  # the last step may round above dc
             rows.append((delta, phi_r2(q, delta), ""))
@@ -167,12 +161,10 @@ def cmd_asym(args) -> str:
             delta = j / grid
             pt = psi_nets(q, delta)
             rows.append((delta, pt.rate, f"{pt.alpha:.12g}"))
-    elif name == "psirao":
+    else:  # psirao; argparse admits no other curve
         for j in range(1, grid + 1):
             delta = j / grid
             rows.append((delta, nets_rao(q, delta), ""))
-    else:
-        raise ValueError(f"unknown curve {name!r}")
     lines = ["delta,rate,curve,q,r,meta"]
     for delta, rate, meta in rows:
         lines.append(f"{delta:.12g},{rate:.12g},{name},{q},{r},{meta}")
@@ -303,14 +295,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return BUDGET_ERROR
-    except (
-        CheckFailure,
-        AssertionError,
-        LPError,
-        SpectralConvergenceError,
-        BracketingError,
-        RootBracketError,
-    ) as exc:
+    except (CheckFailure, AssertionError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return CHECK_ERROR
     except (ValueError, OSError) as exc:

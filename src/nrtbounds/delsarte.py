@@ -30,6 +30,7 @@ from operator import add
 from .krawtchouk import krawtchouk_table
 from .simplex import EQ, GE, LE, make_lp, simplex_solve
 from .space import (
+    CheckFailure,
     Shape,
     SpaceParams,
     check_distance,
@@ -40,7 +41,7 @@ from .space import (
 )
 
 
-class LPError(Exception):
+class LPError(CheckFailure):
     """The solver returned a status that signals a constraint-assembly bug."""
 
 
@@ -125,16 +126,6 @@ def solve_code_lp(params: SpaceParams, d: int) -> CodeLPResult:
     T = krawtchouk_table(params)
     shapes, zero = T.shapes, T.shapes[0]
     free = [j for j, e in enumerate(shapes) if shape_weight(e) >= d]  # all other A_e are fixed
-
-    if not free:
-        cert = DualCertificate(params=params, d=d, F0=Fraction(1), F={})
-        return CodeLPResult(
-            params=params,
-            d=d,
-            bound=Fraction(1),
-            distribution={zero: Fraction(1)},
-            certificate=cert,
-        )
 
     # row f: -sum_e K_f(e) A_e <= K_f(0) = v_f
     rows = [([-row[j] for j in free], LE, row[0]) for row in T.rows]

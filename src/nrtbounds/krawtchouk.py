@@ -46,7 +46,9 @@ from operator import mul
 import numpy as np
 
 from .space import (
+    EXHAUSTIVE_CAP,
     BudgetExceeded,
+    CheckFailure,
     Shape,
     SpaceParams,
     check_depth,
@@ -200,20 +202,18 @@ def krawtchouk_table(params: SpaceParams) -> Eigenmatrix:
 # Character-sum cross-check
 
 
-def K_fourier_oracle(
-    params: SpaceParams, f: Shape, e: Shape, cap: int = 1 << 16
-) -> int:
+def K_fourier_oracle(params: SpaceParams, f: Shape, e: Shape) -> int:
     """K_f(e) as the character sum over vectors z of shape f of omega^(x.z),
     where x is a representative of right-to-left shape e.
 
     Exact integers for q = 2 (omega = -1); for q > 2, complex double
-    arithmetic with the imaginary part required to vanish to 1e-6.
+    arithmetic, with CheckFailure unless the imaginary part vanishes to 1e-6.
     """
     validate_shape(params, f)
     x = reverse_blocks(params, representative(params, e))  # validates e
-    if params.ambient_size > cap:
+    if params.ambient_size > EXHAUSTIVE_CAP:
         raise BudgetExceeded(
-            f"character sum over {params.ambient_size} vectors exceeds cap {cap}"
+            f"character sum over {params.ambient_size} vectors exceeds cap {EXHAUSTIVE_CAP}"
         )
     groups = _vectors_by_shape(params)
     zs = groups.get(f, ())
@@ -230,7 +230,7 @@ def K_fourier_oracle(
         dot = sum(a * b for a, b in zip(x, z)) % q
         acc += omega**dot
     if abs(acc.imag) >= 1e-6:
-        raise AssertionError(f"character sum has imaginary part {acc.imag}")
+        raise CheckFailure(f"character sum has imaginary part {acc.imag}")
     return round(acc.real)
 
 
@@ -288,7 +288,7 @@ def inner_product(params: SpaceParams, u1, u2) -> Fraction:
 # Roots and the limiting root-position function
 
 
-class BracketingError(Exception):
+class BracketingError(CheckFailure):
     """Raised when no sign change brackets the root of an equation."""
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .krawtchouk import krawtchouk_table
 from .space import (
     BudgetExceeded,
+    CheckFailure,
     Shape,
     SpaceParams,
     check_depth,
@@ -33,6 +34,8 @@ from .space import (
     shapes_of_length,
     vector_sub,
 )
+
+INTERSECTION_CAP = 1 << 12  # largest ambient space `intersection_general` walks
 
 
 def _L_terms(params: SpaceParams, i: int) -> tuple[int, int]:
@@ -104,14 +107,12 @@ def intersection_Fi(params: SpaceParams, f: Shape, i: int, h: Shape) -> int:
     return next((m for g, m in _nonzero_intersections(params, f, i) if g == h), 0)
 
 
-def intersection_general(
-    params: SpaceParams, f: Shape, g: Shape, h: Shape, cap: int = 1 << 12
-) -> int:
+def intersection_general(params: SpaceParams, f: Shape, g: Shape, h: Shape) -> int:
     """Brute-force intersection number: the count of z with shape(z) = g and
     shape(z - x) = f, for a fixed x of shape h."""
-    if params.ambient_size > cap:
+    if params.ambient_size > INTERSECTION_CAP:
         raise BudgetExceeded(
-            f"ambient size {params.ambient_size} exceeds oracle cap {cap}"
+            f"ambient size {params.ambient_size} exceeds oracle cap {INTERSECTION_CAP}"
         )
     x = representative(params, h)
     count = 0
@@ -228,7 +229,7 @@ def build_operator(params: SpaceParams, kappa: int) -> np.ndarray:
     return next(islice(operators(params), kappa, None))
 
 
-class SpectralConvergenceError(Exception):
+class SpectralConvergenceError(CheckFailure):
     """Power iteration failed to certify the requested enclosure width."""
 
 

@@ -250,7 +250,7 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
         return SimplexResult(status="unbounded", ray=tuple(ray))
 
     x = tab.solution()
-    value = sum(ci * xi for ci, xi in zip(c_struct, x))
+    value = sum((ci * xi for ci, xi in zip(c_struct, x)), Fraction(0))
     duals = []
     for i in range(tab.m):
         if not tab.active[i]:

@@ -27,6 +27,14 @@ class BudgetExceeded(Exception):
     """Raised when an exhaustive computation would exceed its stated cap."""
 
 
+class CheckFailure(Exception):
+    """An internal consistency check failed; every solver, certificate and
+    root-finding failure subclasses this one."""
+
+
+EXHAUSTIVE_CAP = 1 << 16  # largest code or space an exhaustive scan walks
+
+
 @dataclass(frozen=True)
 class SpaceParams:
     """Alphabet size q, block depth r, number of blocks n."""
@@ -441,10 +449,10 @@ class LinearCode:
         return self.params.q**self.k
 
 
-def enumerate_code(code: LinearCode, cap: int = 1 << 16) -> ArrayTable:
-    """All q^k codewords (exhaustive; refuses above the cap)."""
-    if code.size > cap:
-        raise BudgetExceeded(f"code size {code.size} exceeds cap {cap}")
+def enumerate_code(code: LinearCode) -> ArrayTable:
+    """All q^k codewords (exhaustive; refuses above EXHAUSTIVE_CAP)."""
+    if code.size > EXHAUSTIVE_CAP:
+        raise BudgetExceeded(f"code size {code.size} exceeds cap {EXHAUSTIVE_CAP}")
     q = code.params.q
     dim = code.params.dim
     words = []
@@ -458,12 +466,12 @@ def enumerate_code(code: LinearCode, cap: int = 1 << 16) -> ArrayTable:
     return ArrayTable(params=code.params, rows=tuple(words))
 
 
-def dual_code(code: LinearCode, cap: int = 1 << 16) -> ArrayTable:
+def dual_code(code: LinearCode) -> ArrayTable:
     """All vectors orthogonal to every generator under the dot product mod q,
-    found by exhaustive scan of the ambient space."""
+    found by exhaustive scan of the ambient space (up to EXHAUSTIVE_CAP)."""
     params = code.params
-    if params.ambient_size > cap:
-        raise BudgetExceeded(f"ambient size {params.ambient_size} exceeds cap {cap}")
+    if params.ambient_size > EXHAUSTIVE_CAP:
+        raise BudgetExceeded(f"ambient size {params.ambient_size} exceeds cap {EXHAUSTIVE_CAP}")
     rows = []
     for y in enumerate_vectors(params):
         if all(sum(a * b for a, b in zip(g, y)) % params.q == 0 for g in code.generators):

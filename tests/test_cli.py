@@ -342,3 +342,80 @@ def test_spectral_iteration_cap_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "after 2 iterations" in err and len(err.splitlines()) == 1
+
+
+CURVES = ["gv", "hamming", "plotkin", "be", "lp", "lp2", "psi", "psirao"]
+
+
+@pytest.mark.parametrize("curve", CURVES)
+def test_asym_checks_q_and_r_for_every_curve(capsys, curve):
+    for q, r in [("1", "2"), ("2", "0")]:
+        code, out, err = run(capsys, "asym", "--q", q, "--r", r, "--curve", curve, "--grid", "2")
+        assert code == 2, (q, r)
+        assert out == ""
+        assert err == "error: need q >= 2 and r >= 1\n"
+
+
+def test_exit_code_sweep(capsys):
+    # every edge argument ends in a documented exit code, never a traceback
+    calls = []
+    for q, r in [(q, r) for q in (1, 2, 3) for r in (0, 1, 2)]:
+        common = ["--q", str(q), "--r", str(r)]
+        for n in (1, 2):
+            space = common + ["--n", str(n)]
+            calls.append(["sphere", *space])
+            for k in sorted({-1, 0, 1, n * r, n * r + 1, n * r + 2}):
+                calls.append(["sphere", *space, "--d", str(k)])
+                calls.append(["bounds", *space, "--d", str(k)])
+                calls.append(["lp", *space, "--d", str(k), "--program", "I"])
+                calls.append(["lp", *space, "--t", str(k), "--program", "II"])
+        for curve in CURVES:
+            for grid in (0, 1, 2):
+                calls.append(["asym", *common, "--curve", curve, "--grid", str(grid)])
+    for argv in calls:
+        assert main(argv) in (0, 2, 3, 4), argv
+    capsys.readouterr()
+
+
+def test_asym_psirao_is_nets_rao(capsys):
+    from nrtbounds.asymptotics import nets_rao
+
+    code, out, _ = run(capsys, "asym", "--q", "3", "--r", "2", "--curve", "psirao", "--grid", "4")
+    assert code == 0
+    want = ["delta,rate,curve,q,r,meta"]
+    for j in range(1, 5):
+        want.append(f"{j / 4:.12g},{nets_rao(3, j / 4):.12g},psirao,3,2,")
+    assert out == "\n".join(want) + "\n\n"
+
+
+def test_macwilliams_over_the_cap_is_not_verified(capsys, tmp_path):
+    # a one-row code of length 17: its dual is 2^16 of 2^17 vectors, and the
+    # exhaustive scan refuses the 2^17-vector space
+    path = tmp_path / "gen.txt"
+    path.write_text("2 1 17\n" + " ".join(["1"] + ["0"] * 16) + "\n")
+    code, out, err = run(capsys, "macwilliams", "--gen", str(path))
+    assert code == 0
+    assert json.loads(out)["verified"] is False
+    assert err == "ambient too large, duality not re-verified\n"
+
+
+def test_reloaded_certificate_that_fails_exits_4(capsys, tmp_path, monkeypatch):
+    import dataclasses
+
+    import nrtbounds.cli as cli_mod
+
+    def drop_a_term(text):
+        cert = certificate_from_json(text)
+        F = dict(cert.F)
+        F.pop(next(iter(F)))
+        return dataclasses.replace(cert, F=F)
+
+    monkeypatch.setattr(cli_mod, "certificate_from_json", drop_a_term)
+    code, out, err = run(
+        capsys,
+        "lp", "--q", "2", "--r", "2", "--n", "3", "--d", "4",
+        "--program", "I", "--certificate", str(tmp_path / "cert.json"),
+    )
+    assert code == 4
+    assert out == ""
+    assert err == "internal check failed: reloaded certificate failed verification\n"

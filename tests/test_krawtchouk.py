@@ -260,11 +260,12 @@ def test_fourier_oracle_alternate_representatives():
 
 
 def test_fourier_budget():
-    p = SpaceParams(2, 2, 2)
+    # 2^17 vectors exceed EXHAUSTIVE_CAP; the cap is checked before any is listed
+    p = SpaceParams(2, 1, 17)
     from nrtbounds.space import BudgetExceeded
 
     with pytest.raises(BudgetExceeded):
-        K_fourier_oracle(p, (0, 0), (0, 0), cap=8)
+        K_fourier_oracle(p, (0,), (0,))
 
 
 def test_root_min_examples():

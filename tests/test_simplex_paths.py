@@ -150,7 +150,7 @@ def test_fixture_covers_every_case(pinned):
     assert set(pinned["random"]) == {str(s) for s in ALL_SEEDS}
     statuses = {v["status"] for v in pinned["random"].values()}
     assert statuses == {"optimal", "infeasible", "unbounded"}
-    assert len(pinned["delsarte"]) == sum(2 * SpaceParams(*s).dim for s in SPACES)
+    assert len(pinned["delsarte"]) == sum(2 * SpaceParams(*s).dim + 1 for s in SPACES)
 
 
 @pytest.mark.parametrize("seed", ALL_SEEDS)

@@ -322,10 +322,11 @@ def test_array_file_roundtrip():
 
 
 def test_enumerate_code_budget():
-    p = SpaceParams(2, 1, 6)
-    C = LinearCode(params=p, generators=tuple(tuple(int(i == j) for j in range(6)) for i in range(6)))
+    # 2^17 codewords exceed EXHAUSTIVE_CAP; the cap is checked before any is listed
+    p = SpaceParams(2, 1, 17)
+    C = LinearCode(params=p, generators=tuple(tuple(int(i == j) for j in range(17)) for i in range(17)))
     with pytest.raises(BudgetExceeded):
-        enumerate_code(C, cap=32)
+        enumerate_code(C)
 
 
 def test_delta_crit_is_mean_normalized_weight():
