@@ -9,7 +9,10 @@ and local refinement; exactness is not meaningful for these quantities.
 The grids are scanned with numpy in blocks of about BLOCK points, through
 the same functions that the refinements call on floats.  The
 sphere-exponent curves are written for arrays and evaluate a whole grid in
-one call; a float runs through them as a one-element array.
+one call; a float runs through them as a one-element array.  Only the
+functions that build arrays import numpy, so importing this module does
+not load it; the dispatchers that also take floats test for a Python
+scalar, and their float calls import nothing.
 """
 
 from __future__ import annotations
@@ -18,10 +21,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .krawtchouk import gamma
-from .space import CheckFailure, delta_crit
+from .krawtchouk import _SCALARS, _extremes, gamma
+from .space import BudgetExceeded, CheckFailure, delta_crit
 
 
 @dataclass(frozen=True)
@@ -47,18 +48,15 @@ def _poly_sum(q: int, r: int, z):
     return (q - 1) / q * sum(z**i for i in range(1, r + 1))
 
 
-def _extremes(x):
-    """(min, max) of an array, or (x, x) of a float."""
-    return (x.min(), x.max()) if isinstance(x, np.ndarray) else (x, x)
-
-
 def _elementwise(fn):
     """Let fn(q, r, x), written for an array x, take a float x too."""
 
     @functools.wraps(fn)
     def at(q: int, r: int, x):
-        if isinstance(x, np.ndarray):
+        if not isinstance(x, _SCALARS):
             return fn(q, r, x)
+        import numpy as np
+
         return float(fn(q, r, np.array([float(x)]))[0])
 
     return at
@@ -74,6 +72,8 @@ def z0_solve(q: int, r: int, x):
     Each element bisects on its own and stops once its bracket cannot
     shrink any further.
     """
+    import numpy as np
+
     lo, hi = _extremes(x)
     if not (0 < lo and hi < 1):
         raise ValueError(f"x={hi if 0 < lo else lo} outside (0, 1)")
@@ -111,11 +111,16 @@ def _nonneg(x):
 def h_q(q: int, x):
     """q-ary entropy -x log_q(x/(q-1)) - (1-x) log_q(1-x), with 0 log 0 = 0,
     at a float or elementwise on an array."""
-    array = isinstance(x, np.ndarray)
+    if isinstance(x, _SCALARS):
+        log = math.log
+    else:
+        import numpy as np
+
+        log = np.log
     lo, hi = _extremes(x)
     if not (0 <= lo and hi <= 1):
         raise ValueError(f"x={hi if 0 <= lo else lo} outside [0, 1]")
-    log, log_q = (np.log if array else math.log), math.log(q)
+    log_q = math.log(q)
     a, b = x / (q - 1), 1 - x
     # a zero argument is read as 1, whose log is 0
     return -(x * (log(a + (a == 0)) / log_q)) - b * (log(b + (b == 0)) / log_q)
@@ -125,6 +130,8 @@ def h_q(q: int, x):
 def H(q: int, r: int, x):
     """Sphere-volume exponent x (1 - log_q z0) + (1/r) log_q(1 + A(z0)), with
     H(0) = 0, at a float or elementwise on an array."""
+    import numpy as np
+
     dc = float(delta_crit(q, r))
     lo, hi = _extremes(x)
     if not (0 <= lo and hi <= dc):
@@ -143,6 +150,8 @@ def H(q: int, r: int, x):
 def _cut(delta: np.ndarray, inside, dc=math.nan) -> np.ndarray:
     """1 at delta <= 0, 0 at delta >= dc (never when dc is NaN), and
     inside(delta) in between."""
+    import numpy as np
+
     out = np.where(delta <= 0, 1.0, 0.0)
     mid = ~((delta <= 0) | (delta >= dc))  # NaN goes to inside: H rejects it, plotkin passes it on
     if mid.any():
@@ -168,6 +177,8 @@ def plotkin_curve(q: int, r: int, delta):
 
 @_elementwise
 def be_curve(q: int, r: int, delta):
+    import numpy as np
+
     dc = float(delta_crit(q, r))
     return _cut(delta, lambda d: 1.0 - H(q, r, dc * (1.0 - np.sqrt(1.0 - d / dc))), dc)
 
@@ -175,6 +186,8 @@ def be_curve(q: int, r: int, delta):
 def curve_grid(curve, q: int, r: int, grid: int) -> tuple[list[float], list[float]]:
     """An elementary curve at delta_crit j / grid, j = 1..grid, in one array
     call; returns the deltas and the rates."""
+    import numpy as np
+
     deltas = float(delta_crit(q, r)) * np.arange(1, grid + 1) / grid
     return deltas.tolist(), curve(q, r, deltas).tolist()
 
@@ -194,7 +207,12 @@ def lambda_expression(q: int, r: int, taus):
     Each tau_i is a float, or an array holding one profile per entry.
     """
     tau = sum(taus)
-    sqrt = np.sqrt if isinstance(tau, np.ndarray) else math.sqrt
+    if isinstance(tau, _SCALARS):
+        sqrt = math.sqrt
+    else:
+        import numpy as np
+
+        sqrt = np.sqrt
     clamped = [_nonneg(t) for t in taus]  # products of these need no clamp
     total = 0.0
     for i in range(1, r + 1):
@@ -213,6 +231,7 @@ def lambda_expression(q: int, r: int, taus):
 
 
 BLOCK = 4096  # grid points per array call of the scans
+LATTICE_CAP = 1 << 22  # most weight profiles lambda_asym scans per tau
 
 
 def _lattice(totals: np.ndarray, parts: int, steps: int) -> list[np.ndarray]:
@@ -221,6 +240,8 @@ def _lattice(totals: np.ndarray, parts: int, steps: int) -> list[np.ndarray]:
     the steps j/steps, j = 0..steps, of what coordinates 1..k-1 left, the
     last coordinate takes the rest, and the points of a lattice are in
     lexicographic order of their step indices."""
+    import numpy as np
+
     j = np.arange(steps + 1)
     rest = totals
     cols: list[np.ndarray] = []
@@ -235,6 +256,8 @@ def _lattice_rows(total: float, parts: int, steps: int):
     """The points of the `_lattice` of one total, in order, in blocks of
     whole slices of the first coordinate, about BLOCK points (and at least
     one slice) each; parts is at least 2."""
+    import numpy as np
+
     size = (steps + 1) ** (parts - 2)  # points per slice
     per = max(1, BLOCK // size)
     for j in range(0, steps + 1, per):
@@ -247,6 +270,8 @@ def lambda_asym(q: int, r: int, tau: float) -> tuple[float, tuple[float, ...]]:
     with total tau; returns (max, argmax).
 
     Dense simplex grid followed by concave pairwise-transfer refinement.
+    The grid has (steps + 1)^(r - 1) points; above LATTICE_CAP it raises
+    BudgetExceeded before building any of them.
     """
     if not 0 <= tau <= 1:
         raise ValueError(f"tau={tau} outside [0, 1]")
@@ -255,10 +280,14 @@ def lambda_asym(q: int, r: int, tau: float) -> tuple[float, tuple[float, ...]]:
     if r == 1:
         return lambda_expression(q, 1, (tau,)), (tau,)
     steps = 200 if r <= 3 else 40
+    if (steps + 1) ** (r - 1) > LATTICE_CAP:
+        raise BudgetExceeded(
+            f"{steps + 1}^{r - 1} weight profiles per tau exceed cap {LATTICE_CAP}"
+        )
     best_val = -math.inf
     for cols in _lattice_rows(tau, r, steps):
         vals = lambda_expression(q, r, cols)
-        k = int(np.argmax(vals))  # the first maximum of the block
+        k = int(vals.argmax())  # the first maximum of the block
         if vals[k] > best_val:
             best_val, taus = float(vals[k]), [float(c[k]) for c in cols]
     # pairwise mass transfers; the expression is concave along each line
@@ -369,6 +398,8 @@ def phi_r2(q: int, delta: float) -> float:
 def phi_r2_with_witness(q: int, delta: float):
     if not 0 < delta <= float(delta_crit(q, 2)):
         raise ValueError(f"delta={delta} outside (0, delta_crit]")
+    import numpy as np
+
     t1_max = (q - 1) / q**2
     t2_max = (q - 1) / q
     steps = 200

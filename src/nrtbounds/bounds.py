@@ -16,8 +16,6 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb, floor
 
-import numpy as np
-
 from .delsarte import CertificateCheck, DualCertificate, check_certificate, format_rational
 from .krawtchouk import BracketingError, K_multi, _k_values, k_root_min, krawtchouk_table
 from .scheme import operators, spectral_radius
@@ -439,6 +437,8 @@ def r2_certificate(
     Over a float copy K of the eigenmatrix, with valencies v = K[:, 0], both
     steps are matrix products: U_L(a, .) = (K_f(a) / v_f)_{f in L} K[L], and
     F_g = <F, K_g> / v_g gives the coefficients K (F v) / (q^(nr) v)."""
+    import numpy as np
+
     a = (w.alpha, w.beta)
     T = krawtchouk_table(params)
     K = np.array(T.rows, dtype=float)

@@ -43,8 +43,6 @@ from itertools import accumulate
 from math import lcm
 from operator import mul
 
-import numpy as np
-
 from .space import (
     EXHAUSTIVE_CAP,
     BudgetExceeded,
@@ -302,11 +300,24 @@ def k_root_min(q: int, nu: float, s: int) -> float:
         raise ValueError("degree must be >= 1")
     if not nu > s:
         raise ValueError(f"need nu > s for real roots inside (0, nu); got nu={nu}, s={s}")
+    import numpy as np
+
     nu, j = float(nu), np.arange(s, dtype=float)
     jacobi = np.diag(((q - 1) * (nu - j) + j) / q)
     off = np.sqrt(j[1:] * (q - 1) * (nu - j[1:] + 1)) / q
     jacobi += np.diag(off, 1) + np.diag(off, -1)
     return float(np.linalg.eigvalsh(jacobi)[0])
+
+
+# The numbers the float-or-array functions take as one value; anything else
+# is an array.  A type test, not a numpy one, so their float calls import
+# nothing (np.float64 subclasses float).
+_SCALARS = (int, float, Fraction)
+
+
+def _extremes(x):
+    """(x, x) of a number, or (min, max) of an array."""
+    return (x, x) if isinstance(x, _SCALARS) else (x.min(), x.max())
 
 
 def gamma(q: int, y):
@@ -315,7 +326,7 @@ def gamma(q: int, y):
 
         (q-1)/q - ((q-2)/q) y - (2/q) sqrt((q-1) y (1-y))
     """
-    lo, hi = (y.min(), y.max()) if isinstance(y, np.ndarray) else (y, y)
+    lo, hi = _extremes(y)
     if not (0 <= lo and hi <= (q - 1) / q):  # name the extreme, not the array
         raise ValueError(f"y={hi if 0 <= lo else lo} outside [0, (q-1)/q]")
     return (q - 1) / q - (q - 2) / q * y - 2 / q * ((q - 1) * y * (1 - y)) ** 0.5

@@ -15,8 +15,6 @@ from fractions import Fraction
 from itertools import islice
 from math import sqrt
 
-import numpy as np
-
 from .krawtchouk import krawtchouk_table
 from .space import (
     BudgetExceeded,
@@ -199,6 +197,8 @@ def operators(params: SpaceParams):
     detailed balance, v_h x[f,h] = v_f x[h,f], the rational under the root
     is the same from either side, so S is symmetric bit for bit.
     """
+    import numpy as np
+
     terms = [_L_terms(params, i) for i in range(1, params.r + 1)]
     den = terms[0][1]
     depths = [(i, N, N / den) for i, (N, _) in enumerate(terms, start=1)]
@@ -259,6 +259,8 @@ def spectral_radius(M: np.ndarray, decide: float | None = None) -> tuple[float, 
     iteration, and the full-width pair is returned bit for bit as without
     `decide`.
     """
+    import numpy as np
+
     dim = M.shape[0]
     if dim == 1:
         return (float(M[0, 0]), float(M[0, 0]))

@@ -7,7 +7,6 @@ stated tolerances.  Criteria with stated wall-clock limits assert them.
 import math
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -28,7 +27,6 @@ from nrtbounds.asymptotics import (
 )
 from nrtbounds.bounds import (
     R2Witness,
-    bassalygo_elias,
     hamming,
     plotkin,
     r2_bound,
@@ -40,7 +38,6 @@ from nrtbounds.bounds import (
 from nrtbounds.delsarte import solve_code_lp, solve_ooa_lp
 from nrtbounds.krawtchouk import (
     K_fourier_oracle,
-    K_multi,
     inner_product,
     krawtchouk_table,
 )

@@ -208,6 +208,22 @@ def test_array_evaluation_matches_floats():
             gamma(q, np.array([-0.1, 0.2]))
 
 
+def test_float_or_array_functions_take_a_fraction_as_one_number():
+    # they tell a number from an array by its type, without numpy; a
+    # Fraction, like delta_crit's, is a number
+    from fractions import Fraction
+
+    from nrtbounds.krawtchouk import gamma
+
+    x = Fraction(1, 4)
+    assert gamma(2, x) == gamma(2, 0.25)
+    assert h_q(2, x) == h_q(2, 0.25)
+    assert H(2, 2, x) == H(2, 2, 0.25)
+    assert be_curve(2, 2, x) == be_curve(2, 2, 0.25)
+    profile = (Fraction(1, 8), Fraction(1, 8))
+    assert lambda_expression(2, 2, profile) == lambda_expression(2, 2, (0.125, 0.125))
+
+
 def test_grid_scans_keep_the_first_best_point(monkeypatch):
     # with a constant objective every grid point ties and the refinement
     # never improves, so the scan's first point is returned, whatever the

@@ -22,7 +22,7 @@ from nrtbounds.bounds import (
     spectral_bound_ooa,
     varshamov,
 )
-from nrtbounds.delsarte import solve_code_lp, solve_ooa_lp
+from nrtbounds.delsarte import solve_code_lp
 from nrtbounds.krawtchouk import K_multi
 from nrtbounds.oracles import brute_force_max_code, constant_weight_max
 from nrtbounds.space import SpaceParams, ball_size, delta_crit, enumerate_shapes

@@ -374,6 +374,10 @@ def test_exit_code_sweep(capsys):
                 calls.append(["asym", *common, "--curve", curve, "--grid", str(grid)])
     for argv in calls:
         assert main(argv) in (0, 2, 3, 4), argv
+    # the lp curve's weight-profile lattice grows as 41^(r-1) from r = 4
+    for r in (6, 14, 100):
+        argv = ["asym", "--q", "2", "--r", str(r), "--curve", "lp", "--grid", "1"]
+        assert main(argv) == 3, argv
     capsys.readouterr()
 
 

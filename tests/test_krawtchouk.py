@@ -236,8 +236,6 @@ def test_fourier_oracle_examples():
 
 def test_fourier_oracle_alternate_representatives():
     # the character sum does not depend on which representative is used
-    import itertools
-
     p = SpaceParams(3, 2, 2)
     tbl = krawtchouk_table(p)
     from nrtbounds.space import enumerate_vectors

@@ -20,7 +20,6 @@ from nrtbounds.space import (
     LinearCode,
     SpaceParams,
     dual_code,
-    enumerate_code,
     enumerate_shapes,
     row_reduce_mod,
     shape_count,

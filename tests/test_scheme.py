@@ -18,7 +18,6 @@ from nrtbounds.scheme import (
 )
 from nrtbounds.space import (
     SpaceParams,
-    delta_crit,
     enumerate_shapes,
     shape_count,
     shapes_of_length,

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -32,10 +31,8 @@ from nrtbounds.space import (
     shape_count,
     shape_key,
     shape_of,
-    shape_weight,
     shapes_of_length,
     sphere_size,
-    vector_sub,
     weight_distribution,
 )
 
