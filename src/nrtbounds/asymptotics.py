@@ -43,9 +43,24 @@ class RootBracketError(CheckFailure):
     """The saddle-point equation of H has no sign change to bracket its root."""
 
 
-def _poly_sum(q: int, r: int, z):
-    """A(z) = ((q-1)/q) (z + z^2 + ... + z^r)."""
-    return (q - 1) / q * sum(z**i for i in range(1, r + 1))
+def _power_sums(q: int, r: int, z):
+    """A scale s and, both divided by s^r, the sums 1 + A(z) and
+    ((q-1)/q) sum_{i=1..r} i z^i, with A(z) = ((q-1)/q) (z + ... + z^r),
+    elementwise on an array z > 0.
+
+    s = 1 where z^r <= 2^512, which keeps both sums (at most r^2 z^r) far
+    inside the float range, and the sums are the unscaled ones bit for bit.
+    Above that s = z, and each power z^i / s^r is taken as
+    (z/s)^i (1/s)^(r-i), a product of two numbers in [0, 1], so nothing
+    overflows at large r.
+    """
+    import numpy as np
+
+    s = np.where(r * np.log2(z) > 512, z, 1.0)
+    u, w = z / s, 1.0 / s
+    terms = [u**i * w ** (r - i) for i in range(1, r + 1)]
+    c = (q - 1) / q
+    return s, w**r + c * sum(terms), c * sum(i * t for i, t in enumerate(terms, start=1))
 
 
 def _elementwise(fn):
@@ -78,9 +93,9 @@ def z0_solve(q: int, r: int, x):
     if not (0 < lo and hi < 1):
         raise ValueError(f"x={hi if 0 < lo else lo} outside (0, 1)")
 
-    def g(z):
-        rhs = (q - 1) / q * sum(i * z**i for i in range(1, r + 1))
-        return x * r * (1 + _poly_sum(q, r, z)) - rhs
+    def g(z):  # the equation divided by s^r > 0, which keeps its sign
+        _, one_plus_a, rhs = _power_sums(q, r, z)
+        return x * r * one_plus_a - rhs
 
     lo = np.full(x.shape, 1e-30)
     hi = np.full(x.shape, float(max(q, r) + 1))
@@ -138,7 +153,8 @@ def H(q: int, r: int, x):
         raise ValueError(f"x={hi if 0 <= lo else lo} outside [0, delta_crit]")
     y = np.where(x > 0, x, dc)  # any root will do where x = 0
     z0, log_q = z0_solve(q, r, y), math.log(q)
-    h = y * (1 - np.log(z0) / log_q) + np.log(1 + _poly_sum(q, r, z0)) / log_q / r
+    s, one_plus_a, _ = _power_sums(q, r, z0)  # log(1 + A(z0)) = r log s + log(one_plus_a)
+    h = y * (1 - np.log(z0) / log_q) + (r * np.log(s) + np.log(one_plus_a)) / log_q / r
     return np.where(x > 0, h, 0.0)
 
 
@@ -327,16 +343,6 @@ def lp_rate(q: int, r: int, tau: float) -> float:
     return (h_q(q, tau) + tau * math.log((q**r - 1) / (q - 1), q)) / r
 
 
-def lp_ooa_rate(q: int, r: int, tau: float) -> float:
-    """Array-side reflection of the code curve: arrays of the matching
-    relative strength have rate at least 1 minus the code rate."""
-    return 1.0 - lp_rate(q, r, tau)
-
-
-def lp_delta(q: int, r: int, tau: float) -> float:
-    return lp_curve(q, r, [tau])[0].delta
-
-
 def lp_curve(q: int, r: int, taus) -> list[CurvePoint]:
     """Parametric linear-programming curve over the supplied tau grid,
     emitted in ascending delta order."""
@@ -466,10 +472,6 @@ def psi_nets(q: int, delta: float) -> NetCurvePoint:
         - delta * math.log(1 - alpha, q)
     )
     return NetCurvePoint(delta=delta, rate=rate, alpha=alpha)
-
-
-def psi_quadratic_residual(q: int, delta: float, alpha: float) -> float:
-    return delta * alpha * alpha + (q - 1) * (delta + 1) * alpha - (q - 1)
 
 
 def nets_rao(q: int, delta: float) -> float:

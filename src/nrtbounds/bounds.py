@@ -26,6 +26,7 @@ from .space import (
     ball_size,
     check_distance,
     check_strength,
+    check_weight,
     delta_crit,
     shape_count,
     shape_weight,
@@ -135,6 +136,7 @@ def rao(params: SpaceParams, t: int) -> BoundResult:
 def johnson(params: SpaceParams, d: int, w: int) -> BoundResult:
     """Constant-weight bound dn / (dn - 2wn + w^2/(r delta_crit))."""
     check_distance(params, d)
+    check_weight(params, w)
     dc = delta_crit(params.q, params.r)
     denom = Fraction(d * params.n) - 2 * w * params.n + Fraction(w * w) / (params.r * dc)
     if denom <= 0:
@@ -191,6 +193,7 @@ def varshamov(params: SpaceParams, t: int) -> int:
     a linear array of strength t and dimension m."""
     if t < 1:
         raise ValueError("strength must be >= 1")
+    check_strength(params, t)
     if params.n >= 2:
         sub = SpaceParams(q=params.q, r=params.r, n=params.n - 1)
         balls = list(accumulate(weight_distribution(sub)))

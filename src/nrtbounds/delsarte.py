@@ -16,8 +16,7 @@ The array program is not solved by a simplex of its own: the scheme is
 formally self-dual, so its eigenmatrix T[f][e] = K_f(e) satisfies
 T T = q^(nr) I, and the array optimum at strength t is q^(nr) over the code
 optimum at distance t+1, attained by the transform of the code optimum (see
-`solve_ooa_lp`).  The direct array simplex is kept as `_solve_ooa_lp_direct`,
-the reference the tests compare against.
+`solve_ooa_lp`).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from fractions import Fraction
 from operator import add
 
 from .krawtchouk import krawtchouk_table
-from .simplex import EQ, GE, LE, make_lp, simplex_solve
+from .simplex import LE, make_lp, simplex_solve
 from .space import (
     CheckFailure,
     Shape,
@@ -79,9 +78,8 @@ class OoaLPResult:
     t: int
     bound: Fraction
     distribution: dict[Shape, Fraction]
-    # the code certificate at d = t+1, which bounds arrays of strength t;
-    # None from the direct array simplex
-    certificate: DualCertificate | None = None
+    # the code certificate at d = t+1, which bounds arrays of strength t
+    certificate: DualCertificate
 
 
 def check_certificate(cert: DualCertificate, tol: float = 0.0) -> CertificateCheck:
@@ -175,30 +173,6 @@ def solve_ooa_lp(params: SpaceParams, t: int) -> OoaLPResult:
         bound=params.ambient_size / code.bound,
         distribution=krawtchouk_table(params).transform(code.distribution, code.bound),
         certificate=code.certificate,
-    )
-
-
-def _solve_ooa_lp_direct(params: SpaceParams, t: int) -> OoaLPResult:
-    """The array program solved by its own simplex: the reference that
-    `solve_ooa_lp` is tested against."""
-    check_strength(params, t)
-    T = krawtchouk_table(params)
-    zero, free = T.shapes[0], T.shapes[1:]
-    # row f != 0: sum_{e != 0} K_f(e) B_e = or >= -K_f(0) = -v_f
-    rows = [
-        (list(row[1:]), EQ if shape_weight(f) <= t else GE, -row[0])
-        for f, row in zip(free, T.rows[1:])
-    ]
-    lp = make_lp([1] * len(free), rows, maximize=False)
-    res = simplex_solve(lp)
-    if res.status != "optimal":
-        raise LPError(f"array program returned {res.status}")
-    distribution = {zero: Fraction(1)}
-    for e, val in zip(free, res.x):
-        if val != 0:
-            distribution[e] = val
-    return OoaLPResult(
-        params=params, t=t, bound=1 + res.objective, distribution=distribution
     )
 
 

@@ -49,7 +49,6 @@ from .space import (
     CheckFailure,
     Shape,
     SpaceParams,
-    check_depth,
     enumerate_shapes,
     enumerate_vectors,
     representative,
@@ -95,15 +94,6 @@ def _k_recurrence(q: int, nu, s: int, x):
     """k_s(nu, x) for s >= 0, the last value of `_k_values`."""
     *_, value = _k_values(q, nu, s, x)
     return value
-
-
-def uni_recurrence_check(q: int, nu, s: int, x) -> bool:
-    """k_s(nu, x) == k_s(nu-1, x) + (q-1) k_{s-1}(nu-1, x), exact."""
-    if s < 1:
-        raise ValueError("degree must be >= 1")
-    lhs = k_uni(q, nu, s, x)
-    rhs = k_uni(q, nu - 1, s, x) + (q - 1) * k_uni(q, nu - 1, s - 1, x)
-    return lhs == rhs
 
 
 def K_multi(params: SpaceParams, f: Shape, x) -> int | float:
@@ -241,27 +231,7 @@ def _vectors_by_shape(params: SpaceParams) -> dict[Shape, tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Linear polynomials and the inner product
-
-
-def linear_K(params: SpaceParams, i: int) -> tuple:
-    """Affine coefficients (c_0, c_1, ..., c_r) of the degree-1 polynomial
-    indexed by the single-part shape with its part at depth i:
-
-        q^(i-1) (q-1) (n - x_r - ... - x_{r-i+2}) - q^i x_{r-i+1}
-    """
-    check_depth(params, i)
-    q, r, n = params.q, params.r, params.n
-    coeffs = [0] * (r + 1)
-    coeffs[0] = q ** (i - 1) * (q - 1) * n
-    for j in range(r - i + 2, r + 1):
-        coeffs[j] = -(q ** (i - 1)) * (q - 1)
-    coeffs[r - i + 1] = -(q**i)
-    return tuple(coeffs)
-
-
-def eval_linear(coeffs: tuple, x) -> Fraction:
-    return coeffs[0] + sum(c * xi for c, xi in zip(coeffs[1:], x))
+# The inner product
 
 
 def weight_w(params: SpaceParams, e: Shape) -> Fraction:

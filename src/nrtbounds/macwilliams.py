@@ -14,7 +14,6 @@ is the left-reading enumerator of its dual.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -26,7 +25,6 @@ from .space import (
     SpaceParams,
     dual_code,
     enumerate_code,
-    parse_shape_key,
     shape_bar_of,
     shape_key,
     shape_of,
@@ -82,18 +80,3 @@ def verify_duality(code: LinearCode) -> bool:
     predicted = transform(primal, code.size)
     actual = enumerator_of(dual_code(code), LEFT)
     return predicted.coeffs == actual.coeffs
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-
-
-def enumerator_to_json(enum: WeightEnumerator) -> str:
-    return json.dumps(enum.as_json_dict(), indent=2)
-
-
-def enumerator_from_json(text: str) -> WeightEnumerator:
-    payload = json.loads(text)
-    params = SpaceParams(**payload["params"])
-    coeffs = {parse_shape_key(key): Fraction(val) for key, val in payload["coeffs"].items()}
-    return WeightEnumerator(params=params, reading=payload["reading"], coeffs=coeffs)

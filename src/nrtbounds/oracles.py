@@ -35,6 +35,16 @@ def _weight(q: int, r: int, n: int, v: tuple[int, ...]) -> int:
     return total
 
 
+def _shape(q: int, r: int, n: int, v: tuple[int, ...]) -> tuple[int, ...]:
+    e = [0] * r
+    for i in range(n):
+        for j in range(r - 1, -1, -1):
+            if v[i * r + j] != 0:
+                e[j] += 1
+                break
+    return tuple(e)
+
+
 def _distance(q: int, r: int, n: int, u: tuple[int, ...], v: tuple[int, ...]) -> int:
     diff = tuple((a - b) % q for a, b in zip(u, v))
     return _weight(q, r, n, diff)
@@ -125,6 +135,33 @@ def constant_weight_max(
         if _weight(q, r, n, v) == w
     ]
     return _max_clique(params, d, sphere, budget)
+
+
+def intersection_general(
+    params: SpaceParams,
+    f: tuple[int, ...],
+    g: tuple[int, ...],
+    h: tuple[int, ...],
+    budget: SearchBudget = DEFAULT_BUDGET,
+) -> int:
+    """Exact intersection number: the count of z with shape(z) = g and
+    shape(z - x) = f, for a fixed x of shape h (the first in enumeration
+    order; the count is the same for every x of that shape)."""
+    q, r, n = params.q, params.r, params.n
+    if params.ambient_size > budget.max_ambient:
+        raise BudgetExceeded(
+            f"ambient {params.ambient_size} exceeds cap {budget.max_ambient}"
+        )
+    vectors = list(itertools.product(range(q), repeat=r * n))
+    shapes = [_shape(q, r, n, v) for v in vectors]
+    x = next((v for v, e in zip(vectors, shapes) if e == h), None)
+    if x is None:
+        raise ValueError(f"no vector of shape {h}")
+    count = 0
+    for z, e in zip(vectors, shapes):
+        if e == g and _shape(q, r, n, tuple((a - b) % q for a, b in zip(z, x))) == f:
+            count += 1
+    return count
 
 
 def brute_force_min_ooa(

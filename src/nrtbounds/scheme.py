@@ -17,23 +17,16 @@ from math import sqrt
 
 from .krawtchouk import krawtchouk_table
 from .space import (
-    BudgetExceeded,
     CheckFailure,
     Shape,
     SpaceParams,
     check_depth,
     delta_crit,
-    enumerate_vectors,
-    representative,
     shape_count,
     shape_length,
-    shape_of,
     shape_weight,
     shapes_of_length,
-    vector_sub,
 )
-
-INTERSECTION_CAP = 1 << 12  # largest ambient space `intersection_general` walks
 
 
 def _L_terms(params: SpaceParams, i: int) -> tuple[int, int]:
@@ -42,11 +35,6 @@ def _L_terms(params: SpaceParams, i: int) -> tuple[int, int]:
     check_depth(params, i)
     q, r = params.q, params.r
     return q ** (r - i + 1) - 1, q**r * (q - 1)
-
-
-def L_coeff(params: SpaceParams, i: int) -> Fraction:
-    """L_i = (q^(r-i+1) - 1) / (q^r (q-1))."""
-    return Fraction(*_L_terms(params, i))
 
 
 def P_eval(params: SpaceParams, e: Shape) -> Fraction:
@@ -66,7 +54,9 @@ def _bump(f: Shape, j: int, delta: int) -> Shape:
 
 def _nonzero_intersections(params: SpaceParams, f: Shape, i: int):
     """The pairs (h, m) of a shape h of the space and its nonzero
-    intersection number m = intersection_Fi(f, i, h), at most 2i + 1.
+    intersection number m with the single-part shape F_i at depth i: the
+    count of z with shape(z) = f and shape(z - x) = F_i, for a fixed x of
+    shape h.  There are at most 2i + 1 such pairs.
 
     Adding a depth-i perturbation to a vector of shape h can: create a new
     depth-i block, annihilate one, move a block between depths k < i and i,
@@ -94,30 +84,6 @@ def _nonzero_intersections(params: SpaceParams, f: Shape, i: int):
             yield _bump(_bump(f, kk, -1), ii, 1), (f[ii] + 1) * (q - 1) * q**kk
     if f[ii]:
         yield _bump(f, ii, -1), (n - shape_length(f) + 1) * step
-
-
-def intersection_Fi(params: SpaceParams, f: Shape, i: int, h: Shape) -> int:
-    """Intersection number with a single-part first index at depth i: the
-    count of z with shape(z) = f and shape(z - x) = F_i, for a fixed x of
-    shape h.  Nonzero only for the moves listed in `_nonzero_intersections`.
-    """
-    check_depth(params, i)
-    return next((m for g, m in _nonzero_intersections(params, f, i) if g == h), 0)
-
-
-def intersection_general(params: SpaceParams, f: Shape, g: Shape, h: Shape) -> int:
-    """Brute-force intersection number: the count of z with shape(z) = g and
-    shape(z - x) = f, for a fixed x of shape h."""
-    if params.ambient_size > INTERSECTION_CAP:
-        raise BudgetExceeded(
-            f"ambient size {params.ambient_size} exceeds oracle cap {INTERSECTION_CAP}"
-        )
-    x = representative(params, h)
-    count = 0
-    for z in enumerate_vectors(params):
-        if shape_of(params, z) == g and shape_of(params, vector_sub(params, z, x)) == f:
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +120,9 @@ def _degree(params: SpaceParams, k: int):
 
 def build_blocks(params: SpaceParams, kappa: int) -> ThreeTermBlocks:
     """Raw entries x[f,h] = sum_i L_i m_i over the nonzero intersection
-    numbers m_i = intersection_Fi(f, i, h) of each row shape f, summed as
-    integers N[f,h] = sum_i N_i m_i, where L_i = N_i / D over the common
-    D = q^r (q-1)."""
+    numbers m_i of each row shape f with F_i (`_nonzero_intersections`),
+    summed as integers N[f,h] = sum_i N_i m_i, where L_i = N_i / D over the
+    common D = q^r (q-1)."""
     if kappa > params.n:
         raise ValueError(f"degree {kappa} exceeds n = {params.n}")
     terms = [_L_terms(params, i) for i in range(1, params.r + 1)]
@@ -296,27 +262,3 @@ def cd_kernel(params: SpaceParams, L, a: Shape, e: Shape) -> Fraction:
     for f in L:
         total += Fraction(T[f, a] * T[f, e], T[f, zero])
     return total
-
-
-def cd_check(params: SpaceParams, kappa: int, a: Shape, e: Shape) -> bool:
-    """Exact two-sided check of the Christoffel-Darboux identity at degree
-    kappa:
-
-        (P(e) - P(a)) U_kappa(a, e)
-            = sum_{|f|=kappa, |h|=kappa+1} (a_kappa[f,h]/v_f)
-                  (K_h(e) K_f(a) - K_f(e) K_h(a))
-    """
-    T = krawtchouk_table(params)
-    zero = T.shapes[0]
-    L = [f for mu in range(kappa + 1) for f in shapes_of_length(params, mu)]
-    lhs = (P_eval(params, e) - P_eval(params, a)) * cd_kernel(params, L, a, e)
-    blocks = build_blocks(params, kappa)
-    rhs = Fraction(0)
-    for fi, f in enumerate(blocks.rows):
-        vf = T[f, zero]
-        for hi, h in enumerate(blocks.cols_up):
-            coeff = blocks.a[fi][hi]
-            if coeff == 0:
-                continue
-            rhs += coeff * (T[h, e] * T[f, a] - T[f, e] * T[h, a]) / vf
-    return lhs == rhs

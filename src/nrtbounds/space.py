@@ -506,13 +506,6 @@ def parse_array_text(text: str) -> ArrayTable:
     return ArrayTable(params=params, rows=tuple(rows))
 
 
-def format_array_text(table: ArrayTable) -> str:
-    p = table.params
-    out = [f"{p.q} {p.r} {p.n}"]
-    out.extend(" ".join(str(s) for s in row) for row in table.rows)
-    return "\n".join(out) + "\n"
-
-
 def read_array_file(path) -> ArrayTable:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_array_text(fh.read())

@@ -23,7 +23,6 @@ from nrtbounds.asymptotics import (
     phi_r2,
     plotkin_curve,
     psi_nets,
-    psi_quadratic_residual,
 )
 from nrtbounds.bounds import (
     R2Witness,
@@ -47,7 +46,7 @@ from nrtbounds.oracles import (
     brute_force_max_code,
     brute_force_min_ooa,
 )
-from nrtbounds.scheme import P_eval, build_blocks, build_operator, cd_check, spectral_radius
+from nrtbounds.scheme import P_eval, build_blocks, build_operator, spectral_radius
 from nrtbounds.space import (
     BudgetExceeded,
     LinearCode,
@@ -57,6 +56,7 @@ from nrtbounds.space import (
     row_reduce_mod,
     shape_count,
 )
+from test_scheme import cd_check
 
 
 def report(number: int, text: str) -> None:
@@ -234,7 +234,8 @@ def test_criterion_09_asymptotic_anchors():
             assert abs(H(q, r, float(delta_crit(q, r))) - 1.0) < 1e-9, (q, r)
     for delta in (1e-6, 1e-9):
         pt = psi_nets(2, delta)
-        assert abs(psi_quadratic_residual(2, delta, pt.alpha)) < 1e-12
+        a = pt.alpha
+        assert abs(delta * a * a + (delta + 1) * a - 1) < 1e-12  # the quadratic at q = 2
         assert pt.rate < 1e-4
     report(9, "volume exponent anchors and net-curve root residuals hold")
 

@@ -14,15 +14,12 @@ from nrtbounds.asymptotics import (
     lambda_expression,
     lp_curve,
     lp_curve_default_taus,
-    lp_delta,
-    lp_ooa_rate,
     lp_rate,
     nets_rao,
     phi_r2,
     phi_r2_with_witness,
     plotkin_curve,
     psi_nets,
-    psi_quadratic_residual,
     z0_solve,
 )
 from nrtbounds.space import delta_crit
@@ -57,6 +54,23 @@ def test_H_is_one_at_critical_distance():
         for r in (1, 2, 3, 4):
             dc = float(delta_crit(q, r))
             assert H(q, r, dc) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "r, frac, want",
+    [
+        # 40-digit mpmath bisection of the saddle-point equation at the same x
+        (2000, 0.9999, 0.99999343950780252111),
+        (1100, 0.99999, 0.99999996061421609545),
+    ],
+    ids=["r2000", "r1100"],
+)
+def test_H_near_critical_distance_at_large_depth(r, frac, want):
+    # z0 > 1 here, so z0^r overflows a float unless the power sums are
+    # scaled; the suite turns the overflow warning into an error
+    x = frac * float(delta_crit(2, r))
+    assert abs(H(2, r, x) - want) < 1e-12
+    assert gv_curve(2, r, x) > 0
 
 
 def test_H_examples():
@@ -372,7 +386,7 @@ def test_lp_curve_limits():
     q, r = 2, 2
     dc = float(delta_crit(q, r))
     assert lp_rate(q, r, 1e-9) == pytest.approx(0.0, abs=1e-6)
-    assert lp_delta(q, r, 1e-9) == pytest.approx(dc, abs=1e-4)
+    assert lp_curve(q, r, [1e-9])[0].delta == pytest.approx(dc, abs=1e-4)
 
 
 def test_lp_curve_reduction_to_classical_binary():
@@ -460,7 +474,8 @@ def test_psi_examples():
 def test_psi_residual_and_small_delta():
     for delta in (1e-9, 1e-6, 0.25, 1.0, 2.0):
         pt = psi_nets(2, delta)
-        assert abs(psi_quadratic_residual(2, delta, pt.alpha)) < 1e-12
+        a = pt.alpha
+        assert abs(delta * a * a + (delta + 1) * a - 1) < 1e-12  # the quadratic at q = 2
         assert 0 < pt.alpha <= 1
     assert psi_nets(2, 1e-9).rate == pytest.approx(0.0, abs=1e-6)
     assert psi_nets(3, 1e-9).alpha == pytest.approx(1.0, abs=1e-6)
@@ -472,14 +487,9 @@ def test_nets_rao_is_half_strength():
             assert nets_rao(q, delta) == psi_nets(q, delta / 2).rate
 
 
-def test_lp_ooa_rate_is_reflection():
-    for tau in (0.1, 0.3, 0.5):
-        assert lp_ooa_rate(2, 2, tau) == 1.0 - lp_rate(2, 2, tau)
-
-
 def test_curve_point_meta_reproduces_point():
     pts = lp_curve(2, 2, lp_curve_default_taus(2, 10))
     for pt in pts:
         tau = pt.meta["tau"]
         assert lp_rate(2, 2, tau) == pytest.approx(pt.rate, abs=1e-9)
-        assert lp_delta(2, 2, tau) == pytest.approx(pt.delta, abs=1e-9)
+        assert lp_curve(2, 2, [tau])[0].delta == pytest.approx(pt.delta, abs=1e-9)

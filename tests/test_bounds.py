@@ -94,6 +94,14 @@ def test_johnson():
     assert not johnson(P22, 1, 2).applicable
 
 
+def test_johnson_rejects_weights_outside_the_space():
+    for w in (-1, P22.dim + 1, -3, 7):
+        with pytest.raises(ValueError, match=rf"^weight {w} out of range \[0, {P22.dim}\]$"):
+            johnson(P22, 4, w)
+    for w in (0, P22.dim):
+        assert johnson(P22, 4, w).name  # the ends are in range
+
+
 def test_bassalygo_elias():
     res = bassalygo_elias(P22, 2)
     assert res.value == 16 and res.witness == {"w": 0}
@@ -113,6 +121,15 @@ def test_gilbert():
 def test_varshamov():
     assert varshamov(P22, 2) == 2
     assert varshamov(SpaceParams(2, 1, 4), 2) == 3  # 1 + S_{1,3} = 4, need 2^m > 4
+
+
+def test_varshamov_rejects_strengths_outside_the_space():
+    for t in (P22.dim + 1, 9, 100):
+        with pytest.raises(ValueError, match=rf"^strength {t} out of range \[0, {P22.dim}\]$"):
+            varshamov(P22, t)
+    with pytest.raises(ValueError, match="^strength must be >= 1$"):
+        varshamov(P22, 0)
+    assert varshamov(P22, P22.dim) >= 0  # the top end is in range
 
 
 def test_spectral_bound_example():

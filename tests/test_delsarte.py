@@ -10,7 +10,6 @@ from nrtbounds.delsarte import (
     solve_code_lp,
     solve_ooa_lp,
 )
-from nrtbounds.scheme import L_coeff
 from nrtbounds.space import (
     SpaceParams,
     delta_crit,
@@ -79,7 +78,7 @@ def test_affine_certificate_gives_plotkin(q, r, n, d):
     F = {}
     for i in range(1, r + 1):
         Fi = tuple(1 if j == i - 1 else 0 for j in range(r))
-        F[Fi] = L_coeff(p, i)
+        F[Fi] = Fraction(q ** (r - i + 1) - 1, q**r * (q - 1))  # L_i
     cert = DualCertificate(params=p, d=d, F0=Fraction(d) - mean, F=F)
     chk = check_certificate(cert)
     assert chk.accepted

@@ -13,9 +13,6 @@ from nrtbounds.krawtchouk import (
     _value_cube,
     k_uni,
     krawtchouk_table,
-    linear_K,
-    eval_linear,
-    uni_recurrence_check,
     weight_w,
 )
 from nrtbounds.space import (
@@ -82,14 +79,19 @@ def test_k_uni_degree_one_closed_form():
 
 
 def test_recurrence_randomized():
+    # k_s(nu, x) = k_s(nu - 1, x) + (q - 1) k_{s-1}(nu - 1, x), exactly
+    def holds(q, nu, s, x):
+        rhs = k_uni(q, nu - 1, s, x) + (q - 1) * k_uni(q, nu - 1, s - 1, x)
+        return k_uni(q, nu, s, x) == rhs
+
     rng = random.Random(0)
-    assert uni_recurrence_check(2, 3, 2, 1)
+    assert holds(2, 3, 2, 1)
     for _ in range(100):
         q = rng.choice([2, 3, 4])
         s = rng.randint(1, 5)
         nu = Fraction(rng.randint(-20, 40), rng.randint(1, 7))
         x = Fraction(rng.randint(-20, 40), rng.randint(1, 7))
-        assert uni_recurrence_check(q, nu, s, x)
+        assert holds(q, nu, s, x)
 
 
 def test_K_multi_examples():
@@ -120,18 +122,15 @@ def test_reciprocity(q, r, n):
 
 
 def test_linear_K():
-    p = SpaceParams(2, 2, 2)
-    c1 = linear_K(p, 1)
-    assert c1 == (2, 0, -2)  # n(q-1) - q x_r
-    tbl = krawtchouk_table(p)
-    for i in (1, 2):
-        coeffs = linear_K(p, i)
-        Fi = tuple(1 if j == i - 1 else 0 for j in range(2))
-        for e in enumerate_shapes(p):
-            assert eval_linear(coeffs, e) == tbl[(Fi, e)]
-        assert eval_linear(coeffs, (0, 0)) == p.q ** (i - 1) * (p.q - 1) * p.n
-    with pytest.raises(ValueError):
-        linear_K(p, 3)
+    # the degree-one polynomial at depth i is affine in the shape e:
+    # q^(i-1) (q-1) (n - e_r - ... - e_(r-i+2)) - q^i e_(r-i+1)
+    for q, r, n in [(2, 2, 2), (3, 2, 3), (2, 3, 3)]:
+        tbl = krawtchouk_table(SpaceParams(q, r, n))
+        for i in range(1, r + 1):
+            Fi = tuple(1 if j == i - 1 else 0 for j in range(r))
+            for e in tbl.shapes:
+                want = q ** (i - 1) * (q - 1) * (n - sum(e[r - i + 1 :])) - q**i * e[r - i]
+                assert tbl[(Fi, e)] == want
 
 
 @pytest.mark.parametrize("q,r,n", [(2, 2, 2), (3, 2, 2), (2, 3, 2)])

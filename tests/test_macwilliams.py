@@ -10,9 +10,7 @@ from nrtbounds.macwilliams import (
     LEFT,
     RIGHT,
     WeightEnumerator,
-    enumerator_from_json,
     enumerator_of,
-    enumerator_to_json,
     transform,
     verify_duality,
 )
@@ -165,14 +163,6 @@ def test_fourier_tie_to_eigenvalues():
                     / C.size
                 )
                 assert predicted == dual_right.coeffs.get(f, 0)
-
-
-def test_enumerator_json_roundtrip():
-    p = SpaceParams(2, 2, 2)
-    C = LinearCode(params=p, generators=((1, 0, 0, 1),))
-    en = enumerator_of(C)
-    again = enumerator_from_json(enumerator_to_json(en))
-    assert again == en
 
 
 def test_transform_reads_the_table_only(monkeypatch):

@@ -5,6 +5,7 @@ from nrtbounds.oracles import (
     brute_force_max_code,
     brute_force_min_ooa,
     constant_weight_max,
+    intersection_general,
 )
 from nrtbounds.space import BudgetExceeded, SpaceParams
 
@@ -58,3 +59,14 @@ def test_budget_exceeded():
     tiny = SearchBudget(max_ambient=8)
     with pytest.raises(BudgetExceeded):
         brute_force_max_code(SpaceParams(2, 2, 2), 2, budget=tiny)
+    with pytest.raises(BudgetExceeded):
+        intersection_general(SpaceParams(2, 2, 7), (0, 0), (0, 0), (0, 0))  # ambient 2^14
+    with pytest.raises(BudgetExceeded):
+        intersection_general(SpaceParams(2, 2, 2), (0, 0), (0, 0), (0, 0), budget=tiny)
+
+
+def test_intersection_oracle_needs_a_shape_of_the_space():
+    p = SpaceParams(2, 2, 2)
+    assert intersection_general(p, (0, 0), (1, 1), (1, 1)) == 1
+    with pytest.raises(ValueError, match="no vector of shape"):
+        intersection_general(p, (0, 0), (0, 0), (3, 0))  # three blocks in a space of two

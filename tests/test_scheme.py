@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from nrtbounds.krawtchouk import krawtchouk_table
+from nrtbounds.oracles import intersection_general
 from nrtbounds.scheme import (
-    L_coeff,
     P_eval,
+    _nonzero_intersections,
     build_blocks,
     build_operator,
-    cd_check,
     cd_kernel,
-    intersection_Fi,
-    intersection_general,
     operators,
     spectral_radius,
 )
@@ -27,6 +25,40 @@ from nrtbounds.space import (
 
 def unit_shape(r, i):
     return tuple(1 if j == i - 1 else 0 for j in range(r))
+
+
+def L_coeff(p, i):
+    """L_i = (q^(r-i+1) - 1) / (q^r (q-1))."""
+    return Fraction(p.q ** (p.r - i + 1) - 1, p.q**p.r * (p.q - 1))
+
+
+def intersection_Fi(p, f, i, h):
+    """The intersection number of f with the single-part shape F_i at h."""
+    return dict(_nonzero_intersections(p, f, i)).get(h, 0)
+
+
+def cd_check(p, kappa, a, e):
+    """Exact two-sided check of the Christoffel-Darboux identity at degree
+    kappa:
+
+        (P(e) - P(a)) U_kappa(a, e)
+            = sum_{|f|=kappa, |h|=kappa+1} (a_kappa[f,h]/v_f)
+                  (K_h(e) K_f(a) - K_f(e) K_h(a))
+    """
+    T = krawtchouk_table(p)
+    zero = T.shapes[0]
+    L = [f for mu in range(kappa + 1) for f in shapes_of_length(p, mu)]
+    lhs = (P_eval(p, e) - P_eval(p, a)) * cd_kernel(p, L, a, e)
+    blocks = build_blocks(p, kappa)
+    rhs = Fraction(0)
+    for fi, f in enumerate(blocks.rows):
+        vf = T[f, zero]
+        for hi, h in enumerate(blocks.cols_up):
+            coeff = blocks.a[fi][hi]
+            if coeff == 0:
+                continue
+            rhs += coeff * (T[h, e] * T[f, a] - T[f, e] * T[h, a]) / vf
+    return lhs == rhs
 
 
 def test_P_eval():

@@ -8,8 +8,8 @@ random programs (fractional data, all three relations, negative right-hand
 sides, both senses; optimal, infeasible and unbounded) and for the Delsarte
 programs of four small spaces, together with the distributions and
 certificates `delsarte` builds from them.  The array programs are those of
-`delsarte._solve_ooa_lp_direct`, the direct simplex that `solve_ooa_lp`,
-which goes through the code program, is checked against below.
+`solve_ooa_lp_direct` below, the array program solved by a simplex of its
+own; `delsarte.solve_ooa_lp` goes through the code program instead.
 
 Re-record (only from a solver known to keep the path):
 
@@ -22,6 +22,7 @@ import json
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -84,12 +85,30 @@ def _rationals(mapping) -> dict:
     return {_key(e): str(v) for e, v in sorted(mapping.items())}
 
 
+def solve_ooa_lp_direct(params: SpaceParams, t: int):
+    """The array program at strength t solved by its own simplex: its
+    bound and its distribution B."""
+    T = krawtchouk_table(params)
+    zero, free = T.shapes[0], T.shapes[1:]
+    # row f != 0: sum_{e != 0} K_f(e) B_e = or >= -K_f(0) = -v_f
+    rows = [
+        (list(row[1:]), EQ if shape_weight(f) <= t else GE, -row[0])
+        for f, row in zip(free, T.rows[1:])
+    ]
+    # through delsarte's name, so that `solve_capturing` records this program too
+    res = delsarte.simplex_solve(make_lp([1] * len(free), rows, maximize=False))
+    assert res.status == "optimal", res.status
+    distribution = {zero: Fraction(1)}
+    distribution.update((e, val) for e, val in zip(free, res.x) if val != 0)
+    return SimpleNamespace(bound=1 + res.objective, distribution=distribution)
+
+
 def delsarte_programs(params: SpaceParams):
     """(name, solver call) for every code distance and array strength."""
     for d in range(2, params.dim + 2):
         yield f"I d{d}", lambda d=d: delsarte.solve_code_lp(params, d)
     for t in range(0, params.dim + 1):
-        yield f"II t{t}", lambda t=t: delsarte._solve_ooa_lp_direct(params, t)
+        yield f"II t{t}", lambda t=t: solve_ooa_lp_direct(params, t)
 
 
 def solve_capturing(call):
@@ -170,14 +189,16 @@ def test_delsarte_programs_pinned(pinned, space):
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: _space_name(*s))
 def test_array_program_through_code_program(space):
-    # the bound of the direct array simplex, and an exactly feasible B:
-    # B >= 0, B_0 = 1, T B = 0 at 1 <= |f|' <= t and T B >= 0 above
+    # an exactly feasible B (B >= 0, B_0 = 1, T B = 0 at 1 <= |f|' <= t and
+    # T B >= 0 above) whose value sum B is the bound its certificate proves
+    # for every array of strength t: so B is optimal
     p = SpaceParams(*space)
     tbl = krawtchouk_table(p)
     shapes = list(enumerate_shapes(p))
     for t in range(p.dim + 1):
         res = delsarte.solve_ooa_lp(p, t)
-        assert res.bound == delsarte._solve_ooa_lp_direct(p, t).bound, t
+        check = delsarte.check_certificate(res.certificate)
+        assert check.accepted and check.ooa_bound == res.bound, t
         B = res.distribution
         assert B[shapes[0]] == 1 and all(b > 0 for b in B.values())
         assert sum(B.values()) == res.bound

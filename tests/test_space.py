@@ -17,7 +17,6 @@ from nrtbounds.space import (
     enumerate_code,
     enumerate_shapes,
     enumerate_vectors,
-    format_array_text,
     net_to_ooa,
     ooa_strength,
     ooa_to_net,
@@ -310,8 +309,9 @@ def test_array_file_roundtrip():
     table = parse_array_text(text)
     assert table.params == SpaceParams(2, 2, 2)
     assert table.rows == ((0, 0, 0, 0), (1, 0, 0, 1))
-    again = parse_array_text(format_array_text(table))
-    assert again == table
+    p = table.params
+    lines = [f"{p.q} {p.r} {p.n}"] + [" ".join(map(str, row)) for row in table.rows]
+    assert parse_array_text("\n".join(lines) + "\n") == table
     with pytest.raises(ValueError):
         parse_array_text("2 2\n0 0\n")
     with pytest.raises(ValueError):
