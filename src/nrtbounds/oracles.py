@@ -142,15 +142,14 @@ def intersection_general(
     f: tuple[int, ...],
     g: tuple[int, ...],
     h: tuple[int, ...],
-    budget: SearchBudget = DEFAULT_BUDGET,
 ) -> int:
     """Exact intersection number: the count of z with shape(z) = g and
     shape(z - x) = f, for a fixed x of shape h (the first in enumeration
     order; the count is the same for every x of that shape)."""
     q, r, n = params.q, params.r, params.n
-    if params.ambient_size > budget.max_ambient:
+    if params.ambient_size > DEFAULT_BUDGET.max_ambient:
         raise BudgetExceeded(
-            f"ambient {params.ambient_size} exceeds cap {budget.max_ambient}"
+            f"ambient {params.ambient_size} exceeds cap {DEFAULT_BUDGET.max_ambient}"
         )
     vectors = list(itertools.product(range(q), repeat=r * n))
     shapes = [_shape(q, r, n, v) for v in vectors]

@@ -61,8 +61,6 @@ def test_budget_exceeded():
         brute_force_max_code(SpaceParams(2, 2, 2), 2, budget=tiny)
     with pytest.raises(BudgetExceeded):
         intersection_general(SpaceParams(2, 2, 7), (0, 0), (0, 0), (0, 0))  # ambient 2^14
-    with pytest.raises(BudgetExceeded):
-        intersection_general(SpaceParams(2, 2, 2), (0, 0), (0, 0), (0, 0), budget=tiny)
 
 
 def test_intersection_oracle_needs_a_shape_of_the_space():

@@ -191,7 +191,8 @@ def test_delsarte_programs_pinned(pinned, space):
 def test_array_program_through_code_program(space):
     # an exactly feasible B (B >= 0, B_0 = 1, T B = 0 at 1 <= |f|' <= t and
     # T B >= 0 above) whose value sum B is the bound its certificate proves
-    # for every array of strength t: so B is optimal
+    # for every array of strength t: so B is optimal, and its value is the
+    # optimum the array program's own simplex finds
     p = SpaceParams(*space)
     tbl = krawtchouk_table(p)
     shapes = list(enumerate_shapes(p))
@@ -199,6 +200,7 @@ def test_array_program_through_code_program(space):
         res = delsarte.solve_ooa_lp(p, t)
         check = delsarte.check_certificate(res.certificate)
         assert check.accepted and check.ooa_bound == res.bound, t
+        assert res.bound == solve_ooa_lp_direct(p, t).bound, t
         B = res.distribution
         assert B[shapes[0]] == 1 and all(b > 0 for b in B.values())
         assert sum(B.values()) == res.bound
