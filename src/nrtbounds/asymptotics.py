@@ -118,11 +118,6 @@ def z0_solve(q: int, r: int, x):
     return 0.5 * (lo + hi)
 
 
-def _nonneg(x):
-    """max(x, 0) for a float or an array, exactly: x + |x| is 2x or 0."""
-    return (x + abs(x)) * 0.5
-
-
 def h_q(q: int, x):
     """q-ary entropy -x log_q(x/(q-1)) - (1-x) log_q(1-x), with 0 log 0 = 0,
     at a float or elementwise on an array."""
@@ -212,6 +207,21 @@ def curve_grid(curve, q: int, r: int, grid: int) -> tuple[list[float], list[floa
 # The limiting eigenvalue expression and the LP curve
 
 
+@functools.lru_cache(maxsize=None)
+def _lambda_constants(q: int, r: int) -> tuple[tuple, ...]:
+    """For i = 1..r: L_i, q^(i-1), q^r - q^(i-1) and the cross powers
+    q^(i+k), k = 1..i-1, of `lambda_expression`."""
+    return tuple(
+        (
+            (q ** (r - i + 1) - 1) / (q**r * (q - 1)),
+            q ** (i - 1),
+            q**r - q ** (i - 1),
+            tuple(q ** (i + k) for k in range(1, i)),
+        )
+        for i in range(1, r + 1)
+    )
+
+
 def lambda_expression(q: int, r: int, taus):
     """Limiting scaled eigenvalue contribution of a weight profile
     (tau_1, ..., tau_r) with tau = sum tau_i:
@@ -221,27 +231,31 @@ def lambda_expression(q: int, r: int, taus):
                     + 2 (q-1)/q sum_{k<i} sqrt(tau_k tau_i q^(i+k)) ].
 
     Each tau_i is a float, or an array holding one profile per entry.
+    Negative parts are clamped to 0 as (x + |x|) / 2, which is 2x / 2 or 0
+    exactly.  Sums are plain left-to-right loops from 0, as `sum` adds
+    arrays, so a float and an array give the same bits (`sum` of floats is
+    compensated from Python 3.12 on).
     """
-    tau = sum(taus)
+    tau = 0
+    for t in taus:
+        tau = tau + t
     if isinstance(tau, _SCALARS):
         sqrt = math.sqrt
     else:
         import numpy as np
 
         sqrt = np.sqrt
-    clamped = [_nonneg(t) for t in taus]  # products of these need no clamp
+    clamped = [(t + abs(t)) * 0.5 for t in taus]  # products of these need no clamp
+    cross = 2.0 * (q - 1) / q
     total = 0.0
-    for i in range(1, r + 1):
-        li = (q ** (r - i + 1) - 1) / (q**r * (q - 1))
-        ti = clamped[i - 1]
-        term = 2.0 * sqrt(_nonneg((1 - tau) * ti * (q - 1) * q ** (i - 1)))
-        term += (q - 2) * ti * (q**r - q ** (i - 1))
-        term += (
-            2.0
-            * (q - 1)
-            / q
-            * sum(sqrt(clamped[k - 1] * ti * q ** (i + k)) for k in range(1, i))
-        )
+    for ti, (li, low, high, powers) in zip(clamped, _lambda_constants(q, r)):
+        x = (1 - tau) * ti * (q - 1) * low
+        term = 2.0 * sqrt((x + abs(x)) * 0.5)
+        term += (q - 2) * ti * high
+        pairs = 0
+        for tk, power in zip(clamped, powers):
+            pairs = pairs + sqrt(tk * ti * power)
+        term += cross * pairs
         total += li * term
     return total
 
@@ -401,6 +415,20 @@ def phi_r2(q: int, delta: float) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=None)
+def _phi_grid(q: int, steps: int):
+    """The depth-2 grid, which is the same for every delta: the t1 column
+    and gamma and h_q of each t1 (float calls, as in the refinement), and
+    the t2 row and its `_phi_t2_terms`, each coordinate at steps + 1 points."""
+    import numpy as np
+
+    t1 = (q - 1) / q**2 * np.arange(steps + 1) / steps
+    t2 = (q - 1) / q * np.arange(steps + 1) / steps
+    g1 = np.array([gamma(q, v) for v in t1.tolist()])
+    h1 = np.array([h_q(q, v) for v in t1.tolist()])
+    return t1, g1, h1, t2, _phi_t2_terms(q, t2)
+
+
 def phi_r2_with_witness(q: int, delta: float):
     if not 0 < delta <= float(delta_crit(q, 2)):
         raise ValueError(f"delta={delta} outside (0, delta_crit]")
@@ -409,20 +437,16 @@ def phi_r2_with_witness(q: int, delta: float):
     t1_max = (q - 1) / q**2
     t2_max = (q - 1) / q
     steps = 200
-    t2_row = t2_max * np.arange(steps + 1) / steps
-    row_terms = _phi_t2_terms(q, t2_row)  # the same on every t1 row
+    t1_col, g1_col, h1_col, t2_row, row_terms = _phi_grid(q, steps)
     per = max(1, BLOCK // (steps + 1))  # t1 rows per block
     best = None
     for i in range(0, steps + 1, per):
-        t1 = t1_max * np.arange(i, min(i + per, steps + 1)) / steps
-        # gamma and h_q of t1 come from float calls, as in the refinement
-        g1 = np.array([gamma(q, v) for v in t1.tolist()])
+        t1, g1 = t1_col[i : i + per], g1_col[i : i + per]
         feasible = _phi_feasible(q, t1[:, None], t2_row, delta, row_terms, g1[:, None])
         rows, cols = np.nonzero(feasible)
         if not rows.size:
             continue
-        h1 = np.array([h_q(q, v) for v in t1.tolist()])
-        vals = _phi_objective(q, t1[rows], t2_row[cols], h1[rows])
+        vals = _phi_objective(q, t1[rows], t2_row[cols], h1_col[i : i + per][rows])
         k = int(np.argmin(vals))  # the first minimum of the block, row by row
         if best is None or vals[k] < best[0]:
             best = (float(vals[k]), float(t1[rows[k]]), float(t2_row[cols[k]]))
@@ -431,15 +455,24 @@ def phi_r2_with_witness(q: int, delta: float):
     val, t1, t2 = best
     radius1 = t1_max / steps
     radius2 = t2_max / steps
+    # the terms of each coordinate value the stencil reaches, computed once
+    g1_of, h1_of, t2_terms_of = {}, {}, {}
     while radius1 > 1e-12 or radius2 > 1e-12:
         improved = False
         for di in (-1.0, -0.5, 0.0, 0.5, 1.0):
             for dj in (-1.0, -0.5, 0.0, 0.5, 1.0):
+                # from the centre as it stands: it moves within a sweep
                 c1 = min(max(t1 + di * radius1, 0.0), t1_max)
                 c2 = min(max(t2 + dj * radius2, 0.0), t2_max)
-                if not _phi_feasible(q, c1, c2, delta):
+                if c1 not in g1_of:
+                    g1_of[c1] = gamma(q, c1)
+                if c2 not in t2_terms_of:
+                    t2_terms_of[c2] = _phi_t2_terms(q, c2)
+                if not _phi_feasible(q, c1, c2, delta, t2_terms_of[c2], g1_of[c1]):
                     continue
-                cv = _phi_objective(q, c1, c2)
+                if c1 not in h1_of:
+                    h1_of[c1] = h_q(q, c1)
+                cv = _phi_objective(q, c1, c2, h1_of[c1])
                 if cv < val - 1e-16:
                     val, t1, t2 = cv, c1, c2
                     improved = True
