@@ -191,7 +191,7 @@ def varshamov(params: SpaceParams, t: int) -> int:
     """Least m such that sum_{i<=t-tau} S_{i,n-1} < q^(m-tau+1) for every
     tau = 1..t-1, guaranteeing an [nr, nr-m] linear code of distance > t and
     a linear array of strength t and dimension m."""
-    if not 1 <= t <= params.dim:  # check_strength's form, over the range used here
+    if not 1 <= t <= params.dim:
         raise ValueError(f"strength {t} out of range [1, {params.dim}]")
     if params.n >= 2:
         sub = SpaceParams(q=params.q, r=params.r, n=params.n - 1)

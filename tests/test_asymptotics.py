@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrtbounds import asymptotics
 from nrtbounds.asymptotics import (
@@ -220,6 +222,27 @@ def test_array_evaluation_matches_floats():
             h_q(q, np.array([0.5, 1.5]))
         with pytest.raises(ValueError):
             gamma(q, np.array([-0.1, 0.2]))
+
+
+# coordinates of either sign, exact zeros among them; a total above 1
+# makes (1 - tau) negative, which the clamp must also handle alike
+_coordinate = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(1, 4).flatmap(
+        lambda r: st.lists(st.tuples(*[_coordinate] * r), min_size=1, max_size=20)
+    ),
+)
+def test_lambda_expression_gives_floats_and_arrays_the_same_bits(q, profiles):
+    # one definition serves both: each profile as floats, and all of them
+    # as one array per coordinate, element for element
+    r = len(profiles[0])
+    cols = [np.array([p[k] for p in profiles]) for k in range(r)]
+    got = [v.hex() for v in lambda_expression(q, r, cols).tolist()]
+    assert got == [lambda_expression(q, r, list(p)).hex() for p in profiles]
 
 
 def test_float_or_array_functions_take_a_fraction_as_one_number():
