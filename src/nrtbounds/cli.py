@@ -12,6 +12,7 @@ Logs go to stderr so output stays pipeline-composable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -208,7 +209,9 @@ def cmd_net(args) -> dict:
     return {"net": asdict(NetParams(t=args.t, m=args.m, s=args.s, q=args.q)), "ooa": asdict(ooa)}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after."""
     parser = argparse.ArgumentParser(
         prog="nrtbounds",
         description="Combinatorics and bounds for codes and orthogonal arrays "

@@ -24,11 +24,14 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from operator import add
+from math import comb, lcm
+from numbers import Rational
+from operator import add, truediv
 
 from .krawtchouk import krawtchouk_table
 from .simplex import LE, make_lp, simplex_solve
 from .space import (
+    BudgetExceeded,
     CheckFailure,
     Shape,
     SpaceParams,
@@ -42,6 +45,10 @@ from .space import (
 
 class LPError(CheckFailure):
     """The solver returned a status that signals a constraint-assembly bug."""
+
+
+# most shapes (program rows) an exact program is solved on; q2 r2 n16 has 153
+LP_SHAPE_CAP = 160
 
 
 @dataclass(frozen=True)
@@ -86,41 +93,56 @@ def check_certificate(cert: DualCertificate, tol: float = 0.0) -> CertificateChe
     """Verify the sign conditions and emit both bounds.
 
     F is evaluated at every shape in one pass over the eigenmatrix rows of
-    its terms.  With tol = 0 every comparison is exact.  With tol > 0
-    (float certificates) the conditions are relaxed to F_e >= -tol*scale and
+    its terms.  An exact certificate (int and Fraction coefficients, tol =
+    0) is checked in ints: F0 and every F_g are multiplied by the lcm of
+    their denominators, which scales every value of F by the same positive
+    integer and so keeps every sign and every ratio.  With tol > 0 (float
+    certificates) the conditions are relaxed to F_e >= -tol*scale and
     F(e) <= tol*scale, where scale is the largest |F(e)| over all shapes.
     """
     T = krawtchouk_table(cert.params)
+    F0, F, ratio = cert.F0, cert.F, truediv
+    if not tol and all(isinstance(v, Rational) for v in (F0, *F.values())):
+        L = lcm(F0.denominator, *(v.denominator for v in F.values()))
+        F0 = F0.numerator * (L // F0.denominator)
+        F = {g: v.numerator * (L // v.denominator) for g, v in F.items()}
+        ratio = Fraction
     terms = [0] * len(T.shapes)
-    for g, coeff in cert.F.items():
+    for g, coeff in F.items():
         terms = list(map(add, terms, [coeff * k for k in T.rows[T.index[g]]]))
-    values = [cert.F0 + v for v in terms]
-    scale = max(1.0, max(abs(float(v)) for v in values)) if tol else 0
-    if not cert.F0 > 0:
+    values = [F0 + v for v in terms]
+    margin = tol * max(1.0, max(abs(float(v)) for v in values)) if tol else 0
+    if not F0 > 0:
         return CertificateCheck(accepted=False, reason="F0 must be positive")
-    for e, coeff in cert.F.items():
-        if coeff < -tol * scale:
+    for e, coeff in F.items():
+        if coeff < -margin:
             return CertificateCheck(
                 accepted=False, reason="negative transform coefficient", witness=e
             )
     for e, val in zip(T.shapes, values):
-        if shape_weight(e) >= cert.d and val > tol * scale:
+        if shape_weight(e) >= cert.d and val > margin:
             return CertificateCheck(
                 accepted=False, reason="F positive at excluded shape", witness=e
             )
     f_at_zero = values[0]
     return CertificateCheck(
         accepted=True,
-        code_bound=f_at_zero / cert.F0,
-        ooa_bound=cert.params.ambient_size * cert.F0 / f_at_zero,
+        code_bound=ratio(f_at_zero, F0),
+        ooa_bound=ratio(cert.params.ambient_size * F0, f_at_zero),
     )
 
 
 def solve_code_lp(params: SpaceParams, d: int) -> CodeLPResult:
     """Largest-code bound: maximize sum of A_e over shapes of weight >= d,
     with A at the zero shape pinned to 1 and the Krawtchouk transform of A
-    nonnegative at every shape.  Returns 1 + optimum."""
+    nonnegative at every shape.  Returns 1 + optimum.  Raises BudgetExceeded,
+    before the eigenmatrix is built, on more than LP_SHAPE_CAP shapes."""
     check_distance(params, d)
+    count = comb(params.n + params.r, params.r)  # shapes: r parts summing to <= n
+    if count > LP_SHAPE_CAP:
+        raise BudgetExceeded(
+            f"exact LP on {count} shapes exceeds cap LP_SHAPE_CAP = {LP_SHAPE_CAP}"
+        )
     T = krawtchouk_table(params)
     shapes, zero = T.shapes, T.shapes[0]
     free = [j for j, e in enumerate(shapes) if shape_weight(e) >= d]  # all other A_e are fixed

@@ -1,14 +1,17 @@
 """Two-phase primal simplex over exact rationals with Bland's rule.
 
-Small dense tableaus only.  The tableau is held as integer numerators over
-one positive common denominator (integer-preserving elimination; Edmonds
-1967, Bareiss 1968): each constraint row is scaled to integers once, and
-every pivot updates the numerators by an exact integer division, so no
-Fraction and no gcd enters the inner loop.  Results are still exact
-fractions.Fraction values and deterministic.  Dual values are recovered
-from the final reduced costs on each row's seed column (its slack or
-artificial), which makes optimal dual solutions available to certificate
-extraction.
+Small dense dictionaries only.  `make_lp` keeps int data as ints and turns
+any other number into a Fraction.  Each constraint row is scaled to
+integers once, and the dictionary of the current basis is held as integer
+numerators over one positive common denominator (integer pivoting on a
+dictionary, as in Avis's lrs; Edmonds 1967, Bareiss 1968): only the
+nonbasic columns are stored, since every basic column is the denominator
+times a unit vector, and every pivot updates the numerators by an exact
+integer division, so no Fraction and no gcd enters the inner loop.
+Results are still exact fractions.Fraction values and deterministic.  Dual
+values are recovered from the final reduced costs on each row's seed
+column (its slack or artificial), which makes optimal dual solutions
+available to certificate extraction.
 """
 
 from __future__ import annotations
@@ -23,16 +26,16 @@ LE, GE, EQ = "<=", ">=", "=="
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
     rel: str
-    rhs: Fraction
+    rhs: int | Fraction
 
 
 @dataclass(frozen=True)
 class LinearProgram:
     """maximize (or minimize) c.x subject to constraints, x >= 0."""
 
-    objective: tuple[Fraction, ...]
+    objective: tuple[int | Fraction, ...]
     constraints: tuple[Constraint, ...]
     maximize: bool = True
 
@@ -47,28 +50,38 @@ class SimplexResult:
 
 
 def make_lp(objective, rows, maximize=True) -> LinearProgram:
-    """rows: iterable of (coeffs, rel, rhs); everything coerced to Fraction."""
+    """rows: iterable of (coeffs, rel, rhs).  Ints stay ints; any other
+    number becomes a Fraction."""
+
+    def exact(v):
+        return v if isinstance(v, int) else Fraction(v)
+
     cons = tuple(
-        Constraint(tuple(Fraction(c) for c in coeffs), rel, Fraction(rhs))
+        Constraint(tuple(exact(c) for c in coeffs), rel, exact(rhs))
         for coeffs, rel, rhs in rows
     )
     return LinearProgram(
-        objective=tuple(Fraction(c) for c in objective),
+        objective=tuple(exact(c) for c in objective),
         constraints=cons,
         maximize=maximize,
     )
 
 
 class _Tableau:
-    """The tableau as integer numerators M over one common denominator D.
+    """The dictionary of the current basis as integer numerators M over one
+    common denominator D.
 
-    Invariant: the tableau entry in row i, column j is M[i][j] / D with
-    D > 0; D is |det B| for the current basis B of the initial integer
-    tableau, and each M[i][j] is, up to the sign of det B, a minor of that
-    tableau.  The update in `pivot` therefore divides exactly (Sylvester's
-    identity; Bareiss 1968), so entries stay integers and never need a gcd.
-    The reduced-cost row R is one more such row, R / D = c - c_B B^-1 A,
-    kept current by every pivot.
+    Variables are numbered structural | slack/surplus | artificial.  The
+    basic column of row i is always D e_i, so only the nonbasic columns are
+    stored: `nonbasic[k]` is the variable in slot k, M[i][k] / D is the
+    tableau entry of row i in that variable's column, and M[i][-1] / D is the
+    row's right-hand side.  D > 0 is |det B| for the current basis B of the
+    initial integer tableau, and each M[i][k] is, up to the sign of det B, a
+    minor of that tableau.  The update in `pivot` therefore divides exactly
+    (Sylvester's identity; Bareiss 1968), so entries stay integers and never
+    need a gcd.  The reduced-cost row R is one more such row,
+    R / D = c - c_B B^-1 A over the nonbasic slots, kept current by every
+    pivot.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -100,85 +113,83 @@ class _Tableau:
             rows.append(row)
             rels.append(rel)
 
-        # column layout: structural | slack/surplus | artificial
         self.ncols = self.nvars
         self.seed_col = [None] * m  # +e_i column used for dual readout
         self.artificial = {}  # artificial column -> its row
         self.slack_row = {}  # slack or surplus column -> its row
-        extra_cols = []  # (row, value) single-entry columns
+        surplus = []  # (row, column) of each surplus
         for i, rel in enumerate(rels):
             if rel != EQ:
-                extra_cols.append((i, 1 if rel == LE else -1))
                 self.slack_row[self.ncols] = i
                 if rel == LE:
                     self.seed_col[i] = self.ncols
+                else:
+                    surplus.append((i, self.ncols))
                 self.ncols += 1
         for i, rel in enumerate(rels):
             if rel in (GE, EQ):
-                extra_cols.append((i, 1))
                 self.artificial[self.ncols] = i
                 self.seed_col[i] = self.ncols
                 self.ncols += 1
 
-        self.M = [
-            row[:-1] + [0] * (self.ncols - self.nvars) + row[-1:] for row in rows
-        ]
-        col = self.nvars
-        for i, val in extra_cols:
-            self.M[i][col] = val
-            col += 1
+        # the seed columns (slacks and artificials) are the first basis, at
+        # D = 1; the structural and surplus columns are nonbasic
+        self.basis = list(self.seed_col)
+        self.nonbasic = [*range(self.nvars), *(j for _, j in surplus)]
+        self.M = [row[:-1] + [0] * len(surplus) + row[-1:] for row in rows]
+        for k, (i, _) in enumerate(surplus, start=self.nvars):
+            self.M[i][k] = -1
         self.D = 1
         self.R = None  # set by run()
-        self.basis = [self.seed_col[i] for i in range(m)]
-        self.in_basis = set(self.basis)
         self.m = m
         self.active = [True] * m
 
-    def pivot(self, row: int, col: int) -> None:
+    def pivot(self, row: int, k: int) -> None:
+        """Exchange basis[row] with the variable in slot k."""
         D, piv_row = self.D, self.M[row]
-        p = piv_row[col]
-        # row `row` keeps its numerators; the new denominator is p
+        p = piv_row[k]
+        # row `row` keeps its numerators; the new denominator is p, and slot
+        # k takes the leaving variable, whose column was D e_row
         for i, Mi in enumerate(self.M + [self.R]):
             if i == row:
                 continue
-            f = Mi[col]
+            f = Mi[k]
             if f:
                 Mi[:] = [(a * p - f * b) // D for a, b in zip(Mi, piv_row)]
             elif p != D:
                 Mi[:] = [a * p // D for a in Mi]
+            Mi[k] = -f
+        piv_row[k] = D
         self.D = p
         if p < 0:  # only in the artificial drive-out; keep D > 0
             for Mi in self.M + [self.R]:
                 Mi[:] = [-a for a in Mi]
             self.D = -p
-        self.in_basis.discard(self.basis[row])
-        self.in_basis.add(col)
-        self.basis[row] = col
+        self.basis[row], self.nonbasic[k] = self.nonbasic[k], self.basis[row]
 
     def run(self, c: list[int], forbid: Container[int]) -> tuple[str, int | None]:
-        """Maximize c.x (integer costs) from the current basis; Bland's rule;
-        returns ("optimal", None) or ("unbounded", entering_col)."""
+        """Maximize c.x (integer costs by variable) from the current basis;
+        Bland's rule; returns ("optimal", None) or ("unbounded", entering
+        slot)."""
         D = self.D
-        R = [D * cj for cj in c] + [0]
+        R = [D * c[j] for j in self.nonbasic] + [0]
         for i in range(self.m):
             cb = c[self.basis[i]]
             if cb and self.active[i]:
                 R = [a - cb * b for a, b in zip(R, self.M[i])]
         self.R = R  # pivot() updates it in place
         while True:
-            enter = next(
-                (
-                    j
-                    for j in range(self.ncols)
-                    if R[j] > 0 and j not in forbid and j not in self.in_basis
-                ),
-                None,
+            # the lowest variable, not the lowest slot, with R > 0
+            enter = min(
+                ((j, k) for k, j in enumerate(self.nonbasic) if R[k] > 0 and j not in forbid),
+                default=None,
             )
             if enter is None:
                 return "optimal", None
+            k = enter[1]
             leave_row = None
             for i in range(self.m):
-                t = self.M[i][enter]
+                t = self.M[i][k]
                 if t > 0 and self.active[i]:
                     rhs = self.M[i][-1]
                     if leave_row is not None:
@@ -190,8 +201,8 @@ class _Tableau:
                             continue
                     leave_row, best_rhs, best_t = i, rhs, t
             if leave_row is None:
-                return "unbounded", enter
-            self.pivot(leave_row, enter)
+                return "unbounded", k
+            self.pivot(leave_row, k)
 
     def solution(self) -> list[Fraction]:
         x = [Fraction(0)] * self.nvars
@@ -220,25 +231,26 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
         # drive artificials out of the basis (all sit at value zero here)
         for i in range(tab.m):
             if tab.basis[i] in tab.artificial:
-                pivot_col = next(
+                pivot = min(
                     (
-                        j
-                        for j in range(tab.ncols)
-                        if j not in tab.artificial and tab.M[i][j] != 0
+                        (j, k)
+                        for k, j in enumerate(tab.nonbasic)
+                        if j not in tab.artificial and tab.M[i][k] != 0
                     ),
-                    None,
+                    default=None,
                 )
-                if pivot_col is None:
+                if pivot is None:
                     tab.active[i] = False  # redundant constraint
                 else:
-                    tab.pivot(i, pivot_col)
+                    tab.pivot(i, pivot[1])
 
     # phase 2 on the objective times its own integer scale
     c_scale = lcm(*(c.denominator for c in c_struct))
     c2 = [c.numerator * (c_scale // c.denominator) for c in c_struct]
     c2 += [0] * (tab.ncols - tab.nvars)
-    status, enter = tab.run(c2, forbid=tab.artificial)
+    status, k = tab.run(c2, forbid=tab.artificial)
     if status == "unbounded":
+        enter = tab.nonbasic[k]
         # a slack or surplus of row i is scale[i] times the unscaled one
         s = tab.scale[tab.slack_row[enter]] if enter >= tab.nvars else 1
         ray = [Fraction(0)] * tab.nvars
@@ -246,11 +258,12 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
             ray[enter] = Fraction(1)
         for i in range(tab.m):
             if tab.active[i] and tab.basis[i] < tab.nvars:
-                ray[tab.basis[i]] = Fraction(-tab.M[i][enter] * s, tab.D)
+                ray[tab.basis[i]] = Fraction(-tab.M[i][k] * s, tab.D)
         return SimplexResult(status="unbounded", ray=tuple(ray))
 
     x = tab.solution()
     value = sum((ci * xi for ci, xi in zip(c_struct, x)), Fraction(0))
+    slot = {j: k for k, j in enumerate(tab.nonbasic)}
     duals = []
     for i in range(tab.m):
         if not tab.active[i]:
@@ -258,8 +271,10 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
             continue
         # the seed column is +e_i of the scaled row, with cost zero; its
         # variable is scale[i] times the unscaled one, and R / D is c_scale
-        # times the reduced costs
-        y_internal = Fraction(-tab.R[tab.seed_col[i]] * tab.scale[i], tab.D * c_scale)
+        # times the reduced costs (zero while the seed column is basic)
+        j = tab.seed_col[i]
+        reduced = tab.R[slot[j]] if j in slot else 0
+        y_internal = Fraction(-reduced * tab.scale[i], tab.D * c_scale)
         duals.append(sign * tab.flip[i] * y_internal)
     return SimplexResult(
         status="optimal",

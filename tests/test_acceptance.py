@@ -8,6 +8,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from nrtbounds.asymptotics import (
@@ -243,18 +244,21 @@ def test_criterion_09_asymptotic_anchors():
 def test_criterion_10_curve_dominance():
     q, r = 2, 2
     dc = float(delta_crit(q, r))
-    for j in range(1, 400):
-        delta = dc * j / 400
-        assert be_curve(q, r, delta) <= hamming_curve(q, r, delta) - 1e-9, delta
-    uppers = (hamming_curve, plotkin_curve, be_curve)
-    for j in range(1, 401):
-        delta = dc * j / 400
-        gv = gv_curve(q, r, delta)
-        for fn in uppers:
-            assert gv <= fn(q, r, delta) + 1e-9, (fn.__name__, delta)
-    for fn in (gv_curve, hamming_curve, plotkin_curve, be_curve):
-        vals = [fn(q, r, dc * j / 400) for j in range(1, 401)]
-        assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:])), fn.__name__
+    # the 400 deltas dc j / 400 as one array; an array call gives the bits
+    # of the float calls (test_sphere_exponent_arrays_match_floats)
+    deltas = np.array([dc * j / 400 for j in range(1, 401)])
+    curves = {
+        fn.__name__: fn(q, r, deltas).tolist()
+        for fn in (gv_curve, hamming_curve, plotkin_curve, be_curve)
+    }
+    points = deltas.tolist()
+    for delta, b, h in zip(points[:-1], curves["be_curve"], curves["hamming_curve"]):
+        assert b <= h - 1e-9, delta
+    for name in ("hamming_curve", "plotkin_curve", "be_curve"):
+        for delta, g, upper in zip(points, curves["gv_curve"], curves[name]):
+            assert g <= upper + 1e-9, (name, delta)
+    for name, vals in curves.items():
+        assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:])), name
     pts = lp_curve(q, r, lp_curve_default_taus(q, 50))
     for pt in pts:
         if 0 < pt.delta < dc:

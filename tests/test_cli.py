@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nrtbounds.cli import main
+from nrtbounds.cli import build_parser, main
 from nrtbounds.delsarte import certificate_from_json, check_certificate, format_rational
 from nrtbounds.space import ArrayTable
 
@@ -16,6 +16,25 @@ def run(capsys, *argv):
 def test_version(capsys):
     assert main(["--version"]) == 0
     assert "nrtbounds 0.1.0" in capsys.readouterr().out
+
+
+def test_main_repeats_in_one_process(capsys):
+    # the parser is built once per process; a usage error or --version in
+    # one call changes nothing in the calls after it
+    calls = [
+        ("--version",),
+        ("sphere", "--q", "2", "--r", "2"),  # argparse: --n is required
+        ("lp", "--q", "2", "--r", "2", "--n", "3", "--d", "4", "--program", "I"),
+        ("sphere", "--q", "1", "--r", "2", "--n", "2"),  # ValueError
+        ("bounds", "--q", "2", "--r", "1", "--n", "3", "--d", "2"),
+    ]
+    seen = {}
+    for argv in calls + calls[::-1] + calls:
+        result = run(capsys, *argv)
+        assert seen.setdefault(argv, result) == result, argv
+    assert [seen[argv][0] for argv in calls] == [0, 2, 0, 2, 0]
+    assert "required: --n" in seen[calls[1]][2]
+    assert build_parser() is build_parser()
 
 
 def test_sphere(capsys):
@@ -378,6 +397,9 @@ def test_exit_code_sweep(capsys):
     for r in (6, 14, 100):
         argv = ["asym", "--q", "2", "--r", str(r), "--curve", "lp", "--grid", "1"]
         assert main(argv) == 3, argv
+    # the exact LP refuses more than LP_SHAPE_CAP shapes (q2 r2 n17 has 171)
+    argv = ["lp", "--q", "2", "--r", "2", "--n", "17", "--d", "10", "--program", "I"]
+    assert main(argv) == 3, argv
     capsys.readouterr()
 
 

@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from nrtbounds.delsarte import (
+    LP_SHAPE_CAP,
+    CertificateCheck,
     DualCertificate,
     certificate_from_json,
     certificate_to_json,
@@ -10,11 +14,14 @@ from nrtbounds.delsarte import (
     solve_code_lp,
     solve_ooa_lp,
 )
+from nrtbounds.krawtchouk import krawtchouk_table
 from nrtbounds.space import (
+    BudgetExceeded,
     SpaceParams,
     delta_crit,
     enumerate_shapes,
     shape_count,
+    shape_weight,
 )
 
 
@@ -196,3 +203,88 @@ def test_ternary_repetition_code_attains_lp():
     for f in enumerate_shapes(p):
         assert sum(dist.get(e, 0) * tbl[(f, e)] for e in enumerate_shapes(p)) >= 0
     assert solve_code_lp(p, 2).bound == 3
+
+
+def test_lp_shape_cap():
+    # q2 r2 n16 (153 shapes) is the largest lp I instance of the benchmark
+    # ladder; one block more (171 shapes) is refused before any table is built
+    assert comb(16 + 2, 2) <= LP_SHAPE_CAP < comb(17 + 2, 2)
+    p = SpaceParams(2, 2, 17)
+    misses = krawtchouk_table.cache_info().misses
+    with pytest.raises(BudgetExceeded, match="LP_SHAPE_CAP"):
+        solve_code_lp(p, 10)
+    with pytest.raises(BudgetExceeded, match="LP_SHAPE_CAP"):
+        solve_ooa_lp(p, 9)
+    assert krawtchouk_table.cache_info().misses == misses
+
+
+def _fraction_check(cert: DualCertificate) -> CertificateCheck:
+    """The exact certificate check in Fractions, one value of F at a time."""
+    T = krawtchouk_table(cert.params)
+    if not cert.F0 > 0:
+        return CertificateCheck(accepted=False, reason="F0 must be positive")
+    for e, coeff in cert.F.items():
+        if coeff < 0:
+            return CertificateCheck(
+                accepted=False, reason="negative transform coefficient", witness=e
+            )
+    values = [
+        cert.F0 + sum((c * T.rows[T.index[g]][j] for g, c in cert.F.items()), Fraction(0))
+        for j in range(len(T.shapes))
+    ]
+    for e, val in zip(T.shapes, values):
+        if shape_weight(e) >= cert.d and val > 0:
+            return CertificateCheck(
+                accepted=False, reason="F positive at excluded shape", witness=e
+            )
+    return CertificateCheck(
+        accepted=True,
+        code_bound=values[0] / cert.F0,
+        ooa_bound=cert.params.ambient_size * cert.F0 / values[0],
+    )
+
+
+def _random_certificates(params: SpaceParams, rng: random.Random):
+    """Rational certificates of every outcome: positive combinations of the
+    optimal certificates at distances d' <= d (valid at d), each also with
+    F0 made nonpositive, one coefficient made negative, or F0 raised, and
+    random nonnegative polynomials."""
+
+    def frac(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.choice((1, 2, 3, 5, 7, 12, 35)))
+
+    shapes = list(enumerate_shapes(params))[1:]
+    optimal = {d: solve_code_lp(params, d).certificate for d in range(2, params.dim + 2)}
+    for d in optimal:
+        for _ in range(3):
+            weights = {d2: frac(1, 9) for d2 in rng.sample(range(2, d + 1), min(d - 1, 3))}
+            F0 = sum(w * optimal[d2].F0 for d2, w in weights.items())
+            F = {}
+            for d2, w in weights.items():
+                for g, c in optimal[d2].F.items():
+                    F[g] = F.get(g, 0) + w * c
+            yield DualCertificate(params, d, F0, F)
+            yield DualCertificate(params, d, -frac(0, 5), F)
+            g = rng.choice(shapes)
+            yield DualCertificate(params, d, F0, {**F, g: -frac(1, 5)})
+            yield DualCertificate(params, d, F0 + frac(1, 5), F)
+        F = {g: frac(0, 4) for g in rng.sample(shapes, rng.randint(0, len(shapes)))}
+        yield DualCertificate(params, d, frac(1, 40), F)
+
+
+@pytest.mark.parametrize("q,r,n", [(2, 2, 6), (3, 2, 6), (2, 3, 4), (2, 4, 3)])
+def test_integer_certificate_check_matches_fractions(q, r, n):
+    # the spaces of the benchmark's lp-sweep workload
+    seen = set()
+    for cert in _random_certificates(SpaceParams(q, r, n), random.Random(q * 100 + r * 10 + n)):
+        got, want = check_certificate(cert), _fraction_check(cert)
+        assert got == want, cert
+        if got.accepted:
+            assert type(got.code_bound) is Fraction and type(got.ooa_bound) is Fraction
+        seen.add(got.reason)
+    assert seen == {
+        None,
+        "F0 must be positive",
+        "negative transform coefficient",
+        "F positive at excluded shape",
+    }
