@@ -29,10 +29,9 @@ from numbers import Rational
 from operator import add, truediv
 
 from .krawtchouk import krawtchouk_table
-from .simplex import LE, make_lp, simplex_solve
+from .simplex import LE, LPError, make_lp, simplex_solve
 from .space import (
     BudgetExceeded,
-    CheckFailure,
     Shape,
     SpaceParams,
     check_distance,
@@ -41,10 +40,6 @@ from .space import (
     shape_key,
     shape_weight,
 )
-
-
-class LPError(CheckFailure):
-    """The solver returned a status that signals a constraint-assembly bug."""
 
 
 # most shapes (program rows) an exact program is solved on; q2 r2 n16 has 153

@@ -19,9 +19,21 @@ from __future__ import annotations
 from collections.abc import Container
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import lcm
 
+from .space import CheckFailure
+
 LE, GE, EQ = "<=", ">=", "=="
+
+# most pivots one phase may take; Bland's rule cannot cycle, so reaching it
+# means a broken pivot rule, not a hard program
+MAX_PIVOTS = 2_000
+
+
+class LPError(CheckFailure):
+    """The solver failed, or returned a status that signals a
+    constraint-assembly bug."""
 
 
 @dataclass(frozen=True)
@@ -170,7 +182,8 @@ class _Tableau:
     def run(self, c: list[int], forbid: Container[int]) -> tuple[str, int | None]:
         """Maximize c.x (integer costs by variable) from the current basis;
         Bland's rule; returns ("optimal", None) or ("unbounded", entering
-        slot)."""
+        slot).  Raises LPError rather than take more than MAX_PIVOTS
+        pivots."""
         D = self.D
         R = [D * c[j] for j in self.nonbasic] + [0]
         for i in range(self.m):
@@ -178,7 +191,7 @@ class _Tableau:
             if cb and self.active[i]:
                 R = [a - cb * b for a, b in zip(R, self.M[i])]
         self.R = R  # pivot() updates it in place
-        while True:
+        for pivots in count():
             # the lowest variable, not the lowest slot, with R > 0
             enter = min(
                 ((j, k) for k, j in enumerate(self.nonbasic) if R[k] > 0 and j not in forbid),
@@ -202,6 +215,8 @@ class _Tableau:
                     leave_row, best_rhs, best_t = i, rhs, t
             if leave_row is None:
                 return "unbounded", k
+            if pivots == MAX_PIVOTS:
+                raise LPError(f"no optimum after {MAX_PIVOTS} pivots in one phase")
             self.pivot(leave_row, k)
 
     def solution(self) -> list[Fraction]:

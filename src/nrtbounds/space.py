@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
+from operator import sub
 
 Shape = tuple[int, ...]
 Vector = tuple[int, ...]
@@ -186,18 +187,30 @@ def shape_count(params: SpaceParams, e: Shape) -> int:
     )
 
 
+def _compositions(total: int, parts: int, exact: bool = True):
+    """The tuples of `parts` nonnegative ints that sum to `total`, or to at
+    most `total` when not `exact`, in lexicographic order.  They are the
+    gaps of the cut sequences 0 <= c_1 <= ... <= c_m <= total (m = parts - 1
+    cuts closed by `total`, or m = parts open ones), which
+    `combinations_with_replacement` yields in lexicographic order: O(parts)
+    work per tuple, however many tuples of parts up to `total` there are."""
+    closing = (total,) if exact else ()
+    return (
+        tuple(map(sub, (*cuts, *closing), (0, *cuts)))
+        for cuts in itertools.combinations_with_replacement(range(total + 1), parts - len(closing))
+    )
+
+
 def enumerate_shapes(params: SpaceParams):
     """All shapes of the space in lexicographic order, starting with zero."""
-    for e in itertools.product(range(params.n + 1), repeat=params.r):
-        if sum(e) <= params.n:
-            yield e
+    yield from _compositions(params.n, params.r, exact=False)
 
 
 def shapes_of_length(params: SpaceParams, k: int) -> list[Shape]:
     """Shapes with exactly k nonzero blocks, lexicographically ordered."""
-    if k > params.n:
+    if not 0 <= k <= params.n:
         return []
-    return [e for e in itertools.product(range(k + 1), repeat=params.r) if sum(e) == k]
+    return list(_compositions(k, params.r))
 
 
 def weight_distribution(params: SpaceParams) -> list[int]:

@@ -111,9 +111,9 @@ def test_gv_below_upper_curves():
 def test_curves_non_increasing():
     for q, r in [(2, 2), (3, 1)]:
         dc = float(delta_crit(q, r))
-        grid = [dc * j / 400 for j in range(1, 401)]
+        grid = np.array([dc * j / 400 for j in range(1, 401)])
         for fn in (gv_curve, hamming_curve, plotkin_curve, be_curve):
-            vals = [fn(q, r, d) for d in grid]
+            vals = fn(q, r, grid).tolist()  # a float call runs the same array path
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:])), fn.__name__
 
 

@@ -363,6 +363,33 @@ def test_spectral_iteration_cap_exits_4(capsys, monkeypatch):
     assert "after 2 iterations" in err and len(err.splitlines()) == 1
 
 
+def test_simplex_pivot_cap_exits_4(capsys, monkeypatch):
+    import nrtbounds.simplex as simplex_mod
+
+    monkeypatch.setattr(simplex_mod, "MAX_PIVOTS", 1)
+    argv = ("lp", "--q", "2", "--r", "2", "--n", "3", "--d", "4", "--program", "I")
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err == "internal check failed: no optimum after 1 pivots in one phase\n"
+
+
+def test_operator_cap_exits_3(capsys, monkeypatch):
+    import nrtbounds.scheme as scheme_mod
+
+    # q2 r2 n6 at d3 reaches kappa = 4, and S_4 has 15 rows
+    argv = ("bounds", "--q", "2", "--r", "2", "--n", "6", "--d", "3")
+    monkeypatch.setattr(scheme_mod, "OPERATOR_CAP", 15)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(scheme_mod, "OPERATOR_CAP", 14)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "budget exceeded: operator of 15 rows at degree 4 exceeds cap OPERATOR_CAP = 14\n"
+    )
+
+
 CURVES = ["gv", "hamming", "plotkin", "be", "lp", "lp2", "psi", "psirao"]
 
 

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import islice
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -314,6 +316,7 @@ def test_operator_is_leading_block_of_next_degree():
 
 def test_build_operator_enumerates_each_degree_once(monkeypatch):
     import nrtbounds.scheme as scheme_mod
+    import nrtbounds.space as space_mod
 
     lengths, counted = [], []
 
@@ -326,8 +329,116 @@ def test_build_operator_enumerates_each_degree_once(monkeypatch):
         return shape_count(params, e)
 
     monkeypatch.setattr(scheme_mod, "shapes_of_length", enumerating)
-    monkeypatch.setattr(scheme_mod, "shape_count", counting)
+    monkeypatch.setattr(space_mod, "shape_count", counting)
     p = SpaceParams(2, 3, 6)
     build_operator(p, 4)
     assert lengths == [0, 1, 2, 3, 4]
-    assert sorted(counted) == sorted(e for k in range(5) for e in shapes_of_length(p, k))
+    # the entries are integer products of intersection numbers: no shape count
+    assert counted == []
+    assert not hasattr(scheme_mod, "shape_count")
+
+
+def reference_operators(params):
+    """S_0, S_1, ... entry by entry: L_i sqrt(m m v_h / v_f) over the
+    nonzero intersection numbers m of each row f at each depth i, with the
+    shape counts v, and N[f,f] / D on the diagonal."""
+    q, r = params.q, params.r
+    den = q**r * (q - 1)
+    depths = [(i, q ** (r - i + 1) - 1) for i in range(1, r + 1)]  # L_i = N_i / den
+    pos, v = {}, {}
+    S = np.zeros((0, 0))
+    for k in range(params.n + 1):
+        shapes = shapes_of_length(params, k)
+        pos.update(zip(shapes, range(len(pos), len(pos) + len(shapes))))
+        v.update((h, shape_count(params, h)) for h in shapes)
+        S = np.pad(S, (0, len(shapes)))
+        for f in shapes:
+            fi, diag = pos[f], 0
+            for i, N in depths:
+                for h, m in _nonzero_intersections(params, f, i):
+                    if h == f:
+                        diag += N * m
+                    elif h in pos:
+                        S[fi, pos[h]] = S[pos[h], fi] = (N / den) * sqrt(m * m * v[h] / v[f])
+            S[fi, fi] = diag / den
+        yield S
+
+
+@pytest.mark.parametrize(
+    "q,r,n,kappa",
+    [
+        # the spaces of the benchmark's bounds-deep workload, up to their kappa
+        (3, 3, 16, 10),
+        (3, 4, 10, 7),
+        (2, 4, 12, 7),
+        (2, 3, 22, 8),
+        # every degree: a long depth-2 walk, and deep blocks whose products
+        # q^(2r) n^2 outgrow 64-bit ints
+        (2, 2, 30, 30),
+        (2, 40, 2, 2),
+        (3, 30, 2, 2),
+        (2, 60, 1, 1),
+        (7, 25, 2, 2),
+    ],
+)
+def test_operator_equals_entrywise_reference(q, r, n, kappa):
+    p = SpaceParams(q, r, n)
+    for k, (got, want) in enumerate(zip(operators(p), reference_operators(p))):
+        assert got.tobytes() == want.tobytes(), k
+        if k == kappa:
+            break
+    assert build_operator(p, kappa).tobytes() == want.tobytes()
+
+
+def test_deep_operator_memory_is_linear_in_its_entries():
+    # at degree 1 every pair of unit shapes is an entry, r(r-1)/2 of them; an
+    # array of their targets as r-part shapes peaks at 16 MB at r = 120
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        S = build_operator(SpaceParams(2, 120, 1), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(S[1:, 1:]) >= 120 * 119
+    assert peak < 8 * 2**20
+
+
+def test_operator_entries_beyond_floats_exceed_the_budget(capsys):
+    from nrtbounds.cli import main
+    from nrtbounds.space import BudgetExceeded
+
+    # the products q^(i+j) outgrow a float at q = 2^40, r = 30
+    ops = operators(SpaceParams(2**40, 30, 1))
+    assert next(ops).shape == (1, 1)
+    with pytest.raises(BudgetExceeded, match="degree 1 exceed the float range"):
+        next(ops)
+    argv = ["bounds", "--q", str(2**40), "--r", "30", "--n", "1", "--d", "30"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "budget exceeded: operator entries at degree 1 exceed the float range\n"
+    )
+
+
+def test_operator_cap_raises_before_allocating(monkeypatch):
+    import nrtbounds.scheme as scheme_mod
+    from nrtbounds.bounds import spectral_bound
+    from nrtbounds.space import BudgetExceeded
+
+    # bounds --q 2 --r 4 --n 20 --d 10 reaches kappa = 16, 4845 rows
+    assert comb(16 + 4, 4) == 4845 <= scheme_mod.OPERATOR_CAP
+    p = SpaceParams(2, 2, 6)  # S_k has comb(k + 2, 2) rows: 1, 3, 6, 10, 15, ...
+    monkeypatch.setattr(scheme_mod, "OPERATOR_CAP", 10)
+    ops = operators(p)
+    assert [S.shape[0] for S in islice(ops, 4)] == [1, 3, 6, 10]
+    allocated = []
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: allocated.append(a))
+    with pytest.raises(BudgetExceeded, match="15 rows at degree 4 exceeds cap OPERATOR_CAP = 10"):
+        next(ops)
+    assert allocated == []
+    monkeypatch.undo()
+    monkeypatch.setattr(scheme_mod, "OPERATOR_CAP", 10)
+    assert spectral_bound(p, 4).witness["kappa"] == 3
+    with pytest.raises(BudgetExceeded, match="at degree 4"):
+        spectral_bound(p, 3)

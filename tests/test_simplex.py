@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nrtbounds.simplex import EQ, GE, LE, make_lp, simplex_solve
+from nrtbounds.simplex import EQ, GE, LE, LPError, make_lp, simplex_solve
 
 
 def test_one_variable_toy():
@@ -13,6 +13,18 @@ def test_one_variable_toy():
     assert res.status == "optimal"
     assert res.objective == 1
     assert res.x == (1,)
+
+
+def test_pivot_cap_raises_lp_error(monkeypatch):
+    import nrtbounds.simplex as simplex_mod
+
+    # maximize x + y with x, y <= 1: one pivot per variable
+    lp = make_lp([1, 1], [([1, 0], LE, 1), ([0, 1], LE, 1)])
+    assert simplex_solve(lp).objective == 2
+    monkeypatch.setattr(simplex_mod, "MAX_PIVOTS", 1)
+    with pytest.raises(LPError, match="after 1 pivots"):
+        simplex_solve(lp)
+    assert simplex_solve(make_lp([1], [([1], LE, 1)])).objective == 1  # one pivot
 
 
 def test_degenerate_tie_unique_value():

@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -193,12 +195,32 @@ def test_enumerate_shapes():
     assert len(shapes) == 6
     assert shapes[0] == (0, 0)
     assert shapes == sorted(shapes)
-    from math import comb
-
     for r in (1, 2, 3):
         for n in (1, 2, 4):
             pp = SpaceParams(2, r, n)
             assert len(list(enumerate_shapes(pp))) == comb(n + r, r)
+
+
+@pytest.mark.parametrize("r,n", [(1, 4), (2, 3), (3, 4), (4, 3), (5, 2)])
+def test_enumeration_order_is_the_product_filter(r, n):
+    # the order the generator must keep: every tuple of parts up to n, in
+    # lexicographic order, filtered by its sum
+    p = SpaceParams(2, r, n)
+    walk = list(itertools.product(range(n + 1), repeat=r))
+    assert list(enumerate_shapes(p)) == [e for e in walk if sum(e) <= n]
+    for k in range(-1, n + 1):
+        assert shapes_of_length(p, k) == [e for e in walk if sum(e) == k]
+    assert shapes_of_length(p, n + 1) == []
+
+
+def test_deep_blocks_enumerate_without_the_product_walk():
+    # 41^40 tuples for the product filter; 861 compositions
+    p = SpaceParams(2, 40, 2)
+    shapes = list(enumerate_shapes(p))
+    assert len(shapes) == comb(42, 2) == 861
+    assert shapes[0] == (0,) * 40 and shapes[-1] == (2,) + (0,) * 39
+    assert shapes == sorted(shapes)
+    assert len(shapes_of_length(p, 2)) == comb(41, 2)
 
 
 @pytest.mark.parametrize("q,r,n", [(2, 3, 6), (3, 4, 5)])
