@@ -2,23 +2,24 @@
 
 The sphere-volume exponent H is computed through the unique positive root
 of its saddle-point equation; the linear-programming curve maximizes the
-limiting eigenvalue expression over weight profiles; the depth-2 curve
-minimizes a two-parameter entropy expression under a root-position
-constraint.  Everything here is double precision with deterministic grids
-and local refinement; exactness is not meaningful for these quantities.
-The grids are scanned with numpy in blocks of about BLOCK points, through
-the same functions that the refinements call on floats.  The
-sphere-exponent curves are written for arrays and evaluate a whole grid in
-one call; a float runs through them as a one-element array.  Only the
-functions that build arrays import numpy, so importing this module does
-not load it; the dispatchers that also take floats test for a Python
-scalar, and their float calls import nothing.
+limiting eigenvalue expression over weight profiles, a trust-region
+subproblem solved through one eigendecomposition per (q, r) and one
+bisection per tau; the depth-2 curve minimizes a two-parameter entropy
+expression under a root-position constraint, on a grid scanned with numpy
+in blocks of about BLOCK points and refined locally on floats.
+Everything here is double precision; exactness is not meaningful for
+these quantities.  The sphere-exponent curves are written for arrays and
+evaluate a whole grid in one call; a float runs through them as a
+one-element array.  Only the functions that build arrays import numpy, so
+importing this module does not load it; the dispatchers that also take
+floats test for a Python scalar, and their float calls import nothing.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from .krawtchouk import _SCALARS, _extremes, gamma
@@ -210,7 +211,12 @@ def curve_grid(curve, q: int, r: int, grid: int) -> tuple[list[float], list[floa
 @functools.lru_cache(maxsize=None)
 def _lambda_constants(q: int, r: int) -> tuple[tuple, ...]:
     """For i = 1..r: L_i, q^(i-1), q^r - q^(i-1) and the cross powers
-    q^(i+k), k = 1..i-1, of `lambda_expression`."""
+    q^(i+k), k = 1..i-1, of `lambda_expression`.  Raises BudgetExceeded
+    when the largest power, q^(2r-1), exceeds the float range; the first
+    test decides that without building q^(2r-1) at large r."""
+    m = 2 * r - 1
+    if (q.bit_length() - 1) * m >= 1024 or q**m > sys.float_info.max:
+        raise BudgetExceeded(f"cross power {q}^{m} of the LP curve exceeds the float range")
     return tuple(
         (
             (q ** (r - i + 1) - 1) / (q**r * (q - 1)),
@@ -236,6 +242,7 @@ def lambda_expression(q: int, r: int, taus):
     arrays, so a float and an array give the same bits (`sum` of floats is
     compensated from Python 3.12 on).
     """
+    constants = _lambda_constants(q, r)  # first: it checks the float range
     tau = 0
     for t in taus:
         tau = tau + t
@@ -248,7 +255,7 @@ def lambda_expression(q: int, r: int, taus):
     clamped = [(t + abs(t)) * 0.5 for t in taus]  # products of these need no clamp
     cross = 2.0 * (q - 1) / q
     total = 0.0
-    for ti, (li, low, high, powers) in zip(clamped, _lambda_constants(q, r)):
+    for ti, (li, low, high, powers) in zip(clamped, constants):
         x = (1 - tau) * ti * (q - 1) * low
         term = 2.0 * sqrt((x + abs(x)) * 0.5)
         term += (q - 2) * ti * high
@@ -260,48 +267,53 @@ def lambda_expression(q: int, r: int, taus):
     return total
 
 
-BLOCK = 4096  # grid points per array call of the scans
-LATTICE_CAP = 1 << 22  # most weight profiles lambda_asym scans per tau
+BLOCK = 4096  # grid points per array call of the depth-2 scan
 
 
-def _lattice(totals: np.ndarray, parts: int, steps: int) -> list[np.ndarray]:
-    """Deterministic lattices on {x >= 0, sum x = total}, one after another
-    for each of the totals, one array per coordinate.  Coordinate k takes
-    the steps j/steps, j = 0..steps, of what coordinates 1..k-1 left, the
-    last coordinate takes the rest, and the points of a lattice are in
-    lexicographic order of their step indices."""
+@functools.lru_cache(maxsize=None)
+def _lambda_spectrum(q: int, r: int):
+    """`lambda_expression` as a.x + x^T B x at x_i = sqrt(tau_i), with
+    a = sqrt(1 - tau) a0 and
+
+        a0_i = 2 L_i sqrt((q-1) q^(i-1)),   B_ii = L_i (q-2) (q^r - q^(i-1)),
+        B_ik = B_ki = L_i (q-1) sqrt(q^(i+k)) / q   for k < i.
+
+    Returns the gaps rho(B) - lambda_j of the eigenvalues in ascending
+    order (the last is 0), the eigenvectors (columns) and the components of
+    a0 along them."""
     import numpy as np
 
-    j = np.arange(steps + 1)
-    rest = totals
-    cols: list[np.ndarray] = []
-    for _ in range(parts - 1):
-        head = np.multiply.outer(rest, j) / steps
-        cols = [c.repeat(steps + 1) for c in cols] + [head.ravel()]
-        rest = (rest[:, None] - head).ravel()
-    return cols + [rest]
-
-
-def _lattice_rows(total: float, parts: int, steps: int):
-    """The points of the `_lattice` of one total, in order, in blocks of
-    whole slices of the first coordinate, about BLOCK points (and at least
-    one slice) each; parts is at least 2."""
-    import numpy as np
-
-    size = (steps + 1) ** (parts - 2)  # points per slice
-    per = max(1, BLOCK // size)
-    for j in range(0, steps + 1, per):
-        head = total * np.arange(j, min(j + per, steps + 1)) / steps
-        yield [head.repeat(size)] + _lattice(total - head, parts - 1, steps)
+    constants = _lambda_constants(q, r)  # first: it checks the float range
+    a0, B = np.empty(r), np.empty((r, r))
+    for i, (li, low, high, powers) in enumerate(constants):
+        a0[i] = 2.0 * li * math.sqrt((q - 1) * low)
+        B[i, i] = li * (q - 2) * high
+        for k, power in enumerate(powers):
+            B[i, k] = B[k, i] = li * (q - 1) * math.sqrt(power) / q
+    lam, V = np.linalg.eigh(B)
+    return lam[-1] - lam, V, V.T @ a0
 
 
 def lambda_asym(q: int, r: int, tau: float) -> tuple[float, tuple[float, ...]]:
     """Maximum of the limiting eigenvalue expression over weight profiles
     with total tau; returns (max, argmax).
 
-    Dense simplex grid followed by concave pairwise-transfer refinement.
-    The grid has (steps + 1)^(r - 1) points; above LATTICE_CAP it raises
-    BudgetExceeded before building any of them.
+    The expression is a.x + x^T B x on the sphere |x|^2 = tau
+    (`_lambda_spectrum`), a trust-region subproblem with a >= 0 and B >= 0
+    entrywise.  Its global maximum is at x = (mu I - B)^(-1) a / 2 for the
+    mu > rho(B) with |x(mu)|^2 = tau (Moré and Sorensen 1983; Gander, Golub
+    and von Matt 1989), and x >= 0, from the Neumann series of
+    (mu I - B)^(-1), so it is a weight profile.  In the eigenbasis, with
+    mu = rho(B) + s and w_j = (a.v_j)^2 / 4, |x|^2 = sum_j w_j / (s + gap_j)^2
+    falls from infinity to 0 on s > 0; s is bisected until its bracket
+    cannot shrink, and taken from rho(B) it keeps every digit at large
+    rho(B).  At tau = 1 (a = 0) x is the Perron vector.  The profile is x^2
+    with its last part set to tau less the others (0 if they pass tau),
+    then raised until the float sum is not short of tau: `lambda_expression`
+    adds the parts left to right, and at tau = 1 a sum one ulp short adds
+    about 1e-8 through its sqrt(1 - tau) term.  The maximum is
+    `lambda_expression` at the profile; it agrees with the weak-duality
+    bound mu tau + sum_j w_j / (s + gap_j) to rounding.
     """
     if not 0 <= tau <= 1:
         raise ValueError(f"tau={tau} outside [0, 1]")
@@ -309,48 +321,27 @@ def lambda_asym(q: int, r: int, tau: float) -> tuple[float, tuple[float, ...]]:
         return 0.0, (0.0,) * r
     if r == 1:
         return lambda_expression(q, 1, (tau,)), (tau,)
-    steps = 200 if r <= 3 else 40
-    if (steps + 1) ** (r - 1) > LATTICE_CAP:
-        raise BudgetExceeded(
-            f"{steps + 1}^{r - 1} weight profiles per tau exceed cap {LATTICE_CAP}"
-        )
-    best_val = -math.inf
-    for cols in _lattice_rows(tau, r, steps):
-        vals = lambda_expression(q, r, cols)
-        k = int(vals.argmax())  # the first maximum of the block
-        if vals[k] > best_val:
-            best_val, taus = float(vals[k]), [float(c[k]) for c in cols]
-    # pairwise mass transfers; the expression is concave along each line
-    for _ in range(200):
-        improved = 0.0
-        for i in range(r):
-            for j in range(i + 1, r):
-                mass = taus[i] + taus[j]
-                if mass == 0:
-                    continue
-                lo, hi = 0.0, mass
-
-                def value_at(x: float) -> float:
-                    trial = list(taus)
-                    trial[i], trial[j] = x, mass - x
-                    return lambda_expression(q, r, trial)
-
-                for _ in range(80):
-                    m1 = lo + (hi - lo) / 3
-                    m2 = hi - (hi - lo) / 3
-                    if value_at(m1) < value_at(m2):
-                        lo = m1
-                    else:
-                        hi = m2
-                x = 0.5 * (lo + hi)
-                new_val = value_at(x)
-                if new_val > best_val:
-                    improved += new_val - best_val
-                    best_val = new_val
-                    taus[i], taus[j] = x, mass - x
-        if improved < 1e-14:
-            break
-    return best_val, tuple(taus)
+    gaps, V, c0 = _lambda_spectrum(q, r)
+    if tau == 1:
+        x = V[:, -1]
+    else:
+        w = (1 - tau) / 4 * c0 * c0
+        # the top term alone reaches tau at lo; at hi no term passes its share
+        lo, hi = math.sqrt(w[-1] / tau), math.sqrt(w.sum() / tau)
+        while lo < (s := 0.5 * (lo + hi)) < hi:
+            if (w / (s + gaps) ** 2).sum() > tau:
+                lo = s
+            else:
+                hi = s
+        x = V @ (math.sqrt(1 - tau) / 2 * c0 / (hi + gaps))
+    parts = (x * x).tolist()
+    head = 0
+    for t in parts[:-1]:
+        head = head + t
+    parts[-1] = max(tau - head, 0.0)
+    while head + parts[-1] < tau:
+        parts[-1] = math.nextafter(parts[-1], math.inf)
+    return lambda_expression(q, r, parts), tuple(parts)
 
 
 def lp_rate(q: int, r: int, tau: float) -> float:
@@ -418,15 +409,21 @@ def phi_r2(q: int, delta: float) -> float:
 @functools.lru_cache(maxsize=None)
 def _phi_grid(q: int, steps: int):
     """The depth-2 grid, which is the same for every delta: the t1 column
-    and gamma and h_q of each t1 (float calls, as in the refinement), and
-    the t2 row and its `_phi_t2_terms`, each coordinate at steps + 1 points."""
+    and gamma and h_q of each t1 (float calls, as in the refinement), the
+    t2 row and its `_phi_t2_terms`, each coordinate at steps + 1 points,
+    and the objective at every point, t1 by row, built in blocks of about
+    BLOCK points."""
     import numpy as np
 
     t1 = (q - 1) / q**2 * np.arange(steps + 1) / steps
     t2 = (q - 1) / q * np.arange(steps + 1) / steps
     g1 = np.array([gamma(q, v) for v in t1.tolist()])
     h1 = np.array([h_q(q, v) for v in t1.tolist()])
-    return t1, g1, h1, t2, _phi_t2_terms(q, t2)
+    obj = np.empty((steps + 1, steps + 1))
+    per = max(1, BLOCK // (steps + 1))  # t1 rows per block
+    for i in range(0, steps + 1, per):
+        obj[i : i + per] = _phi_objective(q, t1[i : i + per, None], t2, h1[i : i + per, None])
+    return t1, g1, t2, _phi_t2_terms(q, t2), obj
 
 
 def phi_r2_with_witness(q: int, delta: float):
@@ -437,22 +434,19 @@ def phi_r2_with_witness(q: int, delta: float):
     t1_max = (q - 1) / q**2
     t2_max = (q - 1) / q
     steps = 200
-    t1_col, g1_col, h1_col, t2_row, row_terms = _phi_grid(q, steps)
+    t1_col, g1_col, t2_row, row_terms, obj = _phi_grid(q, steps)
     per = max(1, BLOCK // (steps + 1))  # t1 rows per block
-    best = None
+    val = math.inf
     for i in range(0, steps + 1, per):
-        t1, g1 = t1_col[i : i + per], g1_col[i : i + per]
-        feasible = _phi_feasible(q, t1[:, None], t2_row, delta, row_terms, g1[:, None])
-        rows, cols = np.nonzero(feasible)
-        if not rows.size:
-            continue
-        vals = _phi_objective(q, t1[rows], t2_row[cols], h1_col[i : i + per][rows])
-        k = int(np.argmin(vals))  # the first minimum of the block, row by row
-        if best is None or vals[k] < best[0]:
-            best = (float(vals[k]), float(t1[rows[k]]), float(t2_row[cols[k]]))
-    if best is None:
+        g1 = g1_col[i : i + per, None]
+        feasible = _phi_feasible(q, t1_col[i : i + per, None], t2_row, delta, row_terms, g1)
+        vals = np.where(feasible, obj[i : i + per], np.inf)
+        k = int(vals.argmin())  # the first minimum of the block, row by row
+        if vals.flat[k] < val:
+            row, col = divmod(k, steps + 1)
+            val, t1, t2 = float(vals.flat[k]), float(t1_col[i + row]), float(t2_row[col])
+    if val == math.inf:
         return 1.0, None
-    val, t1, t2 = best
     radius1 = t1_max / steps
     radius2 = t2_max / steps
     # the terms of each coordinate value the stencil reaches, computed once

@@ -20,6 +20,7 @@ from .delsarte import CertificateCheck, DualCertificate, check_certificate, form
 from .krawtchouk import BracketingError, K_multi, _k_values, k_root_min, krawtchouk_table
 from .scheme import operators, spectral_radius
 from .space import (
+    BudgetExceeded,
     CheckFailure,
     Shape,
     SpaceParams,
@@ -75,6 +76,10 @@ def _exact(name: str, side: str, value: Fraction, witness: dict | None = None) -
         floor=floor(value),
         witness=witness,
     )
+
+
+def _float(name: str, side: str, value: float, tolerance: float, witness: dict) -> BoundResult:
+    return BoundResult(name, side, True, value, floor(value), tolerance, witness)
 
 
 def _inapplicable(name: str, side: str, reason: str) -> BoundResult:
@@ -234,7 +239,8 @@ def spectral_bound(params: SpaceParams, d: int) -> BoundResult:
     mean = dc * params.dim
     threshold = mean - d  # P(e) at |e|' = d
     ops = operators(params)
-    for kappa, prev in zip(range(1, params.n + 1), ops):
+    # kappa = n is never admissible: lambda_n = P(0) = delta_crit r n exactly
+    for kappa, prev in zip(range(1, params.n), ops):
         lo_prev, _ = spectral_radius(prev, decide=float(threshold))
         if not threshold <= Fraction(lo_prev):
             continue
@@ -249,36 +255,35 @@ def spectral_bound(params: SpaceParams, d: int) -> BoundResult:
             * (params.q**params.r - 1) ** kappa
             * comb(params.n, kappa)
         )
-        value_hi = float(numerator) / float(mean - Fraction(hi_k))
-        value_lo = float(numerator) / float(mean - Fraction(lo_k))
-        return BoundResult(
-            name="spectral",
-            side=UPPER_CODE,
-            applicable=True,
-            value=value_hi,
-            floor=floor(value_hi),
-            tolerance=abs(value_hi - value_lo),
-            witness={"kappa": kappa, "lambda": hi_k},
-        )
+        try:  # float() of a Fraction raises past the float range, / rounds to inf
+            value_hi = float(numerator) / float(mean - Fraction(hi_k))
+            value_lo = float(numerator) / float(mean - Fraction(lo_k))
+            witness = {"kappa": kappa, "lambda": hi_k}
+            return _float("spectral", UPPER_CODE, value_hi, abs(value_hi - value_lo), witness)
+        except OverflowError:
+            raise BudgetExceeded(
+                f"spectral bound at degree {kappa} exceeds the float range"
+            ) from None
     return _inapplicable("spectral", UPPER_CODE, "no admissible degree kappa <= n")
 
 
 def _reciprocal(params: SpaceParams, name: str, code: BoundResult) -> BoundResult:
-    """Array bound q^(nr) / M at strength t from a float code bound M at
-    distance t + 1, with the code bound's witness and error bar carried over."""
+    """Array bound q^(nr) / M at strength t from a code bound M at distance
+    t + 1, with the code bound's witness and, for a float M, its error bar
+    carried over; exact for an exact M.  Raises BudgetExceeded when a float
+    quotient leaves the float range."""
     if not code.applicable:
         return _inapplicable(name, LOWER_OOA, code.reason)
-    value = params.ambient_size / code.value
-    hi = params.ambient_size / (code.value - code.tolerance)
-    return BoundResult(
-        name=name,
-        side=LOWER_OOA,
-        applicable=True,
-        value=value,
-        floor=floor(value),
-        tolerance=abs(hi - value),
-        witness=code.witness,
-    )
+    if isinstance(code.value, Fraction):
+        return _exact(name, LOWER_OOA, params.ambient_size / code.value, code.witness)
+    try:  # int / float raises past the float range, float / float rounds to inf
+        value = params.ambient_size / code.value
+        hi = params.ambient_size / (code.value - code.tolerance)
+        return _float(name, LOWER_OOA, value, abs(hi - value), code.witness)
+    except OverflowError:
+        raise BudgetExceeded(
+            f"{name} bound q^{params.dim} / {code.value:.6g} exceeds the float range"
+        ) from None
 
 
 def spectral_bound_ooa(params: SpaceParams, t: int) -> BoundResult:
@@ -394,15 +399,7 @@ def r2_bound(params: SpaceParams, d: int) -> BoundResult:
         raise CheckFailure(
             f"depth-2 certificate rejected for witness {w}: {check.reason}"
         )
-    return BoundResult(
-        name="r2",
-        side=UPPER_CODE,
-        applicable=True,
-        value=value,
-        floor=floor(value),
-        tolerance=1e-8 * value,
-        witness=asdict(w),
-    )
+    return _float("r2", UPPER_CODE, value, 1e-8 * value, asdict(w))
 
 
 def r2_ooa_bound(params: SpaceParams, t: int) -> BoundResult:
@@ -499,8 +496,8 @@ def best_bounds(params: SpaceParams, d: int) -> BoundTable:
 
     uppers = [b for b in results if b.applicable and b.side == UPPER_CODE]
     lowers = [b for b in results if b.applicable and b.side == LOWER_CODE]
-    best_upper = min(uppers, key=lambda b: (float(b.value), b.name)).name if uppers else None
-    best_lower = max(lowers, key=lambda b: (float(b.value), b.name)).name if lowers else None
+    best_upper = min(uppers, key=lambda b: (Fraction(b.value), b.name)).name if uppers else None
+    best_lower = max(lowers, key=lambda b: (Fraction(b.value), b.name)).name if lowers else None
     return BoundTable(
         params=params,
         d=d,

@@ -24,7 +24,7 @@ from nrtbounds.asymptotics import (
     psi_nets,
     z0_solve,
 )
-from nrtbounds.space import delta_crit
+from nrtbounds.space import BudgetExceeded, delta_crit
 
 
 def closed_form_z0(q, x):
@@ -148,57 +148,67 @@ def test_lambda_asym_refinement_beats_grid():
         assert lambda_expression(2, 2, point) <= got + 1e-12
 
 
-def _reference_grid(total, parts, steps):
-    """The recursive lattice that the numpy rows replaced, point by point."""
-    if parts == 1:
-        yield (total,)
-        return
-    for j in range(steps + 1):
-        head = total * j / steps
-        for rest in _reference_grid(total - head, parts - 1, steps):
-            yield (head,) + rest
+def _simplex_lattice(total, parts, steps):
+    """Every point (j_1, ..., j_parts) total / steps with sum j = steps, one
+    array per coordinate."""
+    js = np.stack(np.meshgrid(*[np.arange(steps + 1)] * (parts - 1), indexing="ij"), -1)
+    js = js.reshape(-1, parts - 1)
+    js = js[js.sum(axis=1) <= steps]
+    cols = [total * js[:, k] / steps for k in range(parts - 1)]
+    return cols + [total * (steps - js.sum(axis=1)) / steps]
 
 
-def _points(cols):
-    return list(zip(*(c.tolist() for c in cols)))
+def _weak_duality_end(q, r, tau, value, profile):
+    """mu' tau + a^T (mu' I - B)^(-1) a / 4, which bounds the maximum of
+    lambda_expression = a.x + x^T B x (x_i = sqrt(tau_i)) on |x|^2 = tau for
+    every mu' > rho(B), at mu' just above the mu of the maximiser, which
+    solves (mu I - B) x = a / 2.  a and B are written out from the
+    expression itself."""
+    L = [(q ** (r - i + 1) - 1) / (q**r * (q - 1)) for i in range(1, r + 1)]
+    a, B = np.zeros(r), np.zeros((r, r))
+    for i in range(1, r + 1):
+        a[i - 1] = 2 * L[i - 1] * math.sqrt((1 - tau) * (q - 1) * q ** (i - 1))
+        B[i - 1, i - 1] = L[i - 1] * (q - 2) * (q**r - q ** (i - 1))
+        for k in range(1, i):
+            B[i - 1, k - 1] = B[k - 1, i - 1] = L[i - 1] * (q - 1) * q ** ((i + k) / 2) / q
+    x = np.sqrt(profile)
+    mu = max((value - a @ x / 2) / tau, np.linalg.eigvalsh(B)[-1])
+    mu += 1e-13 * mu
+    return mu * tau + a @ np.linalg.solve(mu * np.eye(r) - B, a) / 4
 
 
-# one slice per block, a few small slices per block, and the default,
-# read at collection, before any monkeypatch
-BLOCKS = (1, 7, asymptotics.BLOCK)
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_lambda_asym_is_the_trust_region_maximum(q, r):
+    steps = {2: 2000, 3: 200, 4: 40}[r]
+    for tau in (0.05, 0.2, 0.45, (q - 1) / q, 0.99, 1.0):
+        value, profile = lambda_asym(q, r, tau)
+        assert lambda_expression(q, r, profile) == value
+        # no lattice point does better, beyond rounding; at tau = 1 a lattice
+        # point whose float sum falls short of 1 gains about 1e-8 through
+        # sqrt(1 - tau), so the lattice stops at 0.99
+        if tau < 1:
+            best = float(lambda_expression(q, r, _simplex_lattice(tau, r, steps)).max())
+            assert value >= best - 4 * math.ulp(best), tau
+        dual = _weak_duality_end(q, r, tau, value, profile)
+        assert dual >= value * (1 - 1e-15), tau
+        assert dual == pytest.approx(value, rel=1e-12, abs=0), tau
 
 
-@pytest.mark.parametrize("parts", [2, 3, 4])
-@pytest.mark.parametrize("steps", [7, 40, 200])
-def test_lattice_rows_keep_the_recursive_order(parts, steps, monkeypatch):
-    total = 0.7
-    size = (steps + 1) ** (parts - 2)  # points per first-coordinate slice
-    for block in BLOCKS:
-        monkeypatch.setattr(asymptotics, "BLOCK", block)
-        rows = asymptotics._lattice_rows(total, parts, steps)
-        if parts * steps < 800:
-            assert [p for cols in rows for p in _points(cols)] == list(
-                _reference_grid(total, parts, steps)
-            ), block
-            continue
-        # 201^3 points: compare five whole slices, one per first coordinate,
-        # point by point across the blocks that hold them
-        want = {}
-        for j in (0, 1, 100, 199, 200):
-            head = total * j / steps
-            want[j] = [(head,) + rest for rest in _reference_grid(total - head, parts - 1, steps)]
-        got = {j: [] for j in want}
-        start = 0  # index of the block's first point
-        for cols in rows:
-            n = len(cols[0])
-            assert n % size == 0 and n <= max(size, block)  # whole slices only
-            for j in got:
-                lo, hi = max(j * size, start), min((j + 1) * size, start + n)
-                if lo < hi:
-                    got[j] += _points([c[lo - start : hi - start] for c in cols])
-            start += n
-        assert got == want, block
-        assert start == (steps + 1) ** (parts - 1)
+def test_lambda_asym_runs_at_large_r_and_stops_at_the_float_range():
+    for q, r in [(2, 30), (2, 100), (3, 30), (5, 10)]:
+        for tau in (0.3, (q - 1) / q, 1.0):
+            value, profile = lambda_asym(q, r, tau)
+            assert math.isfinite(value) and value > 0
+            assert len(profile) == r and min(profile) >= 0
+            assert sum(profile) == pytest.approx(tau, abs=1e-12)
+            dual = _weak_duality_end(q, r, tau, value, profile)
+            assert dual == pytest.approx(value, rel=1e-12, abs=0), (q, r, tau)
+    # q^(2r-1) is the largest power of the expression: 2^1023 fits, 2^1025 does not
+    assert lambda_asym(2, 512, 0.5)[0] > 0
+    for q, r in [(2, 513), (3, 400), (2**64, 9), (2**1024, 1), (2, 10**9)]:
+        with pytest.raises(BudgetExceeded, match="exceeds the float range"):
+            lambda_asym(q, r, 0.5)
 
 
 def test_array_evaluation_matches_floats():
@@ -264,9 +274,10 @@ def test_float_or_array_functions_take_a_fraction_as_one_number():
 def test_grid_scans_keep_the_first_best_point(monkeypatch):
     # with a constant objective every grid point ties and the refinement
     # never improves, so the scan's first point is returned, whatever the
-    # block size
-    monkeypatch.setattr(asymptotics, "lambda_expression", lambda q, r, taus: 0.0 * sum(taus))
+    # block size; the objective is cached with the grid, so the grid is
+    # rebuilt with the constant one and dropped again afterwards
     monkeypatch.setattr(asymptotics, "_phi_objective", lambda q, t1, t2, h1=None: 0.0 * t2)
+    asymptotics._phi_grid.cache_clear()
     q, delta, steps = 2, 0.1, 200
     first = next(
         (t1, t2)
@@ -274,11 +285,12 @@ def test_grid_scans_keep_the_first_best_point(monkeypatch):
         for t2 in ((q - 1) / q * j / steps for j in range(steps + 1))
         if asymptotics._phi_feasible(q, t1, t2, delta)
     )
-    for block in BLOCKS:
-        monkeypatch.setattr(asymptotics, "BLOCK", block)
-        for r in (2, 3, 4):
-            assert lambda_asym(2, r, 0.3) == (0.0, (0.0,) * (r - 1) + (0.3,)), block
-        assert phi_r2_with_witness(q, delta) == (0.0, first), block
+    try:
+        for block in (1, 7, asymptotics.BLOCK):
+            monkeypatch.setattr(asymptotics, "BLOCK", block)
+            assert phi_r2_with_witness(q, delta) == (0.0, first), block
+    finally:
+        asymptotics._phi_grid.cache_clear()
 
 
 CURVES = (gv_curve, hamming_curve, plotkin_curve, be_curve)

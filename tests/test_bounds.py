@@ -324,3 +324,43 @@ def test_table_array_bounds_are_code_reciprocals():
 def test_r2_ooa_is_reciprocal_of_r2():
     for p, t in [(SpaceParams(2, 2, 8), 11), (SpaceParams(3, 2, 5), 6)]:
         assert r2_ooa_bound(p, t).value == p.ambient_size / r2_bound(p, t + 1).value
+
+
+def test_spectral_bound_stops_before_kappa_n():
+    # at q = 2^20 the float enclosure of lambda_n = delta_crit r n exactly
+    # rounds below that mean, and kappa = n used to pass with the factor
+    # (n - kappa) = 0: an applicable bound of 0
+    p = SpaceParams(2**20, 2, 3)
+    res = spectral_bound(p, 2)
+    assert not res.applicable or (res.witness["kappa"] < p.n and res.value >= 1)
+    assert not spectral_bound(SpaceParams(2, 1, 1), 1).applicable  # only kappa = n = 1
+
+
+def test_best_bounds_ranks_exact_values_beyond_the_float_range():
+    # singleton is q^(nr - d + 1) = 2^1120 here, which float() cannot hold
+    table = best_bounds(SpaceParams(2**40, 30, 1), 3)
+    uppers = [b for b in table.bounds if b.applicable and b.side == "upper-on-code-size"]
+    assert table.best_upper == min(uppers, key=lambda b: b.value).name
+    assert all(isinstance(b.value, Fraction) and b.value >= 1 for b in uppers)
+
+
+def test_reciprocal_of_an_exact_code_bound_is_exact():
+    from nrtbounds.bounds import UPPER_CODE, _exact, _reciprocal
+
+    p = SpaceParams(3, 2, 2)
+    ooa = _reciprocal(p, "x-ooa", _exact("x", UPPER_CODE, Fraction(7), {"k": 1}))
+    assert ooa.value == Fraction(81, 7) and ooa.floor == 11 and ooa.witness == {"k": 1}
+
+
+def test_reciprocal_beyond_the_float_range_exceeds_the_budget():
+    from dataclasses import replace
+
+    from nrtbounds.bounds import _reciprocal
+    from nrtbounds.space import BudgetExceeded
+
+    p = SpaceParams(2, 2, 6)
+    code = spectral_bound(p, 8)
+    # a quotient that rounds to inf, and q^(nr) itself past the float range
+    for params, value in [(p, 1e-306), (SpaceParams(2**40, 30, 1), code.value)]:
+        with pytest.raises(BudgetExceeded, match="spectral-ooa bound .* exceeds the float range"):
+            _reciprocal(params, "spectral-ooa", replace(code, value=value, tolerance=0.0))

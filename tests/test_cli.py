@@ -420,14 +420,39 @@ def test_exit_code_sweep(capsys):
                 calls.append(["asym", *common, "--curve", curve, "--grid", str(grid)])
     for argv in calls:
         assert main(argv) in (0, 2, 3, 4), argv
-    # the lp curve's weight-profile lattice grows as 41^(r-1) from r = 4
+    # the lp curve runs at any r whose powers q^(2r-1) stay in the float range
     for r in (6, 14, 100):
         argv = ["asym", "--q", "2", "--r", str(r), "--curve", "lp", "--grid", "1"]
+        assert main(argv) == 0, argv
+    for q, r in [("2", "513"), ("1099511627776", "30")]:
+        argv = ["asym", "--q", q, "--r", r, "--curve", "lp", "--grid", "1"]
         assert main(argv) == 3, argv
     # the exact LP refuses more than LP_SHAPE_CAP shapes (q2 r2 n17 has 171)
     argv = ["lp", "--q", "2", "--r", "2", "--n", "17", "--d", "10", "--program", "I"]
     assert main(argv) == 3, argv
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the spectral bound used to reach kappa = n, report 0 and divide by it
+        ("bounds", "--q", "1048576", "--r", "2", "--n", "3", "--d", "2"),
+        # singleton is 2^1120, beyond the float range that ranking went through
+        ("bounds", "--q", "1099511627776", "--r", "30", "--n", "1", "--d", "3"),
+        # the spectral formula's numerator is past the float range
+        ("bounds", "--q", "1099511627776", "--r", "7", "--n", "5", "--d", "18"),
+    ],
+)
+def test_bounds_at_huge_q_end_in_a_documented_exit(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code in (0, 3)
+    if code == 0:
+        uppers = [
+            b for b in json.loads(out)["bounds"]
+            if b["applicable"] and b["side"] == "upper-on-code-size"
+        ]
+        assert uppers and all(b["floor"] >= 1 for b in uppers)
 
 
 def test_asym_psirao_is_nets_rao(capsys):

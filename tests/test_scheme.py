@@ -414,7 +414,9 @@ def test_operator_entries_beyond_floats_exceed_the_budget(capsys):
     assert next(ops).shape == (1, 1)
     with pytest.raises(BudgetExceeded, match="degree 1 exceed the float range"):
         next(ops)
-    argv = ["bounds", "--q", str(2**40), "--r", "30", "--n", "1", "--d", "30"]
+    # the spectral bound builds S_kappa for kappa < n only, so n = 2; at
+    # d = nr the hypothesis at kappa = 1 holds, and S_1 is built
+    argv = ["bounds", "--q", str(2**40), "--r", "30", "--n", "2", "--d", "60"]
     assert main(argv) == 3
     assert capsys.readouterr().err == (
         "budget exceeded: operator entries at degree 1 exceed the float range\n"
