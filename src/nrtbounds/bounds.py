@@ -17,7 +17,14 @@ from itertools import accumulate
 from math import comb, floor
 
 from .delsarte import CertificateCheck, DualCertificate, check_certificate, format_rational
-from .krawtchouk import BracketingError, K_multi, _k_values, k_root_min, krawtchouk_table
+from .krawtchouk import (
+    BracketingError,
+    K_multi,
+    _k_values,
+    k_root_min,
+    k_root_mins,
+    krawtchouk_table,
+)
 from .scheme import operators, spectral_radius
 from .space import (
     BudgetExceeded,
@@ -232,7 +239,8 @@ def spectral_bound(params: SpaceParams, d: int) -> BoundResult:
     enclosure would); only degree kappa, whose ends give the value, its
     tolerance and its witness, runs to the full width.  The operators come
     from one `operators` walk, so each is built once, and S_kappa only
-    once the hypothesis at kappa - 1 holds.
+    once the hypothesis at kappa - 1 holds; no more than the operator in
+    hand and, while `operators` builds the next, its predecessor are alive.
     """
     check_distance(params, d)
     dc = delta_crit(params.q, params.r)
@@ -240,11 +248,15 @@ def spectral_bound(params: SpaceParams, d: int) -> BoundResult:
     threshold = mean - d  # P(e) at |e|' = d
     ops = operators(params)
     # kappa = n is never admissible: lambda_n = P(0) = delta_crit r n exactly
-    for kappa, prev in zip(range(1, params.n), ops):
-        lo_prev, _ = spectral_radius(prev, decide=float(threshold))
+    for kappa in range(1, params.n):
+        S = next(ops)  # S_(kappa-1)
+        lo_prev, _ = spectral_radius(S, decide=float(threshold))
         if not threshold <= Fraction(lo_prev):
             continue
-        lo_k, hi_k = spectral_radius(next(ops))
+        # rebinding S leaves S_(kappa-1) to `operators` alone, which drops it
+        # once S_kappa is built, before its spectral radius runs
+        S = next(ops)
+        lo_k, hi_k = spectral_radius(S)
         if Fraction(hi_k) >= mean:
             break  # larger kappa only grows the eigenvalue
         numerator = (
@@ -304,11 +316,11 @@ class R2Witness:
     beta: float
 
 
-def _solve_alpha(q: int, nu: float, s2: int, left: float) -> float:
+def _solve_alpha(q: int, nu: float, s2: int, left: float, right: float) -> float:
     """Solve W(alpha) = -W(0) for W(x) = k_{s2+1}(nu, x) / k_{s2}(nu, x),
-    with alpha between left, the smallest root of k_{s2+1}, and the
-    smallest root of k_{s2}.  Both values of W come from one recurrence
-    pass."""
+    with alpha between left, the smallest root of k_{s2+1}, and right, the
+    smallest root of k_{s2} (for s2 = 0, a point beyond the affine
+    solution).  Both values of W come from one recurrence pass."""
     w0 = (q - 1) * (nu - s2) / (s2 + 1)
 
     def g(x: float) -> float:
@@ -317,10 +329,6 @@ def _solve_alpha(q: int, nu: float, s2: int, left: float) -> float:
             return float("-inf")
         return numer / denom + w0
 
-    if s2 >= 1:
-        right = k_root_min(q, nu, s2)
-    else:
-        right = 2 * (q - 1) * nu / q + 1  # beyond the affine solution
     width = right - left
     lo = left + 1e-9 * width
     hi = right - 1e-9 * width
@@ -339,61 +347,89 @@ def _solve_alpha(q: int, nu: float, s2: int, left: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _r2_candidates(params: SpaceParams, d_cap: float):
-    """Admissible (s1, s2, alpha, beta) tuples with alpha + 2 beta <= d_cap."""
-    n = params.n
-    q = params.q
-    for s1 in range(1, n + 1):
-        for s2 in range(0, n + 1):
-            if not n - s2 > s1:  # smallest root of degree s1 needs n - s2 > s1
-                continue
-            beta = k_root_min(q, n - s2, s1)
-            nu = n - beta
-            if not nu > s2 + 1:
-                continue
-            left = k_root_min(q, nu, s2 + 1)
-            if left + 2 * beta > d_cap:
-                continue  # alpha >= left, so alpha + 2 beta > d_cap as well
-            try:
-                alpha = _solve_alpha(q, nu, s2, left)
-            except BracketingError:
-                continue
-            if alpha + 2 * beta <= d_cap:
-                yield R2Witness(s1=s1, s2=s2, alpha=alpha, beta=beta)
-
-
-def _r2_value(params: SpaceParams, w: R2Witness) -> float:
+def _r2_value(params: SpaceParams, s1: int, s2: int, alpha: float, beta: float, vs: int) -> float:
+    """The depth-2 bound of the pair (s1, s2) at the point (alpha, beta),
+    with vs = shape_count((s1 - 1, s2)).  For beta > 0 it falls as alpha
+    grows: its alpha factor (alpha + 2 beta) / alpha^2 has the derivative
+    -(alpha + 4 beta) / alpha^3."""
     q, n = params.q, params.n
-    vs = shape_count(params, (w.s1 - 1, w.s2))
     return (
         4
-        * (n - w.beta - w.s2)
-        * (n - w.s2 - w.s1 + 1) ** 2
+        * (n - beta - s2)
+        * (n - s2 - s1 + 1) ** 2
         * (q - 1) ** 3
-        * (w.alpha + 2 * w.beta)
+        * (alpha + 2 * beta)
         * vs
-        / (q**3 * w.alpha**2 * w.beta**2)
+        / (q**3 * alpha**2 * beta**2)
     )
+
+
+def _r2_pairs(params: SpaceParams, d_cap: float) -> list[tuple]:
+    """The degree pairs (s1, s2) that can give a candidate with
+    alpha + 2 beta <= d_cap, as tuples (lower, s1, s2, nu, beta, left,
+    right, vs) sorted by lower, a lower bound on the pair's value.
+
+    beta is the smallest root of k_{s1}(n - s2, .), nu = n - beta, and left
+    and right are the smallest roots of k_{s2+1}(nu, .) and k_{s2}(nu, .),
+    which bracket alpha.  Each kind of root comes from one `k_root_mins`
+    call, and right only for the pairs whose left end is within the cap.
+    As alpha <= min(right, d_cap - 2 beta) and the value falls as alpha
+    grows, the value there is the lower bound; the cap is widened by a few
+    roundings of d_cap, since alpha + 2 beta is compared in floats.  A pair
+    is skipped unless beta > 0, 0 < left < right and that alpha bound is
+    > 0: otherwise its roots are below what the float eigenvalues resolve.
+    """
+    q, n = params.q, params.n
+    degrees = [(s1, s2) for s1 in range(1, n + 1) for s2 in range(n + 1) if n - s2 > s1]
+    betas = k_root_mins(q, ((n - s2, s1) for s1, s2 in degrees))
+    # nu > s2 + 1 makes every root of degree s2 + 1 real and inside (0, nu)
+    rooted = [(s1, s2, b, n - b) for (s1, s2), b in zip(degrees, betas) if b > 0 and n - b > s2 + 1]
+    lefts = k_root_mins(q, ((nu, s2 + 1) for _, s2, _, nu in rooted))
+    # alpha >= left, so a pair whose left end is past the cap has no candidate
+    capped = [(*p, left) for p, left in zip(rooted, lefts) if left + 2 * p[2] <= d_cap]
+    rights = iter(k_root_mins(q, ((nu, s2) for _, s2, _, nu, _ in capped if s2 >= 1)))
+    slack = 2**-50 * d_cap
+    out = []
+    for s1, s2, beta, nu, left in capped:
+        right = next(rights) if s2 >= 1 else 2 * (q - 1) * nu / q + 1
+        if not (0 < left < right and min(right, d_cap - 2 * beta) > 0):
+            continue
+        vs = shape_count(params, (s1 - 1, s2))
+        lower = _r2_value(params, s1, s2, min(right, d_cap - 2 * beta + slack), beta, vs)
+        out.append((lower, s1, s2, nu, beta, left, right, vs))
+    return sorted(out)
 
 
 def r2_bound(params: SpaceParams, d: int) -> BoundResult:
     """Depth-2 upper bound built from Krawtchouk root positions.
 
-    Scans all admissible degree pairs (s1, s2), takes the smallest bound
-    value, and assembles the underlying sign-certificate for the winning
-    pair, and raises CheckFailure unless it is accepted at float tolerance 1e-8.
+    Takes the smallest bound value over the admissible degree pairs
+    (s1, s2).  The pairs are solved for alpha in the order of their lower
+    bounds, and the scan stops at the first lower bound above the best
+    value (less a 1e-12 relative margin for its roundings), since no later
+    pair can win.  Then it assembles the underlying sign-certificate for
+    the winning pair, and raises CheckFailure unless it is accepted at
+    float tolerance 1e-8.
     """
     check_distance(params, d)
     if params.r != 2:
         return _inapplicable("r2", UPPER_CODE, "defined for block depth r = 2")
     # smallest value, then fewest degrees, then smallest (s1, s2), which is unique
-    ranked = [
-        (_r2_value(params, w), w.s1 + w.s2, w.s1, w.s2, w)
-        for w in _r2_candidates(params, float(d))
-    ]
-    if not ranked:
+    d_cap, best = float(d), None
+    for lower, s1, s2, nu, beta, left, right, vs in _r2_pairs(params, d_cap):
+        if best is not None and lower * (1 - 1e-12) > best[0]:
+            break
+        try:
+            alpha = _solve_alpha(params.q, nu, s2, left, right)
+        except BracketingError:
+            continue
+        if alpha + 2 * beta <= d_cap:
+            w = R2Witness(s1=s1, s2=s2, alpha=alpha, beta=beta)
+            ranked = (_r2_value(params, s1, s2, alpha, beta, vs), s1 + s2, s1, s2, w)
+            best = ranked if best is None else min(best, ranked)
+    if best is None:
         return _inapplicable("r2", UPPER_CODE, "no admissible degree pair")
-    value, *_, w = min(ranked)
+    value, *_, w = best
     _, check = r2_certificate(params, d, w)
     if not check.accepted:
         raise CheckFailure(

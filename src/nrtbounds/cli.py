@@ -16,7 +16,7 @@ import functools
 import json
 import sys
 from dataclasses import asdict
-from math import ceil, floor
+from math import ceil, comb, floor
 
 from . import __version__
 from .asymptotics import (
@@ -62,6 +62,7 @@ from .space import (
 )
 
 USAGE_ERROR, BUDGET_ERROR, CHECK_ERROR = 2, 3, 4
+SPHERE_SHAPE_CAP = 1 << 16  # most shapes `sphere` lists
 
 
 def _params(args) -> SpaceParams:
@@ -70,6 +71,9 @@ def _params(args) -> SpaceParams:
 
 def cmd_sphere(args) -> dict:
     params = _params(args)
+    count = comb(params.n + params.r, params.r)  # the shapes, before any is built
+    if count > SPHERE_SHAPE_CAP:
+        raise BudgetExceeded(f"{count} shapes exceed cap SPHERE_SHAPE_CAP = {SPHERE_SHAPE_CAP}")
     shapes = sorted(enumerate_shapes(params), key=lambda e: (shape_weight(e), e))
     if args.d is not None:
         shapes = [e for e in shapes if shape_weight(e) == args.d]

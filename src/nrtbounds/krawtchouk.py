@@ -261,22 +261,44 @@ class BracketingError(CheckFailure):
 
 
 def k_root_min(q: int, nu: float, s: int) -> float:
-    """Smallest root of k_s(nu, .), the smallest eigenvalue of the s x s
-    symmetric Jacobi matrix of the degree recurrence (Golub and Welsch 1969).
+    """Smallest root of k_s(nu, .): `k_root_mins` of the one pair (nu, s)."""
+    return k_root_mins(q, [(nu, s)])[0]
 
-    Requires nu > s so that all s roots are real and lie inside (0, nu).
+
+def k_root_mins(q: int, pairs) -> list[float]:
+    """Smallest roots of k_s(nu, .) for the pairs (nu, s), in their order.
+
+    Each is the smallest eigenvalue of the s x s symmetric Jacobi matrix of
+    the degree recurrence (Golub and Welsch 1969).  The pairs are grouped by
+    degree, and each degree's matrices go to one stacked `eigvalsh` call,
+    which gives every matrix the same bits as a call of its own.  Requires
+    s >= 1 and nu > s for every pair, so that all s roots are real and lie
+    inside (0, nu).
     """
-    if s < 1:
-        raise ValueError("degree must be >= 1")
-    if not nu > s:
-        raise ValueError(f"need nu > s for real roots inside (0, nu); got nu={nu}, s={s}")
+    pairs = list(pairs)
+    by_degree: dict[int, list[int]] = {}  # degree -> positions of its pairs
+    for k, (nu, s) in enumerate(pairs):
+        if s < 1:
+            raise ValueError("degree must be >= 1")
+        if not nu > s:
+            raise ValueError(f"need nu > s for real roots inside (0, nu); got nu={nu}, s={s}")
+        by_degree.setdefault(s, []).append(k)
+    if not pairs:
+        return []
     import numpy as np
 
-    nu, j = float(nu), np.arange(s, dtype=float)
-    jacobi = np.diag(((q - 1) * (nu - j) + j) / q)
-    off = np.sqrt(j[1:] * (q - 1) * (nu - j[1:] + 1)) / q
-    jacobi += np.diag(off, 1) + np.diag(off, -1)
-    return float(np.linalg.eigvalsh(jacobi)[0])
+    roots = [0.0] * len(pairs)
+    for s, ks in by_degree.items():
+        nu = np.array([float(pairs[k][0]) for k in ks])[:, None]
+        i, j = np.arange(s), np.arange(s, dtype=float)
+        jacobi = np.zeros((len(ks), s, s))
+        jacobi[:, i, i] = ((q - 1) * (nu - j) + j) / q
+        off = np.sqrt(j[1:] * (q - 1) * (nu - j[1:] + 1)) / q
+        jacobi[:, i[1:], i[:-1]] = off
+        jacobi[:, i[:-1], i[1:]] = off
+        for k, root in zip(ks, np.linalg.eigvalsh(jacobi)[:, 0].tolist()):
+            roots[k] = root
+    return roots
 
 
 # The numbers the float-or-array functions take as one value; anything else

@@ -250,9 +250,7 @@ def test_best_bounds_runs_each_scan_once(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(bounds_mod, "spectral_bound", counting("spectral", spectral_bound))
-    monkeypatch.setattr(
-        bounds_mod, "_r2_candidates", counting("r2-scan", bounds_mod._r2_candidates)
-    )
+    monkeypatch.setattr(bounds_mod, "_r2_pairs", counting("r2-scan", bounds_mod._r2_pairs))
     best_bounds(SpaceParams(2, 2, 6), 8)
     assert calls == {"spectral": 1, "r2-scan": 1}
 

@@ -1,9 +1,14 @@
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nrtbounds.cli import build_parser, main
 from nrtbounds.delsarte import certificate_from_json, check_certificate, format_rational
+from nrtbounds.krawtchouk import krawtchouk_table
 from nrtbounds.space import ArrayTable
 
 
@@ -53,6 +58,28 @@ def test_sphere_stratum(capsys):
     assert code == 0
     assert payload["sphere_size"] == 5
     assert all(s["weight"] == 2 for s in payload["shapes"])
+
+
+def test_sphere_shape_cap_exits_3(capsys, monkeypatch):
+    import nrtbounds.cli as cli_mod
+
+    def unbuilt(params):
+        raise AssertionError("shapes built")
+
+    # q2 r30 n5 has C(35, 5) = 324632 shapes; the cap refuses them unbuilt
+    with monkeypatch.context() as m:
+        m.setattr(cli_mod, "enumerate_shapes", unbuilt)
+        code, out, err = run(capsys, "sphere", "--q", "2", "--r", "30", "--n", "5")
+    assert code == 3
+    assert out == ""
+    assert err == "budget exceeded: 324632 shapes exceed cap SPHERE_SHAPE_CAP = 65536\n"
+    # q2 r2 n2 has 6 shapes, with or without a weight stratum
+    space = ("sphere", "--q", "2", "--r", "2", "--n", "2")
+    for argv in (space, space + ("--d", "2")):
+        monkeypatch.setattr(cli_mod, "SPHERE_SHAPE_CAP", 6)
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli_mod, "SPHERE_SHAPE_CAP", 5)
+        assert run(capsys, *argv)[0] == 3
 
 
 def test_sphere_bad_params(capsys):
@@ -453,6 +480,81 @@ def test_bounds_at_huge_q_end_in_a_documented_exit(capsys, argv):
             if b["applicable"] and b["side"] == "upper-on-code-size"
         ]
         assert uppers and all(b["floor"] >= 1 for b in uppers)
+
+
+# eigvalsh gives the smallest root of k_59(60, .) as 0.0 and the root behind
+# beta at (s1, s2) = (57, 2) as -1.1e-14; the depth-2 scan divided by them
+UNRESOLVED_ROOTS = ("bounds", "--q", "2", "--r", "2", "--n", "60", "--d", "70")
+
+
+def upper_floors(out: str) -> dict[str, int]:
+    """The floor of every applicable upper bound on code size."""
+    return {
+        b["name"]: b["floor"]
+        for b in json.loads(out)["bounds"]
+        if b["applicable"] and b["side"] == "upper-on-code-size"
+    }
+
+
+def test_depth2_bound_skips_unresolved_roots(capsys):
+    code, out, err = run(capsys, *UNRESOLVED_ROOTS)
+    krawtchouk_table.cache_clear()  # 1891 shapes: do not keep the table
+    assert (code, err) == (0, "")
+    floors = upper_floors(out)
+    assert "r2" in floors and min(floors.values()) >= 1
+
+
+def bounds_argv(q: int, r: int, n: int, d: int) -> tuple[str, ...]:
+    return ("bounds", "--q", str(q), "--r", str(r), "--n", str(n), "--d", str(d))
+
+
+@st.composite
+def sweep_argv(draw):
+    """bounds at q, r, n from the sweep's grid and one of five distances."""
+    q = draw(st.sampled_from([2, 3, 5, 2**10, 2**40, 2**64]))
+    r = draw(st.sampled_from([1, 2, 3, 7, 30]))
+    n = draw(st.sampled_from([1, 2, 3, 5]))
+    d = draw(st.sampled_from([1, 2, 3, n * r // 2 + 1, n * r]))
+    return bounds_argv(q, r, n, d)
+
+
+# the calls of the sweep's grid that ended in a traceback before the float
+# range and the kappa = n witness were handled: 22 OverflowErrors and 2
+# ZeroDivisionErrors
+GRID_TRACEBACKS = [
+    (2**10, 30, 5, 150),
+    (2**40, 1, 5, 2),
+    (2**40, 7, 2, 8),
+    *((2**40, 7, 5, d) for d in (1, 2, 3, 18, 35)),
+    *((2**40, 30, 1, d) for d in (1, 2, 3)),
+    *((2**64, 7, 3, d) for d in (1, 2, 3, 21)),
+    *((2**64, 7, 5, d) for d in (1, 2, 3, 18, 35)),
+    *((2**64, 30, 1, d) for d in (1, 2, 3, 16)),
+]
+SWEEP_EXAMPLES = [
+    *(bounds_argv(*args) for args in GRID_TRACEBACKS),
+    bounds_argv(2**20, 2, 3, 2),  # the spectral bound's zero at kappa = n
+    UNRESOLVED_ROOTS,
+]
+
+
+def with_examples(test):
+    for argv in SWEEP_EXAMPLES:
+        test = example(argv)(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@with_examples
+@given(sweep_argv())
+def test_bounds_sweep_ends_in_a_documented_exit(argv):
+    out = StringIO()
+    with redirect_stdout(out), redirect_stderr(StringIO()):
+        code = main(list(argv))
+    krawtchouk_table.cache_clear()
+    assert code in (0, 2, 3, 4), argv
+    if code == 0:
+        assert all(floor >= 1 for floor in upper_floors(out.getvalue()).values()), argv
 
 
 def test_asym_psirao_is_nets_rao(capsys):

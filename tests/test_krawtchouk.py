@@ -10,6 +10,7 @@ from nrtbounds.krawtchouk import (
     gamma,
     inner_product,
     k_root_min,
+    k_root_mins,
     _value_cube,
     k_uni,
     krawtchouk_table,
@@ -352,6 +353,34 @@ def test_root_min_matches_bisection(q, nu, s, root):
     got = k_root_min(q, nu, s)
     assert got == pytest.approx(root, rel=1e-12, abs=0)
     assert k_uni(q, nu, s, got * (1 - 1e-9)) * k_uni(q, nu, s, got * (1 + 1e-9)) < 0
+
+
+def jacobi_root(q: int, nu: float, s: int) -> float:
+    """The smallest eigenvalue of one Jacobi matrix, built with np.diag and
+    solved on its own: the form the stacked matrices replaced."""
+    import numpy as np
+
+    j = np.arange(s, dtype=float)
+    jacobi = np.diag(((q - 1) * (nu - j) + j) / q)
+    off = np.sqrt(j[1:] * (q - 1) * (nu - j[1:] + 1)) / q
+    jacobi += np.diag(off, 1) + np.diag(off, -1)
+    return float(np.linalg.eigvalsh(jacobi)[0])
+
+
+def test_stacked_roots_match_one_pair_calls():
+    # one stacked eigvalsh call per degree gives each matrix the bits of a
+    # call of its own; the pairs come in mixed degree order
+    pairs = [(s + 0.5 + 0.37 * k, s) for s in range(1, 12) for k in range(11)]
+    random.Random(5).shuffle(pairs)
+    for q in (2, 3, 4, 5, 2**40):
+        want = [jacobi_root(q, nu, s).hex() for nu, s in pairs]
+        assert [x.hex() for x in k_root_mins(q, pairs)] == want
+        assert [k_root_min(q, nu, s).hex() for nu, s in pairs] == want
+    assert k_root_mins(2, iter(pairs[:3])) == k_root_mins(2, pairs[:3])
+    assert k_root_mins(2, []) == []
+    for bad in ([(4, 1), (2, 3)], [(4, 0)]):
+        with pytest.raises(ValueError):
+            k_root_mins(2, bad)
 
 
 def test_gamma():

@@ -1,13 +1,14 @@
 """The depth-2 root scan and certificate against the forms they replaced.
 
 `_solve_alpha` reads k_{s2}(nu, x) and k_{s2+1}(nu, x) from one recurrence
-pass and stops once the bracket cannot shrink, `_r2_candidates` skips the
-bisection of a pair whose bracket's left end already exceeds the cap, and
-`r2_certificate` is two matrix products.  The references below are the
-earlier forms: 80 bisection steps with two separate `k_uni` evaluations
-each, a bisection for every pair, and two shape-by-shape loops.  The scans
-must agree bit for bit, the certificate coefficients to 1e-12 of the
-largest.
+pass and stops once the bracket cannot shrink, `r2_bound` bisects only the
+pairs whose lower bound can still beat the best value found, with their
+roots from one stacked eigenvalue call per degree, and `r2_certificate` is
+two matrix products.  The references below are the earlier forms: 80
+bisection steps with two separate `k_uni` evaluations each, a bisection
+for every pair with roots one at a time, the value formula on the witness,
+and two shape-by-shape loops.  The scans must agree bit for bit, the
+certificate coefficients to 1e-12 of the largest.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import pytest
 import nrtbounds.bounds as bounds_mod
 from nrtbounds.bounds import (
     R2Witness,
-    _r2_candidates,
+    _r2_pairs,
     _solve_alpha,
+    r2_bound,
     r2_certificate,
     r2_region,
 )
@@ -38,6 +40,16 @@ from nrtbounds.space import SpaceParams, delta_crit, enumerate_shapes, shape_cou
 
 # the spaces of the bounds-r2 benchmark workload
 R2_SPACES = [(4, 8), (3, 9), (2, 12)]
+# and more, up to n = 30 and q = 16, for the pruned scan
+SCAN_SPACES = R2_SPACES + [(2, 8), (5, 6), (2, 30), (3, 14), (7, 5), (16, 4), (3, 20)]
+
+
+def bracket(q: int, nu: float, s2: int) -> tuple[float, float]:
+    """The ends (left, right) of the alpha bisection, one root at a time."""
+    left = k_root_min(q, nu, s2 + 1)
+    if s2 >= 1:
+        return left, k_root_min(q, nu, s2)
+    return left, 2 * (q - 1) * nu / q + 1
 
 
 @lru_cache(maxsize=None)
@@ -51,11 +63,7 @@ def solve_alpha_two_passes(q: int, nu: float, s2: int) -> float:
             return float("-inf")
         return float(k_uni(q, nu, s2 + 1, x)) / denom + w0
 
-    left = k_root_min(q, nu, s2 + 1)
-    if s2 >= 1:
-        right = k_root_min(q, nu, s2)
-    else:
-        right = 2 * (q - 1) * nu / q + 1
+    left, right = bracket(q, nu, s2)
     width = right - left
     lo = left + 1e-9 * width
     hi = right - 1e-9 * width
@@ -91,6 +99,34 @@ def scan_solving_every_pair(params: SpaceParams, d_cap: float) -> list[R2Witness
     return out
 
 
+def value_of(params: SpaceParams, w: R2Witness) -> float:
+    """The depth-2 bound of a witness, in the formula's own order."""
+    q, n = params.q, params.n
+    vs = shape_count(params, (w.s1 - 1, w.s2))
+    return (
+        4
+        * (n - w.beta - w.s2)
+        * (n - w.s2 - w.s1 + 1) ** 2
+        * (q - 1) ** 3
+        * (w.alpha + 2 * w.beta)
+        * vs
+        / (q**3 * w.alpha**2 * w.beta**2)
+    )
+
+
+def full_scan_minimum(params: SpaceParams, d: int):
+    """(value, witness) of the full scan's winner: smallest value, then
+    fewest degrees, then smallest (s1, s2); None without a candidate."""
+    ranked = [
+        (value_of(params, w), w.s1 + w.s2, w.s1, w.s2, w)
+        for w in scan_solving_every_pair(params, float(d))
+    ]
+    if not ranked:
+        return None
+    value, *_, w = min(ranked)
+    return value, w
+
+
 def scanned_pairs(q: int, n: int):
     """(s2, nu) for every pair (s1, s2) the scan bisects on q r2 n."""
     for s1 in range(1, n + 1):
@@ -110,7 +146,7 @@ def test_one_pass_alpha_is_bit_identical(q, n):
         except BracketingError:
             want = None
         try:
-            got = _solve_alpha(q, nu, s2, k_root_min(q, nu, s2 + 1)).hex()
+            got = _solve_alpha(q, nu, s2, *bracket(q, nu, s2)).hex()
         except BracketingError:
             got = None
         assert got == want, (s2, nu)
@@ -133,7 +169,7 @@ def test_alpha_bisection_stops_when_the_bracket_stops_moving(q, n, monkeypatch):
     for s2, nu in scanned_pairs(q, n):
         before = len(calls)
         try:
-            _solve_alpha(q, nu, s2, k_root_min(q, nu, s2 + 1))
+            _solve_alpha(q, nu, s2, *bracket(q, nu, s2))
         except BracketingError:
             continue
         counts.append(len(calls) - before)
@@ -141,8 +177,10 @@ def test_alpha_bisection_stops_when_the_bracket_stops_moving(q, n, monkeypatch):
     assert sum(counts) < 0.9 * 82 * len(counts)
 
 
-@pytest.mark.parametrize("q,n", R2_SPACES)
+@pytest.mark.parametrize("q,n", SCAN_SPACES)
 def test_candidates_match_full_scan_at_every_d(q, n, monkeypatch):
+    # r2_bound's value and witness are the full scan's minimum bit for bit,
+    # while it bisects only some of the pairs the full scan bisects
     params = SpaceParams(q, 2, n)
     calls = []
 
@@ -152,10 +190,33 @@ def test_candidates_match_full_scan_at_every_d(q, n, monkeypatch):
 
     monkeypatch.setattr(bounds_mod, "_solve_alpha", counting)
     for d in range(1, params.dim + 2):
-        want = scan_solving_every_pair(params, float(d))
-        assert list(_r2_candidates(params, float(d))) == want, d
+        want = full_scan_minimum(params, d)
+        got = r2_bound(params, d)
+        if want is None:
+            assert not got.applicable, d
+            continue
+        value, w = want
+        assert got.applicable, d
+        assert got.value.hex() == value.hex(), d
+        assert (got.witness["s1"], got.witness["s2"]) == (w.s1, w.s2), d
+        assert got.witness["alpha"].hex() == w.alpha.hex(), d
+        assert got.witness["beta"].hex() == w.beta.hex(), d
     pairs = sum(1 for _ in scanned_pairs(q, n))
     assert 0 < len(calls) < pairs * (params.dim + 1)
+
+
+@pytest.mark.parametrize("n", [60, 80])
+def test_pairs_skip_roots_below_float_resolution(n):
+    # float eigenvalues put some roots at or below 0 here: at n = 60 three
+    # betas and two left ends, at n = 80 42 betas, and 13 left ends at or
+    # past their right end; the scan keeps none of those pairs
+    params = SpaceParams(2, 2, n)
+    for d in (n // 2, 2 * n):
+        pairs = _r2_pairs(params, float(d))
+        assert pairs, d
+        for lower, s1, s2, nu, beta, left, right, vs in pairs:
+            assert beta > 0 and 0 < left < right and 0 < lower < float("inf"), (d, s1, s2)
+        assert [p[0] for p in pairs] == sorted(p[0] for p in pairs)
 
 
 def certificate_by_loops(params: SpaceParams, w: R2Witness) -> list[float]:
@@ -190,7 +251,7 @@ def test_certificate_products_match_loops(q, n):
     params = SpaceParams(q, 2, n)
     shapes = list(enumerate_shapes(params))
     witnesses = dict.fromkeys(
-        w for d in range(1, params.dim + 2) for w in _r2_candidates(params, float(d))
+        w for d in range(1, params.dim + 2) for w in scan_solving_every_pair(params, float(d))
     )
     assert len(witnesses) >= 20
     for w in witnesses:

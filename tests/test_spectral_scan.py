@@ -9,11 +9,14 @@ field of the result.
 
 from __future__ import annotations
 
+import gc
+import weakref
 from fractions import Fraction
 from math import comb, floor
 
 import pytest
 
+import nrtbounds.bounds as bounds_mod
 from nrtbounds.bounds import UPPER_CODE, BoundResult, spectral_bound
 from nrtbounds.scheme import build_operator, spectral_radius
 from nrtbounds.space import SpaceParams, delta_crit
@@ -108,3 +111,21 @@ def test_scan_matches_linear_scan_deep(q, r, n, d):
     got = spectral_bound(p, d)
     assert got.applicable
     assert _fields(got) == _fields(linear_scan(p, d))
+
+
+@pytest.mark.parametrize("q,r,n,d", [(2, 4, 9, 10), (2, 2, 8, 3), (3, 3, 5, 9)])
+def test_each_operator_is_collectable_before_the_next_radius(q, r, n, d, monkeypatch):
+    # when spectral_radius runs on S_k, no earlier operator is alive: the
+    # scan holds only the operator in hand
+    seen = []
+
+    def watching(S, **kwargs):
+        gc.collect()
+        assert [ref() is None for ref in seen] == [True] * len(seen), len(seen)
+        seen.append(weakref.ref(S))
+        return spectral_radius(S, **kwargs)
+
+    monkeypatch.setattr(bounds_mod, "spectral_radius", watching)
+    params = SpaceParams(q, r, n)
+    assert spectral_bound(params, d) == linear_scan(params, d)
+    assert len(seen) >= 3
