@@ -511,7 +511,7 @@ def best_bounds(params: SpaceParams, d: int) -> BoundTable:
     """Evaluate every bound at distance d (strength d-1 for the array side);
     inapplicable bounds are included with their reason, never dropped."""
     check_distance(params, d)
-    spectral = spectral_bound(params, d)
+    spectral, t = spectral_bound(params, d), d - 1
     results: list[BoundResult] = [
         singleton(params, d),
         plotkin(params, d),
@@ -519,16 +519,12 @@ def best_bounds(params: SpaceParams, d: int) -> BoundTable:
         bassalygo_elias(params, d),
         gilbert(params, d),
         spectral,
+        r2 := r2_bound(params, d),
+        rao(params, t),
+        dual_plotkin_ooa(params, t),
+        _reciprocal(params, "spectral-ooa", spectral),
+        _reciprocal(params, "r2-ooa", r2),
     ]
-    if params.r == 2:
-        r2 = r2_bound(params, d)
-        results.append(r2)
-    t = d - 1
-    results.append(rao(params, t))
-    results.append(dual_plotkin_ooa(params, t))
-    results.append(_reciprocal(params, "spectral-ooa", spectral))
-    if params.r == 2:
-        results.append(_reciprocal(params, "r2-ooa", r2))
 
     uppers = [b for b in results if b.applicable and b.side == UPPER_CODE]
     lowers = [b for b in results if b.applicable and b.side == LOWER_CODE]

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
+from .delsarte import format_rational
 from .krawtchouk import krawtchouk_table
 from .space import (
     ArrayTable,
@@ -46,7 +47,7 @@ class WeightEnumerator:
         return {
             "params": asdict(self.params),
             "reading": self.reading,
-            "coeffs": {shape_key(e): str(v) for e, v in sorted(self.coeffs.items())},
+            "coeffs": {shape_key(e): format_rational(v) for e, v in sorted(self.coeffs.items())},
         }
 
 

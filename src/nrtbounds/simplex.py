@@ -1,17 +1,16 @@
-"""Two-phase primal simplex over exact rationals with Bland's rule.
+"""Two-phase primal simplex for integer programs with Bland's rule.
 
-Small dense dictionaries only.  `make_lp` keeps int data as ints and turns
-any other number into a Fraction.  Each constraint row is scaled to
-integers once, and the dictionary of the current basis is held as integer
-numerators over one positive common denominator (integer pivoting on a
-dictionary, as in Avis's lrs; Edmonds 1967, Bareiss 1968): only the
-nonbasic columns are stored, since every basic column is the denominator
-times a unit vector, and every pivot updates the numerators by an exact
-integer division, so no Fraction and no gcd enters the inner loop.
-Results are still exact fractions.Fraction values and deterministic.  Dual
-values are recovered from the final reduced costs on each row's seed
-column (its slack or artificial), which makes optimal dual solutions
-available to certificate extraction.
+Small dense dictionaries only.  `make_lp` takes int data only; a rational
+program is multiplied out to integers by its caller.  The dictionary of
+the current basis is held as integer numerators over one positive common
+denominator (integer pivoting on a dictionary, as in Avis's lrs; Edmonds
+1967, Bareiss 1968): only the nonbasic columns are stored, since every
+basic column is the denominator times a unit vector, and every pivot
+updates the numerators by an exact integer division, so no Fraction and
+no gcd enters the inner loop.  Results are exact fractions.Fraction
+values and deterministic.  Dual values are recovered from the final
+reduced costs on each row's seed column (its slack or artificial), which
+makes optimal dual solutions available to certificate extraction.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from collections.abc import Container
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import lcm
 
 from .space import CheckFailure
 
@@ -38,16 +36,16 @@ class LPError(CheckFailure):
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[int | Fraction, ...]
+    coeffs: tuple[int, ...]
     rel: str
-    rhs: int | Fraction
+    rhs: int
 
 
 @dataclass(frozen=True)
 class LinearProgram:
     """maximize (or minimize) c.x subject to constraints, x >= 0."""
 
-    objective: tuple[int | Fraction, ...]
+    objective: tuple[int, ...]
     constraints: tuple[Constraint, ...]
     maximize: bool = True
 
@@ -62,21 +60,14 @@ class SimplexResult:
 
 
 def make_lp(objective, rows, maximize=True) -> LinearProgram:
-    """rows: iterable of (coeffs, rel, rhs).  Ints stay ints; any other
-    number becomes a Fraction."""
-
-    def exact(v):
-        return v if isinstance(v, int) else Fraction(v)
-
-    cons = tuple(
-        Constraint(tuple(exact(c) for c in coeffs), rel, exact(rhs))
-        for coeffs, rel, rhs in rows
-    )
-    return LinearProgram(
-        objective=tuple(exact(c) for c in objective),
-        constraints=cons,
-        maximize=maximize,
-    )
+    """rows: iterable of (coeffs, rel, rhs).  Every number must be an int;
+    anything else, bool included, raises TypeError."""
+    cons = tuple(Constraint(tuple(coeffs), rel, rhs) for coeffs, rel, rhs in rows)
+    objective = tuple(objective)
+    for v in (*objective, *(v for con in cons for v in (*con.coeffs, con.rhs))):
+        if type(v) is not int:
+            raise TypeError(f"program data must be int, not {type(v).__name__}")
+    return LinearProgram(objective=objective, constraints=cons, maximize=maximize)
 
 
 class _Tableau:
@@ -103,17 +94,10 @@ class _Tableau:
             if len(con.coeffs) != self.nvars:
                 raise ValueError("constraint arity mismatch")
         self.flip = []  # row sign flips applied to reach rhs >= 0
-        # Row i is multiplied by scale[i], the lcm of its denominators, so
-        # its slack, surplus and artificial are scale[i] times the variable
-        # of the unscaled row.
-        self.scale = []
         rows = []
         rels = []
         for con in lp.constraints:
-            values = [*con.coeffs, con.rhs]
-            dens = {v.denominator for v in values}
-            s = 1 if dens == {1} else lcm(*dens)
-            row = [v.numerator * (s // v.denominator) for v in values]
+            row = [*con.coeffs, con.rhs]
             rel = con.rel
             if row[-1] < 0:
                 row = [-a for a in row]
@@ -121,18 +105,15 @@ class _Tableau:
                 self.flip.append(-1)
             else:
                 self.flip.append(1)
-            self.scale.append(s)
             rows.append(row)
             rels.append(rel)
 
         self.ncols = self.nvars
         self.seed_col = [None] * m  # +e_i column used for dual readout
         self.artificial = {}  # artificial column -> its row
-        self.slack_row = {}  # slack or surplus column -> its row
         surplus = []  # (row, column) of each surplus
         for i, rel in enumerate(rels):
             if rel != EQ:
-                self.slack_row[self.ncols] = i
                 if rel == LE:
                     self.seed_col[i] = self.ncols
                 else:
@@ -232,16 +213,14 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     c_struct = [sign * c for c in lp.objective]
     tab = _Tableau(lp)
 
-    # phase 1: maximize minus the artificial sum of the unscaled rows, times
-    # L = lcm(scale) so that the costs stay integers
+    # phase 1: maximize minus the sum of the artificials
     if tab.artificial:
-        L = lcm(*tab.scale)
         c1 = [0] * tab.ncols
-        for j, i in tab.artificial.items():
-            c1[j] = -(L // tab.scale[i])
+        for j in tab.artificial:
+            c1[j] = -1
         status, _ = tab.run(c1, forbid=())
         assert status == "optimal"  # phase 1 is always bounded
-        if tab.R[-1] != 0:  # -D L times the phase-1 optimum
+        if tab.R[-1] != 0:  # -D times the phase-1 optimum
             return SimplexResult(status="infeasible")
         # drive artificials out of the basis (all sit at value zero here)
         for i in range(tab.m):
@@ -259,21 +238,17 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
                 else:
                     tab.pivot(i, pivot[1])
 
-    # phase 2 on the objective times its own integer scale
-    c_scale = lcm(*(c.denominator for c in c_struct))
-    c2 = [c.numerator * (c_scale // c.denominator) for c in c_struct]
-    c2 += [0] * (tab.ncols - tab.nvars)
+    # phase 2
+    c2 = c_struct + [0] * (tab.ncols - tab.nvars)
     status, k = tab.run(c2, forbid=tab.artificial)
     if status == "unbounded":
         enter = tab.nonbasic[k]
-        # a slack or surplus of row i is scale[i] times the unscaled one
-        s = tab.scale[tab.slack_row[enter]] if enter >= tab.nvars else 1
         ray = [Fraction(0)] * tab.nvars
         if enter < tab.nvars:
             ray[enter] = Fraction(1)
         for i in range(tab.m):
             if tab.active[i] and tab.basis[i] < tab.nvars:
-                ray[tab.basis[i]] = Fraction(-tab.M[i][k] * s, tab.D)
+                ray[tab.basis[i]] = Fraction(-tab.M[i][k], tab.D)
         return SimplexResult(status="unbounded", ray=tuple(ray))
 
     x = tab.solution()
@@ -284,13 +259,11 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
         if not tab.active[i]:
             duals.append(Fraction(0))
             continue
-        # the seed column is +e_i of the scaled row, with cost zero; its
-        # variable is scale[i] times the unscaled one, and R / D is c_scale
-        # times the reduced costs (zero while the seed column is basic)
+        # the seed column is +e_i of row i, with cost zero, and R / D holds
+        # the reduced costs (zero while the seed column is basic)
         j = tab.seed_col[i]
         reduced = tab.R[slot[j]] if j in slot else 0
-        y_internal = Fraction(-reduced * tab.scale[i], tab.D * c_scale)
-        duals.append(sign * tab.flip[i] * y_internal)
+        duals.append(sign * tab.flip[i] * Fraction(-reduced, tab.D))
     return SimplexResult(
         status="optimal",
         objective=sign * value,

@@ -237,6 +237,16 @@ def test_best_bounds_table():
     assert all(b.value >= P22.ambient_size - 1e-6 for b in uppers)
 
 
+def test_best_bounds_lists_every_bound_at_every_depth():
+    tables = {r: best_bounds(SpaceParams(2, r, 3), 2) for r in (1, 2, 3)}
+    names = {r: [b.name for b in t.bounds] for r, t in tables.items()}
+    assert names[1] == names[2] == names[3]
+    for r in (1, 3):
+        depth2 = {b.name: b for b in tables[r].bounds if b.name in ("r2", "r2-ooa")}
+        assert len(depth2) == 2 and not any(b.applicable for b in depth2.values())
+        assert all("r = 2" in b.reason for b in depth2.values())
+
+
 def test_best_bounds_runs_each_scan_once(monkeypatch):
     import nrtbounds.bounds as bounds_mod
 

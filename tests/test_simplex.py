@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -60,15 +61,23 @@ def test_infeasible():
 
 
 def test_exact_rational_answer():
-    lp = make_lp(
-        [Fraction(1, 3), Fraction(1, 7)],
-        [([Fraction(2, 5), 1], LE, Fraction(9, 11)), ([1, 0], LE, 1)],
-    )
+    # max x/3 + y/7 s.t. 2x/5 + y <= 9/11, x <= 1, as integers: the
+    # objective times 21 and the first row times 55
+    lp = make_lp([7, 3], [([22, 55], LE, 45), ([1, 0], LE, 1)])
     res = simplex_solve(lp)
     assert res.status == "optimal"
-    assert res.objective == Fraction(1, 3) + Fraction(1, 7) * (
-        Fraction(9, 11) - Fraction(2, 5)
-    )
+    assert res.x == (1, Fraction(45 - 22, 55))
+    assert res.objective == 7 + 3 * Fraction(45 - 22, 55)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1), 1.0, True])
+def test_make_lp_takes_ints_only(bad):
+    with pytest.raises(TypeError):
+        make_lp([bad], [([1], LE, 1)])
+    with pytest.raises(TypeError):
+        make_lp([1], [([bad], LE, 1)])
+    with pytest.raises(TypeError):
+        make_lp([1], [([1], LE, bad)])
 
 
 def test_duals_on_binding_constraints():
@@ -83,14 +92,14 @@ def test_dual_is_rhs_sensitivity():
     for _ in range(30):
         nvars = rng.randint(1, 4)
         nrows = rng.randint(1, 4)
-        c = [Fraction(rng.randint(0, 5)) for _ in range(nvars)]
+        c = [rng.randint(0, 5) for _ in range(nvars)]
         rows = []
         for _ in range(nrows):
-            coeffs = [Fraction(rng.randint(0, 4)) for _ in range(nvars)]
-            rows.append((coeffs, LE, Fraction(rng.randint(1, 9))))
+            coeffs = [rng.randint(0, 4) for _ in range(nvars)]
+            rows.append((coeffs, LE, rng.randint(1, 9)))
         # box to keep everything bounded
         for j in range(nvars):
-            rows.append(([Fraction(int(j == i)) for i in range(nvars)], LE, Fraction(10)))
+            rows.append(([int(j == i) for i in range(nvars)], LE, 10))
         res = simplex_solve(make_lp(c, rows))
         assert res.status == "optimal"
         # weak duality: dual objective equals primal objective
@@ -127,8 +136,68 @@ def test_against_floating_solver():
         assert float(exact.objective) == pytest.approx(-ref.fun, abs=1e-6)
 
 
+def test_infeasible_exactly_when_highs_finds_no_point():
+    """`infeasible` is the one status that carries no certificate, so it is
+    checked against HiGHS on the same rows under a zero objective, where
+    HiGHS cannot mistake an unbounded program for an infeasible one."""
+    scipy = pytest.importorskip("scipy.optimize")
+    rng = random.Random(23)
+    statuses = set()
+    for _ in range(1000):
+        nvars, nrows = rng.randint(1, 4), rng.randint(1, 4)
+        c = [rng.randint(-6, 6) for _ in range(nvars)]
+        rows = []
+        for _ in range(nrows):
+            coeffs = [rng.randint(-6, 6) for _ in range(nvars)]
+            rows.append((coeffs, rng.choice((LE, GE, EQ)), rng.randint(-6, 6)))
+        maximize = rng.random() < 0.5
+        res = simplex_solve(make_lp(c, rows, maximize))
+        statuses.add(res.status)
+        A_ub = [a if rel == LE else [-v for v in a] for a, rel, _ in rows if rel != EQ]
+        b_ub = [b if rel == LE else -b for _, rel, b in rows if rel != EQ]
+        eq = [(a, b) for a, rel, b in rows if rel == EQ]
+        kw = dict(
+            A_ub=A_ub or None,
+            b_ub=b_ub or None,
+            A_eq=[a for a, _ in eq] or None,
+            b_eq=[b for _, b in eq] or None,
+            bounds=[(0, None)] * nvars,
+        )
+        feasible = scipy.linprog([0] * nvars, **kw)
+        assert feasible.status in (0, 2)
+        assert (res.status == "infeasible") == (feasible.status == 2), rows
+        if res.status == "optimal":
+            sense = -1 if maximize else 1
+            ref = scipy.linprog([sense * v for v in c], **kw)
+            assert ref.status == 0
+            assert float(res.objective) == pytest.approx(sense * ref.fun, abs=1e-6)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
 # ---------------------------------------------------------------------------
-# Exact optimality and unboundedness properties on random fractional programs
+# Exact optimality and unboundedness properties on random rational programs,
+# each multiplied out to an integer program
+
+
+def integer_program(objective, rows, maximize):
+    """The rational program (objective, rows, maximize) as an integer one:
+    row i times s_i, the lcm of its denominators, and the objective times c,
+    the lcm of its own.  Returns (program, [s_i], c); the integer program
+    has the same x and rays, c times the objective, and c y_i / s_i as its
+    dual on row i."""
+
+    def times_lcm(values):
+        s = lcm(*(Fraction(v).denominator for v in values))
+        return [int(v * s) for v in values], s
+
+    c_int, c = times_lcm(objective)
+    int_rows, scales = [], []
+    for coeffs, rel, rhs in rows:
+        row, s = times_lcm([*coeffs, rhs])
+        int_rows.append((row[:-1], rel, row[-1]))
+        scales.append(s)
+    return make_lp(c_int, int_rows, maximize), scales, c
+
 
 rationals = st.builds(
     Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6])
@@ -146,16 +215,16 @@ def programs(draw):
             max_size=4,
         )
     )
-    return make_lp(draw(vector), rows, maximize=draw(st.booleans()))
+    return integer_program(draw(vector), rows, draw(st.booleans()))[0]
 
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-# max x s.t. x/2 >= 1/3: phase 2 enters the surplus of a scaled row, and
-# moving the surplus by one raises x by two
-SURPLUS_RAY = make_lp([1], [([Fraction(1, 2)], GE, Fraction(1, 3))])
+# max x s.t. 3x >= 2: phase 2 enters the surplus, and moving the surplus by
+# one raises x by a third
+SURPLUS_RAY = make_lp([1], [([3], GE, 2)])
 
 
 def _assert_primal_feasible(lp, res):
@@ -206,4 +275,4 @@ def test_result_proves_its_status(lp):
 def test_ray_through_a_surplus_column():
     res = simplex_solve(SURPLUS_RAY)
     assert res.status == "unbounded"
-    assert res.ray == (2,)
+    assert res.ray == (Fraction(1, 3),)

@@ -11,7 +11,18 @@ certificates `delsarte` builds from them.  The array programs are those of
 `solve_ooa_lp_direct` below, the array program solved by a simplex of its
 own; `delsarte.solve_ooa_lp` goes through the code program instead.
 
-Re-record (only from a solver known to keep the path):
+The simplex takes integer programs only, and the Delsarte programs are
+integer programs, so their pins are compared bit for bit.  A random
+program is multiplied out to integers first, row i by s_i and the
+objective by c (`test_simplex.integer_program`); its pin is then read
+through that map: the same x, c times the objective, c y_i / s_i as the
+dual of row i, and a positive multiple of the ray.  The Fraction-era
+solver ran phase 1 on the artificials of the unmultiplied rows, so on the
+`PATH_SENSITIVE_SEEDS` it took another path; there the integer program's
+own result is pinned in `INTEGER_PATHS` instead.
+
+Re-record the Delsarte sections (only from a solver known to keep the
+path); the random section stays as it is:
 
     PYTHONPATH=src python tests/test_simplex_paths.py
 """
@@ -30,16 +41,26 @@ from nrtbounds import delsarte
 from nrtbounds.krawtchouk import krawtchouk_table
 from nrtbounds.simplex import EQ, GE, LE, make_lp, simplex_solve
 from nrtbounds.space import SpaceParams, enumerate_shapes, shape_weight
+from test_simplex import _assert_improving_recession_direction, integer_program
 
 FIXTURE = Path(__file__).with_name("simplex_paths.json")
 
 # Random programs pinned: a contiguous block of seeds, plus seeds on which
-# giving every artificial the phase-1 cost -1, instead of -L/s_i when row i
-# is scaled to integers by s_i and L = lcm(s), leaves Bland's path and
+# giving every artificial the phase-1 cost -1, instead of the Fraction-era
+# -L/s_i (row i multiplied out by s_i, L = lcm(s)), leaves Bland's path and
 # changes the result.
 RANDOM_SEEDS = list(range(300))
 PATH_SENSITIVE_SEEDS = [3324, 6673, 9825, 10546]
 ALL_SEEDS = sorted(set(RANDOM_SEEDS) | set(PATH_SENSITIVE_SEEDS))
+
+# The integer programs of the path-sensitive seeds, solved by the integer
+# simplex with phase-1 costs -1: unbounded, as in the fixture, on another ray.
+INTEGER_PATHS = {
+    3324: ["1/69", "17/230", "29/345", "0"],
+    6673: ["16/5", "1", "92/45"],
+    9825: ["0", "2/67", "3/67", "11/201"],
+    10546: ["1", "45/8", "13/2", "0", "81/8"],
+}
 
 # The spaces of the benchmark's lp-sweep workload: every distance and strength.
 SPACES = [(2, 2, 6), (3, 2, 6), (2, 3, 4), (2, 4, 3)]
@@ -47,9 +68,10 @@ SPACES = [(2, 2, 6), (3, 2, 6), (2, 3, 4), (2, 4, 3)]
 DELSARTE_SPACES = [(2, 2, 6), (2, 3, 4)]
 
 
-def random_lp(seed: int):
-    """A small program with fractional data: most rows carry a non-unit
-    denominator, and right-hand sides take either sign."""
+def random_program(seed: int):
+    """(objective, rows, maximize) of a small program with fractional data:
+    most rows carry a non-unit denominator, and right-hand sides take
+    either sign."""
     rng = random.Random(seed)
     nvars, nrows = rng.randint(1, 5), rng.randint(1, 5)
 
@@ -60,7 +82,7 @@ def random_lp(seed: int):
         ([frac() for _ in range(nvars)], rng.choice((LE, LE, GE, EQ)), frac())
         for _ in range(nrows)
     ]
-    return make_lp([frac() for _ in range(nvars)], rows, maximize=rng.random() < 0.5)
+    return [frac() for _ in range(nvars)], rows, rng.random() < 0.5
 
 
 def _strs(values):
@@ -145,7 +167,7 @@ def delsarte_cases(space):
 
 def record() -> dict:
     data = {
-        "random": {str(s): encode(simplex_solve(random_lp(s))) for s in ALL_SEEDS},
+        "random": json.loads(FIXTURE.read_text())["random"],
         "delsarte": {},
         "distributions": {},
         "certificates": {},
@@ -172,9 +194,30 @@ def test_fixture_covers_every_case(pinned):
     assert len(pinned["delsarte"]) == sum(2 * SpaceParams(*s).dim + 1 for s in SPACES)
 
 
+def _fractions(values):
+    return [Fraction(v) for v in values]
+
+
 @pytest.mark.parametrize("seed", ALL_SEEDS)
 def test_random_program_pinned(pinned, seed):
-    assert encode(simplex_solve(random_lp(seed))) == pinned["random"][str(seed)]
+    lp, s, c = integer_program(*random_program(seed))
+    res = simplex_solve(lp)
+    pin = pinned["random"][str(seed)]
+    assert res.status == pin["status"]
+    if seed in INTEGER_PATHS:
+        assert list(res.ray) == _fractions(INTEGER_PATHS[seed])
+        _assert_improving_recession_direction(lp, res)
+    elif res.status == "optimal":
+        assert list(res.x) == _fractions(pin["x"])
+        assert res.objective == c * Fraction(pin["objective"])
+        assert list(res.duals) == [
+            c * y / si for y, si in zip(_fractions(pin["duals"]), s)
+        ]
+    elif res.status == "unbounded":
+        ray = _fractions(pin["ray"])
+        j = next(j for j, v in enumerate(ray) if v)
+        factor = res.ray[j] / ray[j]
+        assert factor > 0 and list(res.ray) == [factor * v for v in ray]
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: _space_name(*s))
