@@ -486,10 +486,13 @@ def psi_nets(q: int, delta: float) -> NetCurvePoint:
         delta a^2 + (q-1)(delta+1) a - (q-1) = 0        (positive branch)
 
     plugged into  delta - 1 + log_q((q-1+a)/a) - delta log_q(1-a).
+    Raises BudgetExceeded when ((q-1)(delta+1))^2 leaves the float range.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     b = (q - 1) * (delta + 1)
+    if not math.isfinite(b * b):
+        raise BudgetExceeded(f"((q-1)(delta+1))^2 at delta = {delta} exceeds the float range")
     disc = math.sqrt(b * b + 4 * delta * (q - 1))
     alpha = 2 * (q - 1) / (b + disc)  # rationalized positive root
     rate = (

@@ -16,15 +16,8 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb, floor
 
-from .delsarte import CertificateCheck, DualCertificate, check_certificate, format_rational
-from .krawtchouk import (
-    BracketingError,
-    K_multi,
-    _k_values,
-    k_root_min,
-    k_root_mins,
-    krawtchouk_table,
-)
+from .delsarte import CertificateCheck, DualCertificate, format_rational
+from .krawtchouk import BracketingError, K_multi, _k_values, _value_cube, k_root_min, k_root_mins
 from .scheme import operators, spectral_radius
 from .space import (
     BudgetExceeded,
@@ -36,8 +29,8 @@ from .space import (
     check_strength,
     check_weight,
     delta_crit,
+    enumerate_shapes,
     shape_count,
-    shape_weight,
     weight_distribution,
 )
 
@@ -408,34 +401,37 @@ def r2_bound(params: SpaceParams, d: int) -> BoundResult:
     bounds, and the scan stops at the first lower bound above the best
     value (less a 1e-12 relative margin for its roundings), since no later
     pair can win.  Then it assembles the underlying sign-certificate for
-    the winning pair, and raises CheckFailure unless it is accepted at
-    float tolerance 1e-8.
+    the winning pair, and raises CheckFailure unless `r2_certificate`
+    accepts it.  Raises BudgetExceeded when the roots, the value or the
+    certificate leave the float range.
     """
     check_distance(params, d)
     if params.r != 2:
         return _inapplicable("r2", UPPER_CODE, "defined for block depth r = 2")
     # smallest value, then fewest degrees, then smallest (s1, s2), which is unique
     d_cap, best = float(d), None
-    for lower, s1, s2, nu, beta, left, right, vs in _r2_pairs(params, d_cap):
-        if best is not None and lower * (1 - 1e-12) > best[0]:
-            break
-        try:
-            alpha = _solve_alpha(params.q, nu, s2, left, right)
-        except BracketingError:
-            continue
-        if alpha + 2 * beta <= d_cap:
-            w = R2Witness(s1=s1, s2=s2, alpha=alpha, beta=beta)
-            ranked = (_r2_value(params, s1, s2, alpha, beta, vs), s1 + s2, s1, s2, w)
-            best = ranked if best is None else min(best, ranked)
-    if best is None:
-        return _inapplicable("r2", UPPER_CODE, "no admissible degree pair")
-    value, *_, w = best
-    _, check = r2_certificate(params, d, w)
+    try:  # a float conversion of q, of a valency or of q^(nr) raises past the float range
+        for lower, s1, s2, nu, beta, left, right, vs in _r2_pairs(params, d_cap):
+            if best is not None and lower * (1 - 1e-12) > best[0]:
+                break
+            try:
+                alpha = _solve_alpha(params.q, nu, s2, left, right)
+            except BracketingError:
+                continue
+            if alpha + 2 * beta <= d_cap:
+                w = R2Witness(s1=s1, s2=s2, alpha=alpha, beta=beta)
+                ranked = (_r2_value(params, s1, s2, alpha, beta, vs), s1 + s2, s1, s2, w)
+                best = ranked if best is None else min(best, ranked)
+        if best is None:
+            return _inapplicable("r2", UPPER_CODE, "no admissible degree pair")
+        value, *_, w = best
+        _, check = r2_certificate(params, d, w)
+        result = _float("r2", UPPER_CODE, value, 1e-8 * value, asdict(w))
+    except OverflowError:
+        raise BudgetExceeded(f"depth-2 bound on q^{params.dim} words exceeds the float range") from None
     if not check.accepted:
-        raise CheckFailure(
-            f"depth-2 certificate rejected for witness {w}: {check.reason}"
-        )
-    return _float("r2", UPPER_CODE, value, 1e-8 * value, asdict(w))
+        raise CheckFailure(f"depth-2 certificate rejected for witness {w}: {check.reason}")
+    return result
 
 
 def r2_ooa_bound(params: SpaceParams, t: int) -> BoundResult:
@@ -467,28 +463,45 @@ def r2_certificate(
 ) -> tuple[DualCertificate, CertificateCheck]:
     """Assemble F(e) = (P(e) - P(a)) U_L(a, e)^2 for a = (alpha, beta) and the
     region L of the winning witness, expand it over the Krawtchouk basis, and
-    run the certificate checker at float tolerance 1e-8.
+    check it in floats.
 
-    Over a float copy K of the eigenmatrix, with valencies v = K[:, 0], both
-    steps are matrix products: U_L(a, .) = (K_f(a) / v_f)_{f in L} K[L], and
-    F_g = <F, K_g> / v_g gives the coefficients K (F v) / (q^(nr) v)."""
+    The float eigenmatrix K_f(e) = q^f2 k_f1(n - f2, e2) k_f2(n - e2, e1) is
+    two fancy-indexed products over `_value_cube`.  With valencies
+    v = K[:, 0], U_L(a, .) = (K_f(a) / v_f)_{f in L} K[L], and F_g =
+    <F, K_g> / v_g gives the coefficients K (F v) / (q^(nr) v).  Accepted
+    when F_0 > 0, F_g >= -m, and F = coeffs @ K <= m wherever |e|' >= d,
+    for m = 1e-8 max(1, max |F|); BudgetExceeded when K, the coefficients
+    or F are not all finite."""
     import numpy as np
 
-    a = (w.alpha, w.beta)
-    T = krawtchouk_table(params)
-    K = np.array(T.rows, dtype=float)
-    v = K[:, 0]
+    q, n, a = params.q, params.n, (w.alpha, w.beta)
+    shapes = list(enumerate_shapes(params))
+    f1, f2 = np.array(shapes).T
+    cube = np.array(_value_cube(q, n)[n:], dtype=float)  # cube[nu][x][s] for nu = 0..n
     region = r2_region(params, w)
-    rows = [T.index[f] for f in region]
-    k_at_a = np.array([K_multi(params, f, a) for f in region])
-    u = (k_at_a / v[rows]) @ K[rows]
-    # P(e) - P(a) = (alpha + 2 beta) - |e|', the mean delta_crit r n cancels
-    P = (w.alpha + 2 * w.beta) - np.array([shape_weight(e) for e in T.shapes], dtype=float)
-    coeffs = (K @ (P * u * u * v) / (params.ambient_size * v)).tolist()
-    cert = DualCertificate(
-        params=params, d=d, F0=coeffs[0], F=dict(zip(T.shapes[1:], coeffs[1:]))
-    )
-    return cert, check_certificate(cert, tol=1e-8)
+    rows = [shapes.index(f) for f in region]
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = float(q) ** f2[:, None] * cube[n - f2[:, None], f2, f1[:, None]] * cube[n - f2, f1, f2[:, None]]
+        v = K[:, 0]
+        u = (np.array([K_multi(params, f, a) for f in region]) / v[rows]) @ K[rows]
+        # P(e) - P(a) = (alpha + 2 beta) - |e|', the mean delta_crit r n cancels
+        coeffs = K @ ((w.alpha + 2 * w.beta - (f1 + 2 * f2)) * u * u * v) / (params.ambient_size * v)
+        F = coeffs @ K
+    if not all(np.isfinite(x).all() for x in (K, coeffs, F)):
+        raise BudgetExceeded("depth-2 certificate exceeds the float range")
+    margin = 1e-8 * max(1.0, np.abs(F).max())
+    negative = np.flatnonzero(coeffs[1:] < -margin) + 1
+    positive = np.flatnonzero((f1 + 2 * f2 >= d) & (F > margin))
+    F0, at_zero = float(coeffs[0]), float(F[0])
+    if not F0 > 0:
+        check = CertificateCheck(False, reason="F0 must be positive")
+    elif negative.size:
+        check = CertificateCheck(False, reason="negative transform coefficient", witness=shapes[negative[0]])
+    elif positive.size:
+        check = CertificateCheck(False, reason="F positive at excluded shape", witness=shapes[positive[0]])
+    else:
+        check = CertificateCheck(True, at_zero / F0, params.ambient_size * F0 / at_zero)
+    return DualCertificate(params, d, F0, dict(zip(shapes[1:], coeffs[1:].tolist()))), check
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import functools
 import json
 import sys
 from dataclasses import asdict
-from math import ceil, comb, floor
+from math import ceil, comb, floor, isfinite
 
 from . import __version__
 from .asymptotics import (
@@ -141,6 +141,8 @@ def cmd_asym(args) -> str:
     dc = float(delta_crit(q, r))  # checks q >= 2 and r >= 1 for every curve
     if grid < 1:
         raise ValueError(f"--grid must be at least 1, got {grid}")
+    if q > sys.float_info.max:  # the curves evaluate q in floats
+        raise BudgetExceeded(f"q of {q.bit_length()} bits exceeds the float range")
     rows: list[tuple[float, float, str]] = []  # delta, rate, meta
     name = args.curve
     if name in ("gv", "hamming", "plotkin", "be"):
@@ -172,6 +174,8 @@ def cmd_asym(args) -> str:
             rows.append((delta, nets_rao(q, delta), ""))
     lines = ["delta,rate,curve,q,r,meta"]
     for delta, rate, meta in rows:
+        if not (isfinite(delta) and isfinite(rate)):
+            raise BudgetExceeded(f"{name} curve point ({delta}, {rate}) is outside the float range")
         lines.append(f"{delta:.12g},{rate:.12g},{name},{q},{r},{meta}")
     return "\n".join(lines) + "\n"
 

@@ -25,8 +25,7 @@ import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb, lcm
-from numbers import Rational
-from operator import add, truediv
+from operator import add
 
 from .krawtchouk import krawtchouk_table
 from .simplex import LE, LPError, make_lp, simplex_solve
@@ -84,46 +83,40 @@ class OoaLPResult:
     certificate: DualCertificate
 
 
-def check_certificate(cert: DualCertificate, tol: float = 0.0) -> CertificateCheck:
-    """Verify the sign conditions and emit both bounds.
+def check_certificate(cert: DualCertificate) -> CertificateCheck:
+    """Verify the sign conditions of an exact certificate and emit both
+    bounds as Fractions.
 
     F is evaluated at every shape in one pass over the eigenmatrix rows of
-    its terms.  An exact certificate (int and Fraction coefficients, tol =
-    0) is checked in ints: F0 and every F_g are multiplied by the lcm of
-    their denominators, which scales every value of F by the same positive
-    integer and so keeps every sign and every ratio.  With tol > 0 (float
-    certificates) the conditions are relaxed to F_e >= -tol*scale and
-    F(e) <= tol*scale, where scale is the largest |F(e)| over all shapes.
+    its terms, in ints: F0 and every F_g (ints or Fractions) are multiplied
+    by the lcm of their denominators, which scales every value of F by the
+    same positive integer and so keeps every sign and every ratio.
     """
     T = krawtchouk_table(cert.params)
-    F0, F, ratio = cert.F0, cert.F, truediv
-    if not tol and all(isinstance(v, Rational) for v in (F0, *F.values())):
-        L = lcm(F0.denominator, *(v.denominator for v in F.values()))
-        F0 = F0.numerator * (L // F0.denominator)
-        F = {g: v.numerator * (L // v.denominator) for g, v in F.items()}
-        ratio = Fraction
+    L = lcm(cert.F0.denominator, *(v.denominator for v in cert.F.values()))
+    F0 = cert.F0.numerator * (L // cert.F0.denominator)
+    F = {g: v.numerator * (L // v.denominator) for g, v in cert.F.items()}
     terms = [0] * len(T.shapes)
     for g, coeff in F.items():
         terms = list(map(add, terms, [coeff * k for k in T.rows[T.index[g]]]))
     values = [F0 + v for v in terms]
-    margin = tol * max(1.0, max(abs(float(v)) for v in values)) if tol else 0
     if not F0 > 0:
         return CertificateCheck(accepted=False, reason="F0 must be positive")
     for e, coeff in F.items():
-        if coeff < -margin:
+        if coeff < 0:
             return CertificateCheck(
                 accepted=False, reason="negative transform coefficient", witness=e
             )
     for e, val in zip(T.shapes, values):
-        if shape_weight(e) >= cert.d and val > margin:
+        if shape_weight(e) >= cert.d and val > 0:
             return CertificateCheck(
                 accepted=False, reason="F positive at excluded shape", witness=e
             )
     f_at_zero = values[0]
     return CertificateCheck(
         accepted=True,
-        code_bound=ratio(f_at_zero, F0),
-        ooa_bound=ratio(cert.params.ambient_size * F0, f_at_zero),
+        code_bound=Fraction(f_at_zero, F0),
+        ooa_bound=Fraction(cert.params.ambient_size * F0, f_at_zero),
     )
 
 

@@ -185,6 +185,43 @@ def test_r2_bound_pinned_regression():
     assert chk.code_bound <= res.value + 1e-6
 
 
+def test_r2_certificate_tolerance_admits_roundings_only():
+    # alpha + 2 beta = 12 at this witness, so F vanishes on the shapes of
+    # weight 12 in exact arithmetic: the float check must admit its
+    # roundings there, and still see F > 0 at every weight below 12
+    p = SpaceParams(2, 2, 8)
+    w = R2Witness(**r2_bound(p, 12).witness)
+    assert round(w.alpha + 2 * w.beta) == 12
+    assert r2_certificate(p, 12, w)[1].accepted
+    for d in range(1, 12):
+        chk = r2_certificate(p, d, w)[1]
+        assert (chk.accepted, chk.reason) == (False, "F positive at excluded shape"), d
+
+
+def test_r2_certificate_names_the_first_negative_coefficient():
+    # off-scan witnesses, whose certificates fail on a coefficient
+    p = SpaceParams(2, 2, 8)
+    for w, shape in ((R2Witness(1, 1, 2.5, 4.5), (0, 1)), (R2Witness(1, 1, 4.0, 3.0), (1, 1))):
+        chk = r2_certificate(p, 5, w)[1]
+        assert (chk.accepted, chk.reason, chk.witness) == (
+            False, "negative transform coefficient", shape
+        ), w
+
+
+def test_best_bounds_builds_no_exact_eigenmatrix(monkeypatch):
+    import sys
+
+    def refuse(params):
+        raise AssertionError("exact eigenmatrix built")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("nrtbounds") and hasattr(mod, "krawtchouk_table"):
+            monkeypatch.setattr(mod, "krawtchouk_table", refuse)
+    for q, n, d in ((2, 12, 10), (3, 9, 10)):
+        entries = {b.name: b for b in best_bounds(SpaceParams(q, 2, n), d).bounds}
+        assert entries["r2"].applicable, (q, n)
+
+
 def test_r2_ooa_bound():
     p = SpaceParams(2, 2, 8)
     res = r2_ooa_bound(p, 11)

@@ -129,13 +129,15 @@ def test_certificate_at_zero_is_total_mass():
     )
 
 
-def test_float_tolerance_mode():
+def test_exact_check_has_no_tolerance():
+    # a coefficient of -1e-12 is negative, however small
     p = SpaceParams(2, 2, 1)
     cert = DualCertificate(
-        params=p, d=2, F0=1.0, F={(1, 0): 1.0, (0, 1): -1e-12}
+        params=p, d=2, F0=Fraction(1), F={(1, 0): Fraction(1), (0, 1): Fraction(-1e-12)}
     )
-    assert not check_certificate(cert).accepted
-    assert check_certificate(cert, tol=1e-8).accepted
+    chk = check_certificate(cert)
+    assert not chk.accepted
+    assert (chk.reason, chk.witness) == ("negative transform coefficient", (0, 1))
 
 
 def test_lp_bound_is_monotone_in_distance():
