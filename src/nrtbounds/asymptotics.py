@@ -20,24 +20,14 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .krawtchouk import _SCALARS, _extremes, gamma
 from .space import BudgetExceeded, CheckFailure, delta_crit
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    delta: float
-    rate: float
-    meta: dict
-
-
-@dataclass(frozen=True)
-class NetCurvePoint:
-    delta: float
-    rate: float
-    alpha: float
+CurvePoint = namedtuple("CurvePoint", "delta rate meta")
+NetCurvePoint = namedtuple("NetCurvePoint", "delta rate alpha")
 
 
 class RootBracketError(CheckFailure):

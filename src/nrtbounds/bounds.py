@@ -11,7 +11,7 @@ rather than raising.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, floor
@@ -39,21 +39,23 @@ LOWER_CODE = "lower-on-code-size"
 LOWER_OOA = "lower-on-ooa-size"
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    name: str
-    side: str
-    applicable: bool
-    value: Fraction | float | None = None
-    floor: int | None = None
-    tolerance: float | None = None  # half-width for float values
-    witness: dict | None = None
-    reason: str | None = None  # why inapplicable
+class BoundResult(
+    namedtuple(
+        "BoundResult",
+        "name side applicable value floor tolerance witness reason",
+        defaults=(None,) * 5,
+    )
+):
+    """One bound: value is a Fraction or a float (with tolerance, its
+    half-width), witness a dict of the parameters that attain it, and
+    reason says why an inapplicable bound does not apply."""
+
+    __slots__ = ()
 
     def as_json_dict(self) -> dict:
         """The fields in declaration order, with exact values as "p/q"
         strings and float values at 12 significant digits."""
-        out = asdict(self)
+        out = self._asdict()
         if isinstance(self.value, Fraction):
             out["value"] = format_rational(self.value)
         elif self.value is not None:
@@ -301,12 +303,7 @@ def spectral_bound_ooa(params: SpaceParams, t: int) -> BoundResult:
 # Depth-2 root bound
 
 
-@dataclass(frozen=True)
-class R2Witness:
-    s1: int
-    s2: int
-    alpha: float
-    beta: float
+R2Witness = namedtuple("R2Witness", "s1 s2 alpha beta")
 
 
 def _solve_alpha(q: int, nu: float, s2: int, left: float, right: float) -> float:
@@ -426,7 +423,7 @@ def r2_bound(params: SpaceParams, d: int) -> BoundResult:
             return _inapplicable("r2", UPPER_CODE, "no admissible degree pair")
         value, *_, w = best
         _, check = r2_certificate(params, d, w)
-        result = _float("r2", UPPER_CODE, value, 1e-8 * value, asdict(w))
+        result = _float("r2", UPPER_CODE, value, 1e-8 * value, w._asdict())
     except OverflowError:
         raise BudgetExceeded(f"depth-2 bound on q^{params.dim} words exceeds the float range") from None
     if not check.accepted:
@@ -508,16 +505,15 @@ def r2_certificate(
 # Aggregation
 
 
-@dataclass(frozen=True)
-class BoundTable:
-    params: SpaceParams
-    d: int
-    bounds: tuple[BoundResult, ...]
-    best_upper: str | None
-    best_lower: str | None
+class BoundTable(namedtuple("BoundTable", "params d bounds best_upper best_lower")):
+    __slots__ = ()
 
     def as_json_dict(self) -> dict:
-        return {**asdict(self), "bounds": [b.as_json_dict() for b in self.bounds]}
+        return {
+            **self._asdict(),
+            "params": self.params._asdict(),
+            "bounds": [b.as_json_dict() for b in self.bounds],
+        }
 
 
 def best_bounds(params: SpaceParams, d: int) -> BoundTable:

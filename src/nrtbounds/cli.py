@@ -1,7 +1,7 @@
 """Command-line surface: JSON tables and CSV curves on stdout (or --out).
 
 Each `cmd_*` only computes and returns its payload: a dict whose records
-are their dataclass fields in declaration order, or CSV text for `asym`.
+are their fields in declaration order (`_asdict()`), or CSV text for `asym`.
 `main` alone writes it, once.  Exit codes: 0 success, 2 usage error
 (ValueError, OSError), 3 budget or scale cap exceeded (BudgetExceeded),
 4 internal consistency failure (CheckFailure, which every solver,
@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
 from math import ceil, comb, floor, isfinite
 
 from . import __version__
@@ -78,7 +77,7 @@ def cmd_sphere(args) -> dict:
     if args.d is not None:
         shapes = [e for e in shapes if shape_weight(e) == args.d]
     payload = {
-        "params": asdict(params),
+        "params": params._asdict(),
         "shapes": [
             {
                 "shape": shape_key(e),
@@ -122,7 +121,7 @@ def cmd_lp(args) -> dict:
         raise ValueError(f"program {args.program} needs --{key}")
     res = solve(params, k)
     payload = {
-        "params": asdict(params),
+        "params": params._asdict(),
         "program": args.program,
         key: k,
         "value": format_rational(res.bound),
@@ -183,9 +182,9 @@ def cmd_asym(args) -> str:
 def cmd_verify_ooa(args) -> dict:
     table = read_array_file(args.file)
     return {
-        "params": asdict(table.params),
+        "params": table.params._asdict(),
         "rows": len(table.rows),
-        **asdict(ooa_strength(table)),
+        **ooa_strength(table)._asdict(),
     }
 
 
@@ -195,7 +194,7 @@ def cmd_macwilliams(args) -> dict:
     primal = enumerator_of(code, "right")
     dual = transform(primal, code.size)
     payload = {
-        "params": asdict(code.params),
+        "params": code.params._asdict(),
         "k": code.k,
         "primal": primal.as_json_dict(),
         "dual": dual.as_json_dict(),
@@ -214,7 +213,8 @@ def cmd_macwilliams(args) -> dict:
 
 def cmd_net(args) -> dict:
     ooa = net_to_ooa(args.t, args.m, args.s, args.q)
-    return {"net": asdict(NetParams(t=args.t, m=args.m, s=args.s, q=args.q)), "ooa": asdict(ooa)}
+    net = NetParams(t=args.t, m=args.m, s=args.s, q=args.q)
+    return {"net": net._asdict(), "ooa": ooa._asdict()}
 
 
 @functools.cache

@@ -22,7 +22,7 @@ optimum at distance t+1, attained by the transform of the code optimum (see
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, lcm
 from operator import add
@@ -31,7 +31,6 @@ from .krawtchouk import krawtchouk_table
 from .simplex import LE, LPError, make_lp, simplex_solve
 from .space import (
     BudgetExceeded,
-    Shape,
     SpaceParams,
     check_distance,
     check_strength,
@@ -45,42 +44,19 @@ from .space import (
 LP_SHAPE_CAP = 160
 
 
-@dataclass(frozen=True)
-class DualCertificate:
-    """Coefficients of a feasibility certificate F = F0 + sum F_e K_e."""
+class DualCertificate(namedtuple("DualCertificate", "params d F0 F")):
+    """Coefficients of a feasibility certificate F = F0 + sum F_e K_e;
+    the keys of the dict F are nonzero shapes."""
 
-    params: SpaceParams
-    d: int
-    F0: Fraction | float
-    F: dict[Shape, Fraction | float]  # keys are nonzero shapes
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CertificateCheck:
-    accepted: bool
-    code_bound: Fraction | float | None = None
-    ooa_bound: Fraction | float | None = None
-    reason: str | None = None
-    witness: Shape | None = None
-
-
-@dataclass(frozen=True)
-class CodeLPResult:
-    params: SpaceParams
-    d: int
-    bound: Fraction
-    distribution: dict[Shape, Fraction]
-    certificate: DualCertificate
-
-
-@dataclass(frozen=True)
-class OoaLPResult:
-    params: SpaceParams
-    t: int
-    bound: Fraction
-    distribution: dict[Shape, Fraction]
-    # the code certificate at d = t+1, which bounds arrays of strength t
-    certificate: DualCertificate
+CertificateCheck = namedtuple(
+    "CertificateCheck", "accepted code_bound ooa_bound reason witness", defaults=(None,) * 4
+)
+CodeLPResult = namedtuple("CodeLPResult", "params d bound distribution certificate")
+# certificate is the code certificate at d = t+1, which bounds arrays of strength t
+OoaLPResult = namedtuple("OoaLPResult", "params t bound distribution certificate")
 
 
 def check_certificate(cert: DualCertificate) -> CertificateCheck:
@@ -197,7 +173,7 @@ def format_rational(x: Fraction) -> str:
 
 def certificate_to_json(cert: DualCertificate) -> str:
     payload = {
-        **asdict(cert.params),
+        **cert.params._asdict(),
         "d": cert.d,
         "F0": format_rational(cert.F0),
         "F": {shape_key(e): format_rational(v) for e, v in sorted(cert.F.items())},

@@ -36,7 +36,6 @@ vectors of shape f against a fixed representative with right-to-left shape e.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -127,14 +126,20 @@ def _value_cube(q: int, n: int) -> list[list[list[int]]]:
     return [[list(_k_values(q, nu, n, x)) for x in range(n + 1)] for nu in range(-n, n + 1)]
 
 
-@dataclass(frozen=True)
 class Eigenmatrix:
     """T[f][e] = K_f(e) over the shapes of a space, in `enumerate_shapes`
-    order, so row and column 0 belong to the zero shape."""
+    order, so row and column 0 belong to the zero shape; index maps a
+    shape to its position in `shapes`."""
 
-    shapes: tuple[Shape, ...]
-    index: dict[Shape, int]  # shape -> its position in `shapes`
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("shapes", "index", "rows")
+
+    def __init__(
+        self,
+        shapes: tuple[Shape, ...],
+        index: dict[Shape, int],
+        rows: tuple[tuple[int, ...], ...],
+    ) -> None:
+        self.shapes, self.index, self.rows = shapes, index, rows
 
     def __getitem__(self, key: tuple[Shape, Shape]) -> int:
         f, e = key

@@ -14,7 +14,7 @@ is the left-reading enumerator of its dual.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .delsarte import format_rational
@@ -23,7 +23,6 @@ from .space import (
     ArrayTable,
     LinearCode,
     Shape,
-    SpaceParams,
     dual_code,
     enumerate_code,
     shape_bar_of,
@@ -34,18 +33,17 @@ from .space import (
 RIGHT, LEFT = "right", "left"
 
 
-@dataclass(frozen=True)
-class WeightEnumerator:
-    params: SpaceParams
-    reading: str  # "right" | "left"
-    coeffs: dict[Shape, Fraction]
+class WeightEnumerator(namedtuple("WeightEnumerator", "params reading coeffs")):
+    """Coefficients by shape, read "right" or "left"."""
+
+    __slots__ = ()
 
     def total(self) -> Fraction:
         return sum(self.coeffs.values(), Fraction(0))
 
     def as_json_dict(self) -> dict:
         return {
-            "params": asdict(self.params),
+            "params": self.params._asdict(),
             "reading": self.reading,
             "coeffs": {shape_key(e): format_rational(v) for e, v in sorted(self.coeffs.items())},
         }

@@ -9,17 +9,16 @@ of ever returning a wrong answer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .space import BudgetExceeded, SpaceParams
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_ambient: int = 1 << 12
-    max_ooa_ambient: int = 1 << 8
-    max_ooa_rows: int = 32
-    max_nodes: int = 20_000_000
+SearchBudget = namedtuple(
+    "SearchBudget",
+    "max_ambient max_ooa_ambient max_ooa_rows max_nodes",
+    defaults=(1 << 12, 1 << 8, 32, 20_000_000),
+)
 
 
 DEFAULT_BUDGET = SearchBudget()

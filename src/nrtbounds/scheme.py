@@ -17,7 +17,7 @@ over a depth or two and one or two parts, and picks its entries from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 from math import comb, sqrt
@@ -98,8 +98,7 @@ def _nonzero_intersections(params: SpaceParams, f: Shape, i: int):
 # Three-term blocks
 
 
-@dataclass(frozen=True)
-class ThreeTermBlocks:
+class ThreeTermBlocks(namedtuple("ThreeTermBlocks", "params kappa rows cols_up cols_down a b c")):
     """Coefficient blocks of multiplication by P at degree kappa, in the K_f
     basis.
 
@@ -108,14 +107,7 @@ class ThreeTermBlocks:
     length kappa+1 / kappa / kappa-1, all in lexicographic order.
     """
 
-    params: SpaceParams
-    kappa: int
-    rows: tuple[Shape, ...]
-    cols_up: tuple[Shape, ...]
-    cols_down: tuple[Shape, ...]
-    a: tuple[tuple[Fraction, ...], ...]
-    b: tuple[tuple[Fraction, ...], ...]
-    c: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
 
 def _degree(params: SpaceParams, k: int):

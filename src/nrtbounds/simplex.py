@@ -16,7 +16,7 @@ makes optimal dual solutions available to certificate extraction.
 from __future__ import annotations
 
 from collections.abc import Container
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import count
 
@@ -34,29 +34,17 @@ class LPError(CheckFailure):
     constraint-assembly bug."""
 
 
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: tuple[int, ...]
-    rel: str
-    rhs: int
+Constraint = namedtuple("Constraint", "coeffs rel rhs")
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(namedtuple("LinearProgram", "objective constraints maximize", defaults=[True])):
     """maximize (or minimize) c.x subject to constraints, x >= 0."""
 
-    objective: tuple[int, ...]
-    constraints: tuple[Constraint, ...]
-    maximize: bool = True
+    __slots__ = ()
 
 
-@dataclass
-class SimplexResult:
-    status: str  # "optimal" | "unbounded" | "infeasible"
-    objective: Fraction | None = None
-    x: tuple[Fraction, ...] | None = None
-    duals: tuple[Fraction, ...] | None = None
-    ray: tuple[Fraction, ...] | None = None  # certifies unboundedness
+# status is "optimal", "unbounded" or "infeasible"; a ray certifies unboundedness
+SimplexResult = namedtuple("SimplexResult", "status objective x duals ray", defaults=(None,) * 4)
 
 
 def make_lp(objective, rows, maximize=True) -> LinearProgram:

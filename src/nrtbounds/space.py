@@ -15,7 +15,7 @@ vector under ``reverse_blocks``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, prod
 from operator import sub
@@ -36,21 +36,19 @@ class CheckFailure(Exception):
 EXHAUSTIVE_CAP = 1 << 16  # largest code or space an exhaustive scan walks
 
 
-@dataclass(frozen=True)
-class SpaceParams:
+class SpaceParams(namedtuple("SpaceParams", "q r n")):
     """Alphabet size q, block depth r, number of blocks n."""
 
-    q: int
-    r: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError(f"alphabet size q must be >= 2, got {self.q}")
-        if self.r < 1:
-            raise ValueError(f"block depth r must be >= 1, got {self.r}")
-        if self.n < 1:
-            raise ValueError(f"block count n must be >= 1, got {self.n}")
+    def __new__(cls, q: int, r: int, n: int) -> SpaceParams:
+        if q < 2:
+            raise ValueError(f"alphabet size q must be >= 2, got {q}")
+        if r < 1:
+            raise ValueError(f"block depth r must be >= 1, got {r}")
+        if n < 1:
+            raise ValueError(f"block count n must be >= 1, got {n}")
+        return super().__new__(cls, q, r, n)
 
     @property
     def ambient_size(self) -> int:
@@ -262,22 +260,19 @@ def enumerate_vectors(params: SpaceParams):
 # Ordered orthogonal arrays
 
 
-@dataclass(frozen=True)
-class ArrayTable:
+class ArrayTable(namedtuple("ArrayTable", "params rows")):
     """A multiset of rows of the space (duplicates allowed)."""
 
-    params: SpaceParams
-    rows: tuple[Vector, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            validate_vector(self.params, row)
+    def __new__(cls, params: SpaceParams, rows: tuple[Vector, ...]) -> ArrayTable:
+        for row in rows:
+            validate_vector(params, row)
+        return super().__new__(cls, params, rows)
 
 
-@dataclass(frozen=True)
-class StrengthResult:
-    strength: int
-    index: int | None  # |A| / q^strength when strength >= 1
+# index is |A| / q^strength when strength >= 1, else None
+StrengthResult = namedtuple("StrengthResult", "strength index")
 
 
 def left_adjusted_sets(params: SpaceParams, t: int):
@@ -348,22 +343,8 @@ def ooa_strength(table: ArrayTable) -> StrengthResult:
 # Nets <-> OOAs
 
 
-@dataclass(frozen=True)
-class NetParams:
-    t: int
-    m: int
-    s: int
-    q: int
-
-
-@dataclass(frozen=True)
-class OoaParams:
-    strength: int
-    n: int
-    r: int
-    q: int
-    index: int
-    size: int
+NetParams = namedtuple("NetParams", "t m s q")
+OoaParams = namedtuple("OoaParams", "strength n r q index size")
 
 
 def net_to_ooa(t: int, m: int, s: int, q: int) -> OoaParams:
@@ -437,21 +418,20 @@ def row_reduce_mod(rows: list[list[int]], q: int) -> list[list[int]]:
     return [row for row in mat[:pivot_row]]
 
 
-@dataclass(frozen=True)
-class LinearCode:
+class LinearCode(namedtuple("LinearCode", "params generators")):
     """A linear code given by k independent generator rows; q must be prime."""
 
-    params: SpaceParams
-    generators: tuple[Vector, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.params.q):
+    def __new__(cls, params: SpaceParams, generators: tuple[Vector, ...]) -> LinearCode:
+        if not is_prime(params.q):
             raise ValueError("linear codes are supported for prime q only")
-        for g in self.generators:
-            validate_vector(self.params, g)
-        reduced = row_reduce_mod([list(g) for g in self.generators], self.params.q)
-        if len(reduced) != len(self.generators):
+        for g in generators:
+            validate_vector(params, g)
+        reduced = row_reduce_mod([list(g) for g in generators], params.q)
+        if len(reduced) != len(generators):
             raise ValueError("generator rows are linearly dependent")
+        return super().__new__(cls, params, generators)
 
     @property
     def k(self) -> int:

@@ -398,8 +398,6 @@ def test_reciprocal_of_an_exact_code_bound_is_exact():
 
 
 def test_reciprocal_beyond_the_float_range_exceeds_the_budget():
-    from dataclasses import replace
-
     from nrtbounds.bounds import _reciprocal
     from nrtbounds.space import BudgetExceeded
 
@@ -408,4 +406,4 @@ def test_reciprocal_beyond_the_float_range_exceeds_the_budget():
     # a quotient that rounds to inf, and q^(nr) itself past the float range
     for params, value in [(p, 1e-306), (SpaceParams(2**40, 30, 1), code.value)]:
         with pytest.raises(BudgetExceeded, match="spectral-ooa bound .* exceeds the float range"):
-            _reciprocal(params, "spectral-ooa", replace(code, value=value, tolerance=0.0))
+            _reciprocal(params, "spectral-ooa", code._replace(value=value, tolerance=0.0))

@@ -623,15 +623,13 @@ def test_macwilliams_over_the_cap_is_not_verified(capsys, tmp_path):
 
 
 def test_reloaded_certificate_that_fails_exits_4(capsys, tmp_path, monkeypatch):
-    import dataclasses
-
     import nrtbounds.cli as cli_mod
 
     def drop_a_term(text):
         cert = certificate_from_json(text)
         F = dict(cert.F)
         F.pop(next(iter(F)))
-        return dataclasses.replace(cert, F=F)
+        return cert._replace(F=F)
 
     monkeypatch.setattr(cli_mod, "certificate_from_json", drop_a_term)
     code, out, err = run(

@@ -45,10 +45,10 @@ print(json.dumps({"results": results, "numpy": sys.modules.get("numpy") is not N
 """
 
 
-def _fresh(code: str, *args: str, stdin: str = "") -> str:
+def _fresh(code: str, *args: str, stdin: str = "", flags: tuple[str, ...] = ()) -> str:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])}
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args], input=stdin, env=env,
+        [sys.executable, *flags, "-c", code, *args], input=stdin, env=env,
         capture_output=True, text=True, timeout=300, check=True,
     )
     return proc.stdout
@@ -65,6 +65,13 @@ def _ref(workload: str, cmd: str) -> str:
 def test_importing_the_cli_loads_no_numpy():
     code = "import sys, nrtbounds, nrtbounds.cli; print('numpy' in sys.modules)"
     assert _fresh(code).split() == ["False"]
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    # -S: no site .pth file preloads what the package itself would load
+    code = ("import sys, nrtbounds.cli; "
+            "print([m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])")
+    assert _fresh(code, flags=("-S",)).split() == ["[]"]
 
 
 POOL_EXACT = [
