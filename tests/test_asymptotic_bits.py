@@ -1,6 +1,7 @@
 """Full-bit pins of the asymptotic refinements: every bit of the LP maximum
 `lambda_asym` (value and profile) and of the depth-2 minimum
-`phi_r2_with_witness` (value and witness), over q = 2..5.
+`phi_r2_with_witness` (value and witness), over q = 2..5 and, for the
+depth-2 minimum, at every delta the CLI evaluates on some grids.
 
 `asymptotic_paths.json` pins the values within 1e-12, which leaves room
 for a change of rounding; this fixture leaves none.  It holds `float.hex`
@@ -31,12 +32,28 @@ LAMBDA_CASES = [
     for r in (1, 2, 3, 4)
     for tau in ((0.2, (q - 1) / q) if r == 4 else (0.05, 0.2, 0.45, (q - 1) / q, 1.0))
 ]
-# For every q the smallest delta has an empty constraint set.
-PHI_CASES = [
-    (q, float(delta_crit(q, 2)) * j / den)
-    for q in QS
-    for j, den in [(1, 64), (1, 16), (1, 8), (3, 8), (5, 8), (1, 1)]
-]
+
+
+def _cli_deltas(q: int, grid: int) -> list[float]:
+    """The deltas of `asym --q <q> --r 2 --curve lp2 --grid <grid>`."""
+    dc = float(delta_crit(q, 2))
+    return [min(dc * j / grid, dc) for j in range(1, grid + 1)]
+
+
+# For every q the smallest delta has an empty constraint set.  Then every
+# delta of the three lp2 ops of perfbench's asym-grids pool (grid 14) and
+# of `--grid 50` at six q; a delta listed twice is pinned once.
+PHI_CASES = list(
+    dict.fromkeys(
+        [
+            (q, float(delta_crit(q, 2)) * j / den)
+            for q in QS
+            for j, den in [(1, 64), (1, 16), (1, 8), (3, 8), (5, 8), (1, 1)]
+        ]
+        + [(q, d) for q in (2, 3, 4) for d in _cli_deltas(q, 14)]
+        + [(q, d) for q in (2, 3, 4, 5, 7, 16) for d in _cli_deltas(q, 50)]
+    )
+)
 
 
 def _hex(x) -> object:
