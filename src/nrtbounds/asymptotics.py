@@ -406,7 +406,7 @@ def _phi_grid(q: int, steps: int):
     import numpy as np
 
     t1 = (q - 1) / q**2 * np.arange(steps + 1) / steps
-    t2 = (q - 1) / q * np.arange(steps + 1) / steps
+    t2 = np.minimum((q - 1) / q * np.arange(steps + 1) / steps, (q - 1) / q)  # the last may round above
     g1 = np.array([gamma(q, v) for v in t1.tolist()])
     h1 = np.array([h_q(q, v) for v in t1.tolist()])
     obj = np.empty((steps + 1, steps + 1))

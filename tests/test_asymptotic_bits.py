@@ -41,13 +41,15 @@ def _cli_deltas(q: int, grid: int) -> list[float]:
 
 
 # For every q the smallest delta has an empty constraint set.  Then every
-# delta of the three lp2 ops of perfbench's asym-grids pool (grid 14) and
-# of `--grid 50` at six q; a delta listed twice is pinned once.
+# delta of the three lp2 ops of perfbench's asym-grids pool (grid 14), of
+# `--grid 50` at six q; the six fractions of delta_crit also at q = 6, 24
+# and 55, where the last t2 grid point rounds above (q-1)/q.  A delta
+# listed twice is pinned once.
 PHI_CASES = list(
     dict.fromkeys(
         [
             (q, float(delta_crit(q, 2)) * j / den)
-            for q in QS
+            for q in QS + (6, 24, 55)
             for j, den in [(1, 64), (1, 16), (1, 8), (3, 8), (5, 8), (1, 1)]
         ]
         + [(q, d) for q in (2, 3, 4) for d in _cli_deltas(q, 14)]

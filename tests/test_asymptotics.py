@@ -293,6 +293,22 @@ def test_grid_scans_keep_the_first_best_point(monkeypatch):
         asymptotics._phi_grid.cache_clear()
 
 
+
+def test_phi_r2_returns_at_every_q():
+    # at 31 of q = 2..299 (6, 24, 55, ...) the last t2 grid point
+    # (q-1)/q * 200 / 200 rounds above (q-1)/q, which gamma rejects; the
+    # grid of each q is dropped once its two deltas are done
+    try:
+        for q in range(2, 301):
+            dc = float(delta_crit(q, 2))
+            for delta in (dc / 2, dc):
+                value, witness = phi_r2_with_witness(q, delta)
+                assert 0 <= value < 1 and witness is not None, (q, delta)
+            asymptotics._phi_grid.cache_clear()
+    finally:
+        asymptotics._phi_grid.cache_clear()
+
+
 CURVES = (gv_curve, hamming_curve, plotkin_curve, be_curve)
 
 

@@ -206,6 +206,12 @@ def test_asym_lp2_ends_at_the_critical_distance(capsys):
     assert float(last[0]) == 0.88 and abs(float(last[1])) < 1e-9
 
 
+def test_asym_lp2_at_q6(capsys):
+    # the depth-2 grid's last t2 point rounds above 5/6 for q = 6
+    code, out, err = run(capsys, "asym", "--q", "6", "--r", "2", "--curve", "lp2", "--grid", "5")
+    assert code == 0, err
+    assert len(out.strip().splitlines()) == 6
+
 @pytest.mark.parametrize("grid", ["0", "-3"])
 def test_asym_grid_below_one_is_usage_error(capsys, grid):
     code, out, err = run(
