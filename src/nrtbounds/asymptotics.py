@@ -257,7 +257,7 @@ def lambda_expression(q: int, r: int, taus):
     return total
 
 
-BLOCK = 4096  # grid points per array call of the depth-2 scan
+BLOCK = 4096  # grid points per array call of the depth-2 grid and scan
 
 
 @functools.lru_cache(maxsize=None)
@@ -341,17 +341,11 @@ def lp_rate(q: int, r: int, tau: float) -> float:
 def lp_curve(q: int, r: int, taus) -> list[CurvePoint]:
     """Parametric linear-programming curve over the supplied tau grid,
     emitted in ascending delta order."""
-    points = []
+    dc, points = float(delta_crit(q, r)), []
     for tau in taus:
         lam, profile = lambda_asym(q, r, tau)
-        delta = float(delta_crit(q, r)) - lam / r
-        points.append(
-            CurvePoint(
-                delta=delta,
-                rate=lp_rate(q, r, tau),
-                meta={"tau": tau, "profile": profile},
-            )
-        )
+        meta = {"tau": tau, "profile": profile}
+        points.append(CurvePoint(dc - lam / r, lp_rate(q, r, tau), meta))
     points.sort(key=lambda pt: pt.delta)
     return points
 
@@ -381,82 +375,98 @@ def _phi_t2_terms(q: int, t2):
     return g2, (2 - g2) * (1 - t2)
 
 
-def _phi_feasible(q: int, t1, t2, delta: float, t2_terms=None, g1=None):
-    """Root-position constraint at (t1, t2), at floats or elementwise on
-    arrays that broadcast; t2_terms, when given, is `_phi_t2_terms(q, t2)`,
-    and g1 is gamma(q, t1)."""
+def _phi_constraint(q: int, t1, t2, t2_terms=None, g1=None):
+    """Left side g2 + w2 g1 of the root-position constraint at (t1, t2), at
+    floats or elementwise on arrays that broadcast; t2_terms, when given, is
+    `_phi_t2_terms(q, t2)`, and g1 is gamma(q, t1)."""
     g2, w2 = t2_terms or _phi_t2_terms(q, t2)
-    return g2 + w2 * (gamma(q, t1) if g1 is None else g1) <= 2 * delta
+    return g2 + w2 * (gamma(q, t1) if g1 is None else g1)
+
+
+def _phi_feasible(q: int, t1, t2, delta: float, t2_terms=None, g1=None):
+    """Root-position constraint: `_phi_constraint` at most 2 delta."""
+    return _phi_constraint(q, t1, t2, t2_terms, g1) <= 2 * delta
 
 
 def phi_r2(q: int, delta: float) -> float:
     """Depth-2 asymptotic upper bound on the rate at relative distance
     delta; returns the vacuous value 1 when the constraint set is empty."""
-    value, _ = phi_r2_with_witness(q, delta)
-    return value
+    return phi_r2_with_witness(q, delta)[0]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def _phi_grid(q: int, steps: int):
-    """The depth-2 grid, which is the same for every delta: the t1 column
-    and gamma and h_q of each t1 (float calls, as in the refinement), the
-    t2 row and its `_phi_t2_terms`, each coordinate at steps + 1 points,
-    and the objective at every point, t1 by row, built in blocks of about
-    BLOCK points."""
+    """The depth-2 grid, the same for every delta: the t1 column and the t2
+    row (clamped to (q-1)/q, which its last point can round above), each at
+    steps + 1 points, the left side of the constraint at every point, and
+    the objective, built t1 by row in blocks of about BLOCK points; gamma
+    and h_q of each t1 are float calls, as in the refinement."""
     import numpy as np
 
     t1 = (q - 1) / q**2 * np.arange(steps + 1) / steps
-    t2 = np.minimum((q - 1) / q * np.arange(steps + 1) / steps, (q - 1) / q)  # the last may round above
-    g1 = np.array([gamma(q, v) for v in t1.tolist()])
-    h1 = np.array([h_q(q, v) for v in t1.tolist()])
-    obj = np.empty((steps + 1, steps + 1))
+    t2 = np.minimum((q - 1) / q * np.arange(steps + 1) / steps, (q - 1) / q)
+    g1 = np.array([[gamma(q, v)] for v in t1.tolist()])
+    h1 = np.array([[h_q(q, v)] for v in t1.tolist()])
+    lhs = _phi_constraint(q, t1[:, None], t2, g1=g1)
+    obj = np.empty_like(lhs)
     per = max(1, BLOCK // (steps + 1))  # t1 rows per block
     for i in range(0, steps + 1, per):
-        obj[i : i + per] = _phi_objective(q, t1[i : i + per, None], t2, h1[i : i + per, None])
-    return t1, g1, t2, _phi_t2_terms(q, t2), obj
+        obj[i : i + per] = _phi_objective(q, t1[i : i + per, None], t2, h1[i : i + per])
+    return t1, t2, lhs, obj
 
 
 def phi_r2_with_witness(q: int, delta: float):
+    """Depth-2 minimum at delta and a point (t1, t2) attaining it, or
+    (1.0, None) where no point of the grid meets the constraint.
+
+    The 201 x 201 `_phi_grid` is scanned t1 by row, in blocks of about
+    BLOCK points, for the first minimum over its feasible points in
+    row-major order; a pattern search on floats refines it.  A sweep visits
+    the 5 x 5 stencil t + (-1, -1/2, 0, 1/2, 1) x radius, clamped to the
+    box, and moves at once to a feasible point that improves on the best by
+    more than 1e-16, so the rest of the sweep is taken around the new
+    centre; a sweep without a move shrinks both radii by 0.3, until both
+    are at most 1e-12.  Each point is evaluated once per call: its
+    objective (inf where infeasible) is kept, as are gamma and h_q of each
+    t1 and the constraint terms of each t2.
+    """
     if not 0 < delta <= float(delta_crit(q, 2)):
         raise ValueError(f"delta={delta} outside (0, delta_crit]")
     import numpy as np
 
-    t1_max = (q - 1) / q**2
-    t2_max = (q - 1) / q
     steps = 200
-    t1_col, g1_col, t2_row, row_terms, obj = _phi_grid(q, steps)
+    t1_col, t2_row, lhs, obj = _phi_grid(q, steps)
     per = max(1, BLOCK // (steps + 1))  # t1 rows per block
     val = math.inf
     for i in range(0, steps + 1, per):
-        g1 = g1_col[i : i + per, None]
-        feasible = _phi_feasible(q, t1_col[i : i + per, None], t2_row, delta, row_terms, g1)
-        vals = np.where(feasible, obj[i : i + per], np.inf)
+        vals = np.where(lhs[i : i + per] <= 2 * delta, obj[i : i + per], np.inf)
         k = int(vals.argmin())  # the first minimum of the block, row by row
         if vals.flat[k] < val:
             row, col = divmod(k, steps + 1)
             val, t1, t2 = float(vals.flat[k]), float(t1_col[i + row]), float(t2_row[col])
     if val == math.inf:
         return 1.0, None
-    radius1 = t1_max / steps
-    radius2 = t2_max / steps
-    # the terms of each coordinate value the stencil reaches, computed once
-    g1_of, h1_of, t2_terms_of = {}, {}, {}
+    t1_max, t2_max = (q - 1) / q**2, (q - 1) / q
+    radius1, radius2 = t1_max / steps, t2_max / steps
+    at_t1, at_t2, at_point = {}, {}, {}  # [gamma, h_q or None]; t2 terms; objective or inf
     while radius1 > 1e-12 or radius2 > 1e-12:
         improved = False
         for di in (-1.0, -0.5, 0.0, 0.5, 1.0):
             for dj in (-1.0, -0.5, 0.0, 0.5, 1.0):
                 # from the centre as it stands: it moves within a sweep
-                c1 = min(max(t1 + di * radius1, 0.0), t1_max)
-                c2 = min(max(t2 + dj * radius2, 0.0), t2_max)
-                if c1 not in g1_of:
-                    g1_of[c1] = gamma(q, c1)
-                if c2 not in t2_terms_of:
-                    t2_terms_of[c2] = _phi_t2_terms(q, c2)
-                if not _phi_feasible(q, c1, c2, delta, t2_terms_of[c2], g1_of[c1]):
-                    continue
-                if c1 not in h1_of:
-                    h1_of[c1] = h_q(q, c1)
-                cv = _phi_objective(q, c1, c2, h1_of[c1])
+                c1, c2 = t1 + di * radius1, t2 + dj * radius2
+                c1 = 0.0 if c1 < 0.0 else t1_max if c1 > t1_max else c1
+                c2 = 0.0 if c2 < 0.0 else t2_max if c2 > t2_max else c2
+                cv = at_point.get((c1, c2))
+                if cv is None:
+                    terms1 = at_t1.get(c1) or at_t1.setdefault(c1, [gamma(q, c1), None])
+                    terms2 = at_t2.get(c2) or at_t2.setdefault(c2, _phi_t2_terms(q, c2))
+                    cv = math.inf
+                    if _phi_feasible(q, c1, c2, delta, terms2, terms1[0]):
+                        if terms1[1] is None:
+                            terms1[1] = h_q(q, c1)
+                        cv = _phi_objective(q, c1, c2, terms1[1])
+                    at_point[c1, c2] = cv
                 if cv < val - 1e-16:
                     val, t1, t2 = cv, c1, c2
                     improved = True
@@ -485,12 +495,7 @@ def psi_nets(q: int, delta: float) -> NetCurvePoint:
         raise BudgetExceeded(f"((q-1)(delta+1))^2 at delta = {delta} exceeds the float range")
     disc = math.sqrt(b * b + 4 * delta * (q - 1))
     alpha = 2 * (q - 1) / (b + disc)  # rationalized positive root
-    rate = (
-        delta
-        - 1
-        + math.log((q - 1 + alpha) / alpha, q)
-        - delta * math.log(1 - alpha, q)
-    )
+    rate = delta - 1 + math.log((q - 1 + alpha) / alpha, q) - delta * math.log(1 - alpha, q)
     return NetCurvePoint(delta=delta, rate=rate, alpha=alpha)
 
 

@@ -145,12 +145,7 @@ def cmd_asym(args) -> str:
     rows: list[tuple[float, float, str]] = []  # delta, rate, meta
     name = args.curve
     if name in ("gv", "hamming", "plotkin", "be"):
-        fn = {
-            "gv": gv_curve,
-            "hamming": hamming_curve,
-            "plotkin": plotkin_curve,
-            "be": be_curve,
-        }[name]
+        fn = dict(gv=gv_curve, hamming=hamming_curve, plotkin=plotkin_curve, be=be_curve)[name]
         deltas, rates = curve_grid(fn, q, r, grid)
         rows = [(delta, rate, "") for delta, rate in zip(deltas, rates)]
     elif name == "lp":

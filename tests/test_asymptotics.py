@@ -294,6 +294,32 @@ def test_grid_scans_keep_the_first_best_point(monkeypatch):
 
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_phi_refinement_evaluates_each_point_once(monkeypatch, q):
+    # the pattern search revisits its centre on every sweep and overlaps
+    # itself after a move; each float point reaches the constraint and the
+    # objective at most once per call (the grid's array calls aside)
+    seen = {}
+
+    def once(name, fn):
+        def wrapped(q, t1, t2, *rest):
+            if isinstance(t2, float):
+                key = (name, t1, t2)
+                assert key not in seen, key
+                seen[key] = True
+            return fn(q, t1, t2, *rest)
+
+        monkeypatch.setattr(asymptotics, name, wrapped)
+
+    once("_phi_objective", asymptotics._phi_objective)
+    once("_phi_feasible", asymptotics._phi_feasible)
+    dc = float(delta_crit(q, 2))
+    for delta in (dc / 4, dc / 2, dc):
+        seen.clear()
+        assert phi_r2_with_witness(q, delta)[1] is not None
+        assert seen
+
+
 def test_phi_r2_returns_at_every_q():
     # at 31 of q = 2..299 (6, 24, 55, ...) the last t2 grid point
     # (q-1)/q * 200 / 200 rounds above (q-1)/q, which gamma rejects; the
