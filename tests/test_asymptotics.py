@@ -293,20 +293,19 @@ def test_grid_scans_keep_the_first_best_point(monkeypatch):
         asymptotics._phi_grid.cache_clear()
 
 
-
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_phi_refinement_evaluates_each_point_once(monkeypatch, q):
     # the pattern search revisits its centre on every sweep and overlaps
     # itself after a move; each float point reaches the constraint and the
     # objective at most once per call (the grid's array calls aside)
-    seen = {}
+    seen = set()
 
     def once(name, fn):
         def wrapped(q, t1, t2, *rest):
             if isinstance(t2, float):
                 key = (name, t1, t2)
                 assert key not in seen, key
-                seen[key] = True
+                seen.add(key)
             return fn(q, t1, t2, *rest)
 
         monkeypatch.setattr(asymptotics, name, wrapped)
@@ -322,15 +321,13 @@ def test_phi_refinement_evaluates_each_point_once(monkeypatch, q):
 
 def test_phi_r2_returns_at_every_q():
     # at 31 of q = 2..299 (6, 24, 55, ...) the last t2 grid point
-    # (q-1)/q * 200 / 200 rounds above (q-1)/q, which gamma rejects; the
-    # grid of each q is dropped once its two deltas are done
+    # (q-1)/q * 200 / 200 rounds above (q-1)/q, which gamma rejects
     try:
         for q in range(2, 301):
             dc = float(delta_crit(q, 2))
             for delta in (dc / 2, dc):
                 value, witness = phi_r2_with_witness(q, delta)
                 assert 0 <= value < 1 and witness is not None, (q, delta)
-            asymptotics._phi_grid.cache_clear()
     finally:
         asymptotics._phi_grid.cache_clear()
 

@@ -212,6 +212,7 @@ def test_asym_lp2_at_q6(capsys):
     assert code == 0, err
     assert len(out.strip().splitlines()) == 6
 
+
 @pytest.mark.parametrize("grid", ["0", "-3"])
 def test_asym_grid_below_one_is_usage_error(capsys, grid):
     code, out, err = run(
