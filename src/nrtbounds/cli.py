@@ -221,26 +221,29 @@ def build_parser() -> argparse.ArgumentParser:
         "in the ordered Hamming space.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # every command writes its output through `main`, so each takes --out
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write output to this file instead of stdout")
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    sub = functools.partial(subparsers.add_parser, parents=[out])
 
     def add_common(p, n=True):
         p.add_argument("--q", type=int, required=True)
         p.add_argument("--r", type=int, required=True)
         if n:
             p.add_argument("--n", type=int, required=True)
-        p.add_argument("--out", help="write output to this file instead of stdout")
 
-    p = sub.add_parser("sphere", help="shape counts and sphere sizes")
+    p = sub("sphere", help="shape counts and sphere sizes")
     add_common(p)
     p.add_argument("--d", type=int, help="restrict to one weight stratum")
     p.set_defaults(fn=cmd_sphere)
 
-    p = sub.add_parser("bounds", help="all bounds at a given distance")
+    p = sub("bounds", help="all bounds at a given distance")
     add_common(p)
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(fn=cmd_bounds)
 
-    p = sub.add_parser("lp", help="exact Delsarte linear program")
+    p = sub("lp", help="exact Delsarte linear program")
     add_common(p)
     p.add_argument("--d", type=int)
     p.add_argument("--t", type=int)
@@ -252,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_lp)
 
-    p = sub.add_parser("asym", help="asymptotic curve as CSV")
+    p = sub("asym", help="asymptotic curve as CSV")
     add_common(p, n=False)
     p.add_argument(
         "--curve",
@@ -262,22 +265,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=100)
     p.set_defaults(fn=cmd_asym)
 
-    p = sub.add_parser("verify-ooa", help="strength and index of an array file")
+    p = sub("verify-ooa", help="strength and index of an array file")
     p.add_argument("--file", required=True)
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_verify_ooa)
 
-    p = sub.add_parser("macwilliams", help="enumerator and dual of a generator file")
+    p = sub("macwilliams", help="enumerator and dual of a generator file")
     p.add_argument("--gen", required=True)
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_macwilliams)
 
-    p = sub.add_parser("net", help="net parameters to array parameters")
+    p = sub("net", help="net parameters to array parameters")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_net)
     return parser
 

@@ -28,7 +28,7 @@ from math import comb, lcm
 from operator import add
 
 from .krawtchouk import krawtchouk_table
-from .simplex import LE, LPError, make_lp, simplex_solve
+from .simplex import LPError, make_lp, simplex_solve
 from .space import (
     BudgetExceeded,
     SpaceParams,
@@ -112,8 +112,8 @@ def solve_code_lp(params: SpaceParams, d: int) -> CodeLPResult:
     free = [j for j, e in enumerate(shapes) if shape_weight(e) >= d]  # all other A_e are fixed
 
     # row f: -sum_e K_f(e) A_e <= K_f(0) = v_f
-    rows = [([-row[j] for j in free], LE, row[0]) for row in T.rows]
-    lp = make_lp([1] * len(free), rows, maximize=True)
+    rows = [([-row[j] for j in free], row[0]) for row in T.rows]
+    lp = make_lp([1] * len(free), rows)
     res = simplex_solve(lp)
     if res.status != "optimal":
         raise LPError(f"code program returned {res.status}")

@@ -69,7 +69,7 @@ def k_uni(q: int, nu, s: int, x):
     """
     if s < 0:
         raise ValueError("degree must be nonnegative")
-    value = _k_recurrence(q, nu, s, x)
+    *_, value = _k_values(q, nu, s, x)
     return Fraction(value) if isinstance(value, int) else value
 
 
@@ -87,12 +87,6 @@ def _k_values(q: int, nu, s: int, x):
         # integer binomials), so the floor division is exact
         prev, cur = cur, (num // (j + 1) if integral else num / (j + 1))
         yield cur
-
-
-def _k_recurrence(q: int, nu, s: int, x):
-    """k_s(nu, x) for s >= 0, the last value of `_k_values`."""
-    *_, value = _k_values(q, nu, s, x)
-    return value
 
 
 def K_multi(params: SpaceParams, f: Shape, x) -> int | float:
@@ -115,7 +109,8 @@ def K_multi(params: SpaceParams, f: Shape, x) -> int | float:
         value = Fraction(value) if exact else float(value)
     for i in range(1, r + 1):
         nu = sum(xs[: r - i + 2]) - sum(f[i:])
-        value *= _k_recurrence(params.q, nu, f[i - 1], x[r - i])
+        *_, k = _k_values(params.q, nu, f[i - 1], x[r - i])
+        value *= k
     return value
 
 

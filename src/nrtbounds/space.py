@@ -15,10 +15,10 @@ vector under ``reverse_blocks``.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import factorial, prod
-from operator import sub
+from operator import itemgetter, sub
 
 Shape = tuple[int, ...]
 Vector = tuple[int, ...]
@@ -34,6 +34,9 @@ class CheckFailure(Exception):
 
 
 EXHAUSTIVE_CAP = 1 << 16  # largest code or space an exhaustive scan walks
+# most row projections a strength scan makes; the q2 r2 n6 space takes 4096
+# rows times 728 left-adjusted sets, 2,981,888
+STRENGTH_CELL_CAP = 1 << 22
 
 
 class SpaceParams(namedtuple("SpaceParams", "q r n")):
@@ -295,47 +298,41 @@ def left_adjusted_sets(params: SpaceParams, t: int):
     yield from rec(0, t, [])
 
 
-def _project(params: SpaceParams, row: Vector, comp: tuple[int, ...]) -> tuple[int, ...]:
-    r = params.r
-    out = []
-    for i, ti in enumerate(comp):
-        out.extend(row[i * r : i * r + ti])
-    return tuple(out)
-
-
-def _has_strength(table: ArrayTable, t: int) -> bool:
-    params = table.params
-    m = len(table.rows)
-    if m % params.q**t != 0:
-        return False
-    theta = m // params.q**t
-    for comp in left_adjusted_sets(params, t):
-        counts: dict[tuple[int, ...], int] = {}
-        for row in table.rows:
-            key = _project(params, row, comp)
-            counts[key] = counts.get(key, 0) + 1
-            if counts[key] > theta:
-                return False
-        if len(counts) != params.q**t:
-            return False
-    return True
-
-
 def ooa_strength(table: ArrayTable) -> StrengthResult:
     """Largest t such that every left-adjusted t-set projection is balanced.
 
     Returns strength 0 (index None) when even single positions are unbalanced.
+    Raises BudgetExceeded before the scan projects more than
+    STRENGTH_CELL_CAP cells, one cell being one row projected onto one set.
     """
     if not table.rows:
         raise ValueError("empty table has no strength")
-    params = table.params
+    params, rows = table.params, table.rows
+    cells = 0
+
+    def balanced(t: int) -> bool:
+        nonlocal cells
+        if len(rows) % params.q**t != 0:
+            return False
+        theta = len(rows) // params.q**t
+        for comp in left_adjusted_sets(params, t):
+            cells += len(rows)
+            if cells > STRENGTH_CELL_CAP:
+                raise BudgetExceeded(
+                    f"strength scan of {len(rows)} rows exceeds cap "
+                    f"STRENGTH_CELL_CAP = {STRENGTH_CELL_CAP} cells"
+                )
+            positions = [i * params.r + j for i, ti in enumerate(comp) for j in range(ti)]
+            counts = Counter(map(itemgetter(*positions), rows))
+            # q^t keys whose counts sum to theta q^t all equal theta iff none exceeds it
+            if len(counts) != params.q**t or max(counts.values()) != theta:
+                return False
+        return True
+
     best = 0
-    for t in range(1, params.dim + 1):
-        if _has_strength(table, t):
-            best = t
-        else:
-            break
-    index = len(table.rows) // params.q**best if best >= 1 else None
+    while best < params.dim and balanced(best + 1):
+        best += 1
+    index = len(rows) // params.q**best if best >= 1 else None
     return StrengthResult(strength=best, index=index)
 
 
@@ -393,7 +390,6 @@ def is_prime(p: int) -> bool:
 def row_reduce_mod(rows: list[list[int]], q: int) -> list[list[int]]:
     """Row echelon form mod prime q; returns the nonzero rows."""
     mat = [list(row) for row in rows]
-    pivots = []
     pivot_row = 0
     ncols = len(mat[0]) if mat else 0
     for col in range(ncols):
@@ -411,11 +407,10 @@ def row_reduce_mod(rows: list[list[int]], q: int) -> list[list[int]]:
             if i != pivot_row and mat[i][col] % q != 0:
                 factor = mat[i][col]
                 mat[i] = [(a - factor * b) % q for a, b in zip(mat[i], mat[pivot_row])]
-        pivots.append(col)
         pivot_row += 1
         if pivot_row == len(mat):
             break
-    return [row for row in mat[:pivot_row]]
+    return mat[:pivot_row]
 
 
 class LinearCode(namedtuple("LinearCode", "params generators")):

@@ -232,6 +232,23 @@ def test_verify_ooa(capsys, tmp_path):
     assert payload["strength"] == 1 and payload["index"] == 1
 
 
+def test_verify_ooa_cell_cap_exits_3(capsys, monkeypatch, tmp_path):
+    import nrtbounds.space as space_mod
+
+    # the q2 r2 n2 space: 16 rows over the 8 left-adjusted sets of sizes 1-4
+    path = tmp_path / "arr.txt"
+    rows = [f"{a} {b} {c} {d}" for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1)]
+    path.write_text("\n".join(["2 2 2", *rows]) + "\n")
+    monkeypatch.setattr(space_mod, "STRENGTH_CELL_CAP", 128)
+    code, out, _ = run(capsys, "verify-ooa", "--file", str(path))
+    assert code == 0 and json.loads(out)["strength"] == 4
+    monkeypatch.setattr(space_mod, "STRENGTH_CELL_CAP", 127)
+    code, out, err = run(capsys, "verify-ooa", "--file", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == "budget exceeded: strength scan of 16 rows exceeds cap STRENGTH_CELL_CAP = 127 cells\n"
+
+
 def test_macwilliams_command(capsys, tmp_path):
     path = tmp_path / "gen.txt"
     path.write_text("2 2 1\n1 1\n")

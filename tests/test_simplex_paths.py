@@ -4,22 +4,31 @@ recorded from the Fraction-tableau simplex that preceded the integer one.
 Bland's rule fixes the pivot path, so a solver that keeps the path gives
 bit-identical status, objective, x, duals and ray.  The fixture
 `simplex_paths.json` holds those results as rational strings for seeded
-random programs (fractional data, all three relations, negative right-hand
-sides, both senses; optimal, infeasible and unbounded) and for the Delsarte
-programs of four small spaces, together with the distributions and
-certificates `delsarte` builds from them.  The array programs are those of
-`solve_ooa_lp_direct` below, the array program solved by a simplex of its
-own; `delsarte.solve_ooa_lp` goes through the code program instead.
+random programs and for the code programs of four small spaces, together
+with the distributions and certificates `delsarte` builds from them.
+
+The random programs were drawn with fractional data, all three relations
+`<=`, `>=` and `==`, right-hand sides of either sign and both senses, for
+the two-phase solver that came before the one-phase one.  Each is read as
+the program the simplex takes (`as_upper_bounds`): a `>=` row negated, an
+`==` row as two rows, a minimization as the maximization of the negated
+objective.  Where that gives a negative right-hand side, x = 0 is not
+feasible, the program lies outside the solver's domain and `make_lp` must
+refuse it, and no pin is kept.  Otherwise the pin is read: bit for bit
+where each row is one `<=` row with a slack, the path the two-phase solver
+took too, and by status and optimal value where an `==` row or a `>=` row
+with right-hand side 0 sent that solver through its phase 1.
 
 The simplex takes integer programs only, and the Delsarte programs are
 integer programs, so their pins are compared bit for bit.  A random
 program is multiplied out to integers first, row i by s_i and the
 objective by c (`test_simplex.integer_program`); its pin is then read
 through that map: the same x, c times the objective, c y_i / s_i as the
-dual of row i, and a positive multiple of the ray.  The Fraction-era
-solver ran phase 1 on the artificials of the unmultiplied rows, so on the
-`PATH_SENSITIVE_SEEDS` it took another path; there the integer program's
-own result is pinned in `INTEGER_PATHS` instead.
+dual of row i, and a positive multiple of the ray.
+
+The array program has no pins of its own: `delsarte.solve_ooa_lp` solves
+it through the code program, and `array_program_dual` below, the array
+program's LP dual solved by the same simplex, cross-checks its value.
 
 Re-record the Delsarte sections (only from a solver known to keep the
 path); the random section stays as it is:
@@ -33,36 +42,33 @@ import json
 import random
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 from nrtbounds import delsarte
 from nrtbounds.krawtchouk import krawtchouk_table
-from nrtbounds.simplex import EQ, GE, LE, make_lp, simplex_solve
+from nrtbounds.simplex import make_lp, simplex_solve
 from nrtbounds.space import SpaceParams, enumerate_shapes, shape_weight
-from test_simplex import _assert_improving_recession_direction, integer_program
+from test_simplex import (
+    _assert_dual_feasible_with_equal_value,
+    _assert_improving_recession_direction,
+    _assert_primal_feasible,
+    integer_program,
+)
 
 FIXTURE = Path(__file__).with_name("simplex_paths.json")
 
-# Random programs pinned: a contiguous block of seeds, plus seeds on which
-# giving every artificial the phase-1 cost -1, instead of the Fraction-era
-# -L/s_i (row i multiplied out by s_i, L = lcm(s)), leaves Bland's path and
-# changes the result.
+# The relations of the random programs.
+LE, GE, EQ = "<=", ">=", "=="
+
+# Random programs: a contiguous block of seeds, plus four seeds that were
+# pinned for the path the two-phase solver's phase 1 took on them; all four
+# have a negative right-hand side in the one-phase form.
 RANDOM_SEEDS = list(range(300))
 PATH_SENSITIVE_SEEDS = [3324, 6673, 9825, 10546]
 ALL_SEEDS = sorted(set(RANDOM_SEEDS) | set(PATH_SENSITIVE_SEEDS))
 
-# The integer programs of the path-sensitive seeds, solved by the integer
-# simplex with phase-1 costs -1: unbounded, as in the fixture, on another ray.
-INTEGER_PATHS = {
-    3324: ["1/69", "17/230", "29/345", "0"],
-    6673: ["16/5", "1", "92/45"],
-    9825: ["0", "2/67", "3/67", "11/201"],
-    10546: ["1", "45/8", "13/2", "0", "81/8"],
-}
-
-# The spaces of the benchmark's lp-sweep workload: every distance and strength.
+# The spaces of the benchmark's lp-sweep workload: every distance.
 SPACES = [(2, 2, 6), (3, 2, 6), (2, 3, 4), (2, 4, 3)]
 # Distributions and certificates are pinned on these two.
 DELSARTE_SPACES = [(2, 2, 6), (2, 3, 4)]
@@ -83,6 +89,28 @@ def random_program(seed: int):
         for _ in range(nrows)
     ]
     return [frac() for _ in range(nvars)], rows, rng.random() < 0.5
+
+
+def as_upper_bounds(objective, rows, maximize):
+    """The program to maximize, with rows coeffs . x <= rhs: a >= row
+    negated, an == row as itself and its negation, and a minimization as
+    its negated objective."""
+    upper = []
+    for coeffs, rel, rhs in rows:
+        if rel != GE:
+            upper.append((coeffs, rhs))
+        if rel != LE:
+            upper.append(([-a for a in coeffs], -rhs))
+    return [v if maximize else -v for v in objective], upper
+
+
+def one_phase_seeds():
+    """The seeds whose programs the one-phase simplex takes."""
+    return [
+        seed
+        for seed in ALL_SEEDS
+        if all(rhs >= 0 for _, rhs in as_upper_bounds(*random_program(seed))[1])
+    ]
 
 
 def _strs(values):
@@ -107,30 +135,33 @@ def _rationals(mapping) -> dict:
     return {_key(e): str(v) for e, v in sorted(mapping.items())}
 
 
-def solve_ooa_lp_direct(params: SpaceParams, t: int):
-    """The array program at strength t solved by its own simplex: its
-    bound and its distribution B."""
+def array_program_dual(params: SpaceParams, t: int) -> Fraction:
+    """1 + the optimum of the array program at strength t, from its LP dual.
+
+    The array program minimizes sum_{e != 0} B_e over B >= 0 subject to
+    sum_{e != 0} K_f(e) B_e = -v_f at each f != 0 with |f|' <= t, and >= -v_f
+    above, v_f = K_f(0).  Its dual maximizes -sum_f v_f y_f subject to
+    sum_f K_f(e) y_f <= 1 at each e != 0, with y_f >= 0 on the >= rows and
+    y_f = u_f - w_f, u, w >= 0, on the == rows.  Every right-hand side is
+    1, so the one-phase simplex solves it, and by strong duality its
+    optimum is the array program's.
+    """
     T = krawtchouk_table(params)
-    zero, free = T.shapes[0], T.shapes[1:]
-    # row f != 0: sum_{e != 0} K_f(e) B_e = or >= -K_f(0) = -v_f
-    rows = [
-        (list(row[1:]), EQ if shape_weight(f) <= t else GE, -row[0])
-        for f, row in zip(free, T.rows[1:])
-    ]
-    # through delsarte's name, so that `solve_capturing` records this program too
-    res = delsarte.simplex_solve(make_lp([1] * len(free), rows, maximize=False))
+    columns, objective = [], []  # one per dual variable, column[e] = K_f(e)
+    for f, row in zip(T.shapes[1:], T.rows[1:]):
+        for sign in (1, -1) if shape_weight(f) <= t else (1,):
+            columns.append([sign * k for k in row[1:]])
+            objective.append(-sign * row[0])
+    rows = [([col[e] for col in columns], 1) for e in range(len(T.shapes) - 1)]
+    res = simplex_solve(make_lp(objective, rows))
     assert res.status == "optimal", res.status
-    distribution = {zero: Fraction(1)}
-    distribution.update((e, val) for e, val in zip(free, res.x) if val != 0)
-    return SimpleNamespace(bound=1 + res.objective, distribution=distribution)
+    return 1 + res.objective
 
 
-def delsarte_programs(params: SpaceParams):
-    """(name, solver call) for every code distance and array strength."""
+def code_programs(params: SpaceParams):
+    """(name, solver call) for every code distance."""
     for d in range(2, params.dim + 2):
         yield f"I d{d}", lambda d=d: delsarte.solve_code_lp(params, d)
-    for t in range(0, params.dim + 1):
-        yield f"II t{t}", lambda t=t: solve_ooa_lp_direct(params, t)
 
 
 def solve_capturing(call):
@@ -152,16 +183,16 @@ def _space_name(q, r, n) -> str:
 
 
 def delsarte_cases(space):
-    """(key, simplex results, distribution, certificate or None) for every
+    """(key, simplex results, distribution, certificate) for every code
     program of the space."""
-    for name, call in delsarte_programs(SpaceParams(*space)):
+    for name, call in code_programs(SpaceParams(*space)):
         out, seen = solve_capturing(call)
-        cert = getattr(out, "certificate", None)
+        cert = out.certificate
         yield (
             f"{_space_name(*space)} {name}",
             [encode(res) for res in seen],
             _rationals(out.distribution),
-            cert and {"F0": str(cert.F0), "F": _rationals(cert.F)},
+            {"F0": str(cert.F0), "F": _rationals(cert.F)},
         )
 
 
@@ -177,8 +208,7 @@ def record() -> dict:
             data["delsarte"].update({key: res for res in results})
             if space in DELSARTE_SPACES:
                 data["distributions"][key] = distribution
-                if cert:
-                    data["certificates"][key] = cert
+                data["certificates"][key] = cert
     return data
 
 
@@ -188,10 +218,10 @@ def pinned():
 
 
 def test_fixture_covers_every_case(pinned):
-    assert set(pinned["random"]) == {str(s) for s in ALL_SEEDS}
+    assert set(pinned["random"]) == {str(s) for s in one_phase_seeds()}
     statuses = {v["status"] for v in pinned["random"].values()}
-    assert statuses == {"optimal", "infeasible", "unbounded"}
-    assert len(pinned["delsarte"]) == sum(2 * SpaceParams(*s).dim + 1 for s in SPACES)
+    assert statuses == {"optimal", "unbounded"}
+    assert len(pinned["delsarte"]) == sum(SpaceParams(*s).dim for s in SPACES)
 
 
 def _fractions(values):
@@ -200,20 +230,35 @@ def _fractions(values):
 
 @pytest.mark.parametrize("seed", ALL_SEEDS)
 def test_random_program_pinned(pinned, seed):
-    lp, s, c = integer_program(*random_program(seed))
+    objective, rows, maximize = random_program(seed)
+    upper = as_upper_bounds(objective, rows, maximize)
+    if str(seed) not in pinned["random"]:
+        with pytest.raises(ValueError, match="negative right-hand side"):
+            integer_program(*upper)
+        return
+    lp, s, c = integer_program(*upper)
     res = simplex_solve(lp)
     pin = pinned["random"][str(seed)]
+    sense = 1 if maximize else -1
     assert res.status == pin["status"]
-    if seed in INTEGER_PATHS:
-        assert list(res.ray) == _fractions(INTEGER_PATHS[seed])
-        _assert_improving_recession_direction(lp, res)
+    if not all(rel == LE or rel == GE and rhs < 0 for _, rel, rhs in rows):
+        # the two-phase solver took its phase 1 here: the status, the value
+        # and a proof of either
+        if res.status == "optimal":
+            assert res.objective == sense * c * Fraction(pin["objective"])
+            _assert_primal_feasible(lp, res)
+            _assert_dual_feasible_with_equal_value(lp, res)
+        else:
+            _assert_improving_recession_direction(lp, res)
     elif res.status == "optimal":
         assert list(res.x) == _fractions(pin["x"])
-        assert res.objective == c * Fraction(pin["objective"])
+        assert res.objective == sense * c * Fraction(pin["objective"])
+        # a >= row was negated to a <= row, and its dual with it
+        flips = [1 if rel == LE else -1 for _, rel, _ in rows]
         assert list(res.duals) == [
-            c * y / si for y, si in zip(_fractions(pin["duals"]), s)
+            sense * flip * c * y / si for y, si, flip in zip(_fractions(pin["duals"]), s, flips)
         ]
-    elif res.status == "unbounded":
+    else:
         ray = _fractions(pin["ray"])
         j = next(j for j, v in enumerate(ray) if v)
         factor = res.ray[j] / ray[j]
@@ -223,11 +268,10 @@ def test_random_program_pinned(pinned, seed):
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: _space_name(*s))
 def test_delsarte_programs_pinned(pinned, space):
     for key, results, distribution, cert in delsarte_cases(space):
-        expected = [pinned["delsarte"][key]] if key in pinned["delsarte"] else []
-        assert results == expected, key
+        assert results == [pinned["delsarte"][key]], key
         if space in DELSARTE_SPACES:
             assert distribution == pinned["distributions"][key], key
-            assert cert == pinned["certificates"].get(key), key
+            assert cert == pinned["certificates"][key], key
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: _space_name(*s))
@@ -235,7 +279,7 @@ def test_array_program_through_code_program(space):
     # an exactly feasible B (B >= 0, B_0 = 1, T B = 0 at 1 <= |f|' <= t and
     # T B >= 0 above) whose value sum B is the bound its certificate proves
     # for every array of strength t: so B is optimal, and its value is the
-    # optimum the array program's own simplex finds
+    # optimum of the array program's LP dual
     p = SpaceParams(*space)
     tbl = krawtchouk_table(p)
     shapes = list(enumerate_shapes(p))
@@ -243,7 +287,7 @@ def test_array_program_through_code_program(space):
         res = delsarte.solve_ooa_lp(p, t)
         check = delsarte.check_certificate(res.certificate)
         assert check.accepted and check.ooa_bound == res.bound, t
-        assert res.bound == solve_ooa_lp_direct(p, t).bound, t
+        assert res.bound == array_program_dual(p, t), t
         B = res.distribution
         assert B[shapes[0]] == 1 and all(b > 0 for b in B.values())
         assert sum(B.values()) == res.bound

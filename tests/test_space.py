@@ -255,6 +255,18 @@ def test_ooa_strength_repeated_rows():
     assert res.strength == 2 and res.index == 2
 
 
+def test_ooa_strength_scan_has_a_cell_budget():
+    def full_space(n):
+        p = SpaceParams(2, 2, n)
+        return ArrayTable(params=p, rows=tuple(enumerate_vectors(p)))
+
+    # 4096 rows over 728 left-adjusted sets fit under the cap; 65536 rows
+    # reach it after 64 sets
+    assert ooa_strength(full_space(6)) == (12, 1)
+    with pytest.raises(BudgetExceeded, match="STRENGTH_CELL_CAP"):
+        ooa_strength(full_space(8))
+
+
 def test_net_conversion():
     ooa = net_to_ooa(0, 2, 2, 2)
     assert (ooa.strength, ooa.n, ooa.r, ooa.size, ooa.index) == (2, 2, 2, 4, 1)
