@@ -1,12 +1,14 @@
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
-from math import isfinite
+from math import floor, isfinite
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nrtbounds.bounds import BoundResult, BoundTable
 from nrtbounds.cli import build_parser, main
 from nrtbounds.delsarte import certificate_from_json, check_certificate, format_rational
 from nrtbounds.space import ArrayTable
@@ -107,6 +109,57 @@ def test_bounds_d1(capsys):
     assert code == 0
     by_name = {b["name"]: b for b in payload["bounds"]}
     assert by_name["singleton"]["value"] == "16/1"
+
+
+# the witness keys of each bound that has a witness, in order
+WITNESS_KEYS = {
+    "hamming": ["tau"],
+    "rao": ["tau"],
+    "bassalygo-elias": ["w"],
+    "spectral": ["kappa", "lambda"],
+    "spectral-ooa": ["kappa", "lambda"],
+    "r2": ["s1", "s2", "alpha", "beta"],
+    "r2-ooa": ["s1", "s2", "alpha", "beta"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--q", "2", "--r", "2", "--n", "6", "--d", "4"),
+        ("bounds", "--q", "2", "--r", "1", "--n", "2", "--d", "2"),
+    ],
+)
+def test_bounds_json_contract(capsys, argv):
+    # the shape of the bounds table: not a byte golden, since the float
+    # witnesses come from BLAS and LAPACK
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    assert list(payload) == list(BoundTable._fields)
+    assert payload["params"] == dict(zip("qrn", map(int, argv[2:8:2])))
+    kinds = set()
+    for b in payload["bounds"]:
+        assert list(b) == list(BoundResult._fields)
+        value = b["value"]
+        if not b["applicable"]:
+            assert value is None and b["witness"] is None and b["reason"]
+            kinds.add("inapplicable")
+        elif isinstance(value, str):
+            assert re.fullmatch(r"\d+/\d+", value)
+            num, den = map(int, value.split("/"))
+            assert b["floor"] == num // den
+            kinds.add("exact")
+        else:
+            assert isinstance(value, float) and value == float(f"{value:.12g}")
+            assert b["floor"] == floor(value)
+            kinds.add(b["name"])
+        if b["applicable"]:
+            keys = list(b["witness"]) if b["witness"] is not None else None
+            assert keys == WITNESS_KEYS.get(b["name"]), b["name"]
+    assert {"exact", "inapplicable", "spectral"} <= kinds
+    assert ("r2" in kinds) == (argv[4] == "2")
 
 
 def test_lp_program_one(capsys, tmp_path):
