@@ -6,7 +6,8 @@ rationals wherever the formula is rational; the two bounds that involve
 eigenvalues or polynomial roots return floats with an explicit error bar.
 A distance or strength outside the space raises ValueError (the checks in
 `space`); a bound whose precondition fails returns an inapplicable result
-rather than raising.
+rather than raising.  Results are plain records, unrounded; the CLI rounds
+float values for print and writes the JSON (`cli._json`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb, floor
 
-from .delsarte import CertificateCheck, DualCertificate, format_rational
+from .delsarte import CertificateCheck, DualCertificate
 from .krawtchouk import BracketingError, K_multi, _k_values, _value_cube, k_root_min, k_root_mins
 from .scheme import operators, spectral_radius
 from .space import (
@@ -51,21 +52,6 @@ class BoundResult(
     reason says why an inapplicable bound does not apply."""
 
     __slots__ = ()
-
-    def as_json_dict(self) -> dict:
-        """The fields in declaration order, with exact values as "p/q"
-        strings and float values at 12 significant digits."""
-        out = self._asdict()
-        if isinstance(self.value, Fraction):
-            out["value"] = format_rational(self.value)
-        elif self.value is not None:
-            out["value"] = float(f"{self.value:.12g}")
-        if self.witness is not None:
-            out["witness"] = {
-                k: (format_rational(v) if isinstance(v, Fraction) else v)
-                for k, v in self.witness.items()
-            }
-        return out
 
 
 def _exact(name: str, side: str, value: Fraction, witness: dict | None = None) -> BoundResult:
@@ -505,15 +491,7 @@ def r2_certificate(
 # Aggregation
 
 
-class BoundTable(namedtuple("BoundTable", "params d bounds best_upper best_lower")):
-    __slots__ = ()
-
-    def as_json_dict(self) -> dict:
-        return {
-            **self._asdict(),
-            "params": self.params._asdict(),
-            "bounds": [b.as_json_dict() for b in self.bounds],
-        }
+BoundTable = namedtuple("BoundTable", "params d bounds best_upper best_lower")
 
 
 def best_bounds(params: SpaceParams, d: int) -> BoundTable:

@@ -1,11 +1,13 @@
 """Command-line surface: JSON tables and CSV curves on stdout (or --out).
 
-Each `cmd_*` only computes and returns its payload: a dict whose records
-are their fields in declaration order (`_asdict()`), or CSV text for `asym`.
-`main` alone writes it, once.  Exit codes: 0 success, 2 usage error
-(ValueError, OSError), 3 budget or scale cap exceeded (BudgetExceeded),
-4 internal consistency failure (CheckFailure, which every solver,
-certificate and root-finding failure subclasses, or a failed assert).
+Each `cmd_*` only computes and returns its payload: a dict of records,
+Fractions and shape-keyed maps as the library returns them, or CSV text
+for `asym`.  This module alone knows the output format: `_json` turns a
+payload into JSON values, and `main` alone writes it, once.  Exit codes:
+0 success, 2 usage error (ValueError, OSError), 3 budget or scale cap
+exceeded (BudgetExceeded), 4 internal consistency failure (CheckFailure,
+which every solver, certificate and root-finding failure subclasses, or a
+failed assert).
 Logs go to stderr so output stays pipeline-composable.
 """
 
@@ -15,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 from math import ceil, comb, floor, isfinite
 
 from . import __version__
@@ -30,13 +33,11 @@ from .asymptotics import (
     plotkin_curve,
     psi_nets,
 )
-from .bounds import best_bounds
+from .bounds import BoundTable, best_bounds
 from .delsarte import (
     CertificateCheck,
-    certificate_from_json,
-    certificate_to_json,
+    DualCertificate,
     check_certificate,
-    format_rational,
     solve_code_lp,
     solve_ooa_lp,
 )
@@ -54,7 +55,6 @@ from .space import (
     ooa_strength,
     read_array_file,
     shape_count,
-    shape_key,
     shape_weight,
     sphere_size,
     weight_distribution,
@@ -68,6 +68,29 @@ def _params(args) -> SpaceParams:
     return SpaceParams(q=args.q, r=args.r, n=args.n)
 
 
+def _shape_key(e: tuple[int, ...]) -> str:
+    """The text of a shape in JSON: its parts joined by commas."""
+    return ",".join(map(str, e))
+
+
+def _json(x):
+    """The JSON value of a payload.  A record is its fields in declaration
+    order, a Fraction is "p/q" ("2/1" for an integer), a map keyed by shapes
+    (the package's only tuple keys) has `_shape_key` keys in shape order,
+    and lists and tuples are arrays."""
+    if hasattr(x, "_asdict"):
+        return {k: _json(v) for k, v in x._asdict().items()}
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, dict):
+        if x and isinstance(next(iter(x)), tuple):
+            return {_shape_key(e): _json(v) for e, v in sorted(x.items())}
+        return {k: _json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json(v) for v in x]
+    return x
+
+
 def cmd_sphere(args) -> dict:
     params = _params(args)
     count = comb(params.n + params.r, params.r)  # the shapes, before any is built
@@ -77,10 +100,10 @@ def cmd_sphere(args) -> dict:
     if args.d is not None:
         shapes = [e for e in shapes if shape_weight(e) == args.d]
     payload = {
-        "params": params._asdict(),
+        "params": params,
         "shapes": [
             {
-                "shape": shape_key(e),
+                "shape": _shape_key(e),
                 "weight": shape_weight(e),
                 "count": shape_count(params, e),
             }
@@ -95,16 +118,35 @@ def cmd_sphere(args) -> dict:
     return payload
 
 
-def cmd_bounds(args) -> dict:
-    return best_bounds(_params(args), args.d).as_json_dict()
+def cmd_bounds(args) -> BoundTable:
+    """The bound table, with float values at 12 significant digits."""
+    table = best_bounds(_params(args), args.d)
+    bounds = tuple(
+        b._replace(value=float(f"{b.value:.12g}")) if isinstance(b.value, float) else b
+        for b in table.bounds
+    )
+    return table._replace(bounds=bounds)
 
 
-def _save_certificate(path: str, cert) -> CertificateCheck:
-    """Write the certificate, read it back, and re-verify the reloaded copy."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(certificate_to_json(cert))
+def _load_certificate(path: str) -> DualCertificate:
+    """The certificate in a file `_save_certificate` wrote."""
     with open(path, "r", encoding="utf-8") as fh:
-        return check_certificate(certificate_from_json(fh.read()))
+        saved = json.load(fh)
+    return DualCertificate(
+        params=SpaceParams(q=saved["q"], r=saved["r"], n=saved["n"]),
+        d=saved["d"],
+        F0=Fraction(saved["F0"]),
+        F={tuple(map(int, k.split(","))): Fraction(v) for k, v in saved["F"].items()},
+    )
+
+
+def _save_certificate(path: str, cert: DualCertificate) -> CertificateCheck:
+    """Write the certificate (the space's parameters, then d, F0 and the
+    shape-keyed F), read it back, and re-verify the reloaded copy."""
+    saved = {**cert.params._asdict(), "d": cert.d, "F0": cert.F0, "F": cert.F}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(_json(saved), indent=2))
+    return check_certificate(_load_certificate(path))
 
 
 def cmd_lp(args) -> dict:
@@ -121,10 +163,10 @@ def cmd_lp(args) -> dict:
         raise ValueError(f"program {args.program} needs --{key}")
     res = solve(params, k)
     payload = {
-        "params": params._asdict(),
+        "params": params,
         "program": args.program,
         key: k,
-        "value": format_rational(res.bound),
+        "value": res.bound,
         rounding.__name__: rounding(res.bound),
     }
     if args.certificate:
@@ -177,7 +219,7 @@ def cmd_asym(args) -> str:
 def cmd_verify_ooa(args) -> dict:
     table = read_array_file(args.file)
     return {
-        "params": table.params._asdict(),
+        "params": table.params,
         "rows": len(table.rows),
         **ooa_strength(table)._asdict(),
     }
@@ -189,10 +231,10 @@ def cmd_macwilliams(args) -> dict:
     primal = enumerator_of(code, "right")
     dual = transform(primal, code.size)
     payload = {
-        "params": code.params._asdict(),
+        "params": code.params,
         "k": code.k,
-        "primal": primal.as_json_dict(),
-        "dual": dual.as_json_dict(),
+        "primal": primal,
+        "dual": dual,
     }
     try:
         exhaustive = dual_code(code)
@@ -209,7 +251,7 @@ def cmd_macwilliams(args) -> dict:
 def cmd_net(args) -> dict:
     ooa = net_to_ooa(args.t, args.m, args.s, args.q)
     net = NetParams(t=args.t, m=args.m, s=args.s, q=args.q)
-    return {"net": net._asdict(), "ooa": ooa._asdict()}
+    return {"net": net, "ooa": ooa}
 
 
 @functools.cache
@@ -290,7 +332,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         payload = args.fn(args)
-        text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
+        text = payload if isinstance(payload, str) else json.dumps(_json(payload), indent=2)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -17,11 +17,13 @@ formally self-dual, so its eigenmatrix T[f][e] = K_f(e) satisfies
 T T = q^(nr) I, and the array optimum at strength t is q^(nr) over the code
 optimum at distance t+1, attained by the transform of the code optimum (see
 `solve_ooa_lp`).
+
+Results and certificates are records of Fractions keyed by shape; the
+certificate file's format is the CLI's (`cli._save_certificate`).
 """
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, lcm
@@ -34,8 +36,6 @@ from .space import (
     SpaceParams,
     check_distance,
     check_strength,
-    parse_shape_key,
-    shape_key,
     shape_weight,
 )
 
@@ -159,34 +159,4 @@ def solve_ooa_lp(params: SpaceParams, t: int) -> OoaLPResult:
         bound=params.ambient_size / code.bound,
         distribution=krawtchouk_table(params).transform(code.distribution, code.bound),
         certificate=code.certificate,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Certificate serialization
-
-
-def format_rational(x: Fraction) -> str:
-    fr = Fraction(x)
-    return f"{fr.numerator}/{fr.denominator}"
-
-
-def certificate_to_json(cert: DualCertificate) -> str:
-    payload = {
-        **cert.params._asdict(),
-        "d": cert.d,
-        "F0": format_rational(cert.F0),
-        "F": {shape_key(e): format_rational(v) for e, v in sorted(cert.F.items())},
-    }
-    return json.dumps(payload, indent=2)
-
-
-def certificate_from_json(text: str) -> DualCertificate:
-    payload = json.loads(text)
-    params = SpaceParams(q=payload["q"], r=payload["r"], n=payload["n"])
-    return DualCertificate(
-        params=params,
-        d=payload["d"],
-        F0=Fraction(payload["F0"]),
-        F={parse_shape_key(k): Fraction(v) for k, v in payload["F"].items()},
     )

@@ -9,7 +9,8 @@ right-reading enumerator A of a code and divides by the code size:
 
     B_f = (1/|C|) sum_e A_e K_f(e)
 
-is the left-reading enumerator of its dual.
+is the left-reading enumerator of its dual.  An enumerator is a record of
+Fraction coefficients keyed by shape; the CLI writes it as JSON.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .delsarte import format_rational
 from .krawtchouk import krawtchouk_table
 from .space import (
     ArrayTable,
@@ -26,7 +26,6 @@ from .space import (
     dual_code,
     enumerate_code,
     shape_bar_of,
-    shape_key,
     shape_of,
 )
 
@@ -40,13 +39,6 @@ class WeightEnumerator(namedtuple("WeightEnumerator", "params reading coeffs")):
 
     def total(self) -> Fraction:
         return sum(self.coeffs.values(), Fraction(0))
-
-    def as_json_dict(self) -> dict:
-        return {
-            "params": self.params._asdict(),
-            "reading": self.reading,
-            "coeffs": {shape_key(e): format_rational(v) for e, v in sorted(self.coeffs.items())},
-        }
 
 
 def enumerator_of(obj: LinearCode | ArrayTable, reading: str = RIGHT) -> WeightEnumerator:

@@ -138,15 +138,6 @@ def validate_shape(params: SpaceParams, e: Shape) -> None:
         raise ValueError(f"shape length {sum(e)} exceeds n = {params.n}")
 
 
-def shape_key(e: Shape) -> str:
-    """The text key of a shape in JSON output: its parts joined by commas."""
-    return ",".join(str(c) for c in e)
-
-
-def parse_shape_key(key: str) -> Shape:
-    return tuple(int(c) for c in key.split(","))
-
-
 def check_distance(params: SpaceParams, d: int) -> None:
     if not 1 <= d <= params.dim + 1:
         raise ValueError(f"distance {d} out of range [1, {params.dim + 1}]")
@@ -218,18 +209,22 @@ def weight_distribution(params: SpaceParams) -> list[int]:
     """Sphere sizes S_0, ..., S_{nr}: S_d vectors have NRT weight d.
 
     They are the coefficients of the n-th power of the one-block enumerator
-    1 + (q-1)(z + q z^2 + ... + q^(r-1) z^r), since a block's weight is the
-    depth of its top nonzero symbol and the blocks are independent.
+    P(z) = 1 + (q-1)(z + q z^2 + ... + q^(r-1) z^r), since a block's weight
+    is the depth of its top nonzero symbol and the blocks are independent.
+    J. C. P. Miller's recurrence for a power of a series with P(0) = 1
+    (Knuth, TAOCP vol. 2, sec. 4.7) gives them in O(n r^2) steps:
+
+        S_k = sum_{j=1..min(k,r)} ((n+1) j - k) p_j S_{k-j} / k,
+
+    with p_j the coefficient of z^j in P; the sum is a multiple of k, so
+    the division is exact.
     """
-    q = params.q
-    block = [1] + [(q - 1) * q ** (i - 1) for i in range(1, params.r + 1)]
+    q, r, n = params
+    p = [1] + [(q - 1) * q ** (i - 1) for i in range(1, r + 1)]
     sizes = [1]
-    for _ in range(params.n):
-        product = [0] * (len(sizes) + params.r)
-        for k, s in enumerate(sizes):
-            for i, c in enumerate(block):
-                product[k + i] += s * c
-        sizes = product
+    for k in range(1, n * r + 1):
+        terms = (((n + 1) * j - k) * p[j] * sizes[k - j] for j in range(1, min(k, r) + 1))
+        sizes.append(sum(terms) // k)
     return sizes
 
 

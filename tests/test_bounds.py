@@ -22,6 +22,7 @@ from nrtbounds.bounds import (
     spectral_bound_ooa,
     varshamov,
 )
+from nrtbounds.cli import _json
 from nrtbounds.delsarte import solve_code_lp
 from nrtbounds.krawtchouk import K_multi
 from nrtbounds.oracles import brute_force_max_code, constant_weight_max
@@ -255,7 +256,7 @@ def test_best_bounds_table():
     # at d = 4 the exponent bound 2^(nr-d+1) = 2 undercuts plotkin's 8/3
     assert table.best_upper == "singleton"
     # inapplicable entries are present, not dropped
-    payload = json.loads(json.dumps(table.as_json_dict()))
+    payload = json.loads(json.dumps(_json(table)))
     assert payload["d"] == 4
     assert len(payload["bounds"]) == len(table.bounds)
     for entry in payload["bounds"]:

@@ -1,6 +1,7 @@
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from io import StringIO
 from math import floor, isfinite
 
@@ -9,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nrtbounds.bounds import BoundResult, BoundTable
-from nrtbounds.cli import build_parser, main
-from nrtbounds.delsarte import certificate_from_json, check_certificate, format_rational
-from nrtbounds.space import ArrayTable
+from nrtbounds.cli import _json, _load_certificate, _save_certificate, _shape_key, build_parser, main
+from nrtbounds.delsarte import check_certificate, solve_code_lp
+from nrtbounds.space import ArrayTable, SpaceParams, enumerate_shapes
 
 
 def run(capsys, *argv):
@@ -341,11 +342,35 @@ def test_lp_program_two_certificate(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["certificate"] == str(cert)
-    reloaded = certificate_from_json(cert.read_text())
+    reloaded = _load_certificate(str(cert))
     assert reloaded.d == 4
     chk = check_certificate(reloaded)
     assert chk.accepted
-    assert format_rational(chk.ooa_bound) == payload["value"]
+    assert _json(chk.ooa_bound) == payload["value"]
+
+
+def test_certificate_json_roundtrip(tmp_path):
+    res = solve_code_lp(SpaceParams(2, 2, 2), 3)
+    path = str(tmp_path / "cert.json")
+    assert _save_certificate(path, res.certificate).accepted
+    again = _load_certificate(path)
+    assert again == res.certificate
+    assert check_certificate(again).code_bound == res.bound
+
+
+def test_shape_key_round_trip(tmp_path):
+    assert _shape_key((3, 0, 12)) == "3,0,12"
+    assert _shape_key((0,)) == "0"
+    # every shape keys a certificate term that reads back as itself, in
+    # shape order whatever the order of the map written
+    p = SpaceParams(3, 3, 4)
+    shapes = list(enumerate_shapes(p))
+    F = {e: Fraction(1, 2) for e in reversed(shapes)}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_json({**p._asdict(), "d": 1, "F0": Fraction(1), "F": F})))
+    reloaded = _load_certificate(str(path)).F
+    assert list(reloaded) == shapes
+    assert reloaded == F
 
 
 # The file `lp --q 2 --r 2 --n 3 --t 3 --program II --certificate` wrote when
@@ -702,13 +727,13 @@ def test_macwilliams_over_the_cap_is_not_verified(capsys, tmp_path):
 def test_reloaded_certificate_that_fails_exits_4(capsys, tmp_path, monkeypatch):
     import nrtbounds.cli as cli_mod
 
-    def drop_a_term(text):
-        cert = certificate_from_json(text)
+    def drop_a_term(path):
+        cert = _load_certificate(path)
         F = dict(cert.F)
         F.pop(next(iter(F)))
         return cert._replace(F=F)
 
-    monkeypatch.setattr(cli_mod, "certificate_from_json", drop_a_term)
+    monkeypatch.setattr(cli_mod, "_load_certificate", drop_a_term)
     code, out, err = run(
         capsys,
         "lp", "--q", "2", "--r", "2", "--n", "3", "--d", "4",

@@ -8,8 +8,6 @@ from nrtbounds.delsarte import (
     LP_SHAPE_CAP,
     CertificateCheck,
     DualCertificate,
-    certificate_from_json,
-    certificate_to_json,
     check_certificate,
     solve_code_lp,
     solve_ooa_lp,
@@ -108,14 +106,6 @@ def test_certificate_rejection_witnesses():
     assert not chk.accepted
     assert chk.reason == "F positive at excluded shape"
     assert chk.witness is not None
-
-
-def test_certificate_json_roundtrip():
-    res = solve_code_lp(SpaceParams(2, 2, 2), 3)
-    text = certificate_to_json(res.certificate)
-    again = certificate_from_json(text)
-    assert again == res.certificate
-    assert check_certificate(again).code_bound == res.bound
 
 
 def test_certificate_at_zero_is_total_mass():

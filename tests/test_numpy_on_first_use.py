@@ -74,6 +74,12 @@ def test_importing_the_cli_loads_no_dataclass_machinery():
     assert _fresh(code, flags=("-S",)).split() == ["[]"]
 
 
+def test_the_library_writes_no_json():
+    # the output format lives in the CLI: importing the library loads no json
+    code = "import sys, nrtbounds; print('json' in sys.modules)"
+    assert _fresh(code, flags=("-S",)).split() == ["False"]
+
+
 POOL_EXACT = [
     ("lp-sweep", "lp --q 2 --r 2 --n 6 --d 4 --program I"),
     ("lp-sweep", "lp --q 2 --r 2 --n 6 --t 6 --program II"),

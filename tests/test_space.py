@@ -25,12 +25,10 @@ from nrtbounds.space import (
     ordered_distance,
     ordered_weight,
     parse_array_text,
-    parse_shape_key,
     representative,
     reverse_blocks,
     shape_bar_of,
     shape_count,
-    shape_key,
     shape_of,
     shapes_of_length,
     sphere_size,
@@ -95,13 +93,6 @@ def test_range_checks(check, name, lo, hi):
     for x in (lo - 1, hi + 1):
         with pytest.raises(ValueError, match=rf"^{name} {x} out of range \[{lo}, {hi}\]$"):
             check(p, x)
-
-
-def test_shape_key_round_trip():
-    assert shape_key((3, 0, 12)) == "3,0,12"
-    assert shape_key((0,)) == "0"
-    for e in enumerate_shapes(SpaceParams(3, 3, 4)):
-        assert parse_shape_key(shape_key(e)) == e
 
 
 def test_weight_and_distance_examples():
@@ -175,6 +166,27 @@ def test_weight_distribution_counts_vectors(q, r, n):
             sphere_size(p, d)
         with pytest.raises(ValueError):
             ball_size(p, d)
+
+
+def _weight_distribution_by_products(p):
+    """The n-th power of the one-block enumerator, one product at a time."""
+    block = [1] + [(p.q - 1) * p.q ** (i - 1) for i in range(1, p.r + 1)]
+    sizes = [1]
+    for _ in range(p.n):
+        product = [0] * (len(sizes) + p.r)
+        for k, s in enumerate(sizes):
+            for i, c in enumerate(block):
+                product[k + i] += s * c
+        sizes = product
+    return sizes
+
+
+@pytest.mark.parametrize("q", range(2, 8))
+def test_weight_distribution_matches_the_product_loop(q):
+    for r in range(1, 6):
+        for n in range(1, 31):
+            p = SpaceParams(q, r, n)
+            assert weight_distribution(p) == _weight_distribution_by_products(p), (q, r, n)
 
 
 def test_delta_crit():
