@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nrtbounds.bounds import BoundResult, BoundTable
 from nrtbounds.cli import _json, _load_certificate, _save_certificate, _shape_key, build_parser, main
-from nrtbounds.delsarte import check_certificate, solve_code_lp
+from nrtbounds.delsarte import DualCertificate, check_certificate, solve_code_lp
 from nrtbounds.space import ArrayTable, SpaceParams, enumerate_shapes
 
 
@@ -366,9 +366,9 @@ def test_shape_key_round_trip(tmp_path):
     p = SpaceParams(3, 3, 4)
     shapes = list(enumerate_shapes(p))
     F = {e: Fraction(1, 2) for e in reversed(shapes)}
-    path = tmp_path / "cert.json"
-    path.write_text(json.dumps(_json({**p._asdict(), "d": 1, "F0": Fraction(1), "F": F})))
-    reloaded = _load_certificate(str(path)).F
+    path = str(tmp_path / "cert.json")
+    _save_certificate(path, DualCertificate(params=p, d=1, F0=Fraction(1), F=F))
+    reloaded = _load_certificate(path).F
     assert list(reloaded) == shapes
     assert reloaded == F
 
