@@ -50,11 +50,10 @@ from .space import (
     SpaceParams,
     delta_crit,
     dual_code,
-    enumerate_shapes,
     net_to_ooa,
     ooa_strength,
     read_array_file,
-    shape_count,
+    shape_counts,
     shape_weight,
     sphere_size,
     weight_distribution,
@@ -96,7 +95,8 @@ def cmd_sphere(args) -> dict:
     count = comb(params.n + params.r, params.r)  # the shapes, before any is built
     if count > SPHERE_SHAPE_CAP:
         raise BudgetExceeded(f"{count} shapes exceed cap SPHERE_SHAPE_CAP = {SPHERE_SHAPE_CAP}")
-    shapes = sorted(enumerate_shapes(params), key=lambda e: (shape_weight(e), e))
+    counts = shape_counts(params)
+    shapes = sorted(counts, key=lambda e: (shape_weight(e), e))
     if args.d is not None:
         shapes = [e for e in shapes if shape_weight(e) == args.d]
     payload = {
@@ -105,7 +105,7 @@ def cmd_sphere(args) -> dict:
             {
                 "shape": _shape_key(e),
                 "weight": shape_weight(e),
-                "count": shape_count(params, e),
+                "count": counts[e],
             }
             for e in shapes
         ],

@@ -7,14 +7,17 @@ minimization is the maximization of the negated objective.  `make_lp`
 takes int data only; a rational program is multiplied out to integers by
 its caller.
 
-The dictionary of the current basis is held as integer numerators over one
-positive common denominator (integer pivoting on a dictionary, as in
-Avis's lrs; Edmonds 1967, Bareiss 1968): only the nonbasic columns are
-stored, since every basic column is the denominator times a unit vector,
-and every pivot updates the numerators by an exact integer division, so
-no Fraction and no gcd enters the inner loop.  Results are exact
-fractions.Fraction values and deterministic.  The duals, which certificate
-extraction reads, are the final reduced costs of the slacks.
+The dictionary of the current basis is held as integer numerators
+(integer pivoting on a dictionary, as in Avis's lrs; Edmonds 1967, Bareiss
+1968): only the nonbasic columns are stored, since every basic column is a
+multiple of a unit vector, and every pivot updates the numerators by an
+exact integer division, so no Fraction and no gcd enters the inner loop.
+Each constraint row is first divided by the gcd of its coefficients and
+right-hand side, and each row keeps its own denominator, so a row that a
+pivot leaves unchanged (pivot-column entry 0) is not touched (see
+`_Tableau`).  Results are exact fractions.Fraction values and
+deterministic.  The duals, which certificate extraction reads, are the
+final reduced costs of the slacks.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import count
+from math import gcd
 
 from .space import CheckFailure
 
@@ -61,45 +65,69 @@ def make_lp(objective, rows) -> LinearProgram:
 
 
 class _Tableau:
-    """The dictionary of the current basis as integer numerators M over one
-    common denominator D.
+    """The dictionary of the current basis as integer numerators M, each
+    row over its own denominator.
 
     Variables are numbered structural | slack, and the slacks are the first
-    basis, at D = 1.  `nonbasic[k]` is the variable in slot k, M[i][k] / D
-    is the tableau entry of row i in that variable's column, and M[i][-1] / D
-    is the row's right-hand side.  D > 0 is |det B| for the current basis B
-    of the initial integer tableau, and each M[i][k] is, up to the sign of
-    det B, a minor of that tableau, so the update in `pivot` divides exactly
-    (Sylvester's identity; Bareiss 1968).  The reduced-cost row R is one
-    more such row, R / D = c - c_B B^-1 A over the nonbasic slots, and
-    R[-1] / D is minus the objective value.
+    basis.  Row i of the program enters divided by g[i], the gcd of its
+    coefficients and right-hand side: the reduced program has the same
+    feasible x, and its slack is the original one over g[i].  `nonbasic[k]`
+    is the variable in slot k, M[i][k] / den[i] is the tableau entry of row
+    i in that variable's column, and M[i][-1] / den[i] is the row's
+    right-hand side.  The reduced-cost row R is one more such row, over
+    den[m]: R / den[m] = c - c_B B^-1 A over the nonbasic slots, and
+    R[-1] / den[m] is minus the objective value.
+
+    D > 0 is |det B| for the current basis B of the reduced integer
+    tableau [A' | I | b'].  Each row was last rewritten at some pivot, and
+    den[i] is the D of that pivot: since then its pivot-column entries were
+    0, so its values have not changed, and M[i] is, up to the sign of that
+    det B, a row of minors of the reduced tableau.  Multiplied by D / den[i]
+    it is the row of minors for the current basis, an integer row.  A pivot
+    on p = M[row][k] first brings the pivot row to D; a row with f =
+    M[i][k] != 0 becomes (a p - f b) / den[i] with -f D / den[i] in slot
+    k, both exact divisions because the results are the minors for the new
+    basis, whose |det B| is p (Sylvester's identity; Bareiss 1968).
+
+    Dividing a row by a positive number changes no pivot.  Bland's rule
+    reads only the signs of R, which a positive den[m] and the positive
+    scale g[i] of a slack's column keep; the ratio test compares, row by
+    row, rhs / t of the entering column, which den[i] does not change and
+    g[j] of an entering slack scales in every row alike.  So the pivots are
+    those of the unreduced program over one common denominator, and the
+    results are the same fractions once the dual of row i, read from the
+    reduced program, is divided by g[i], and a ray along the slack of row
+    j by g[j].
     """
 
     def __init__(self, lp: LinearProgram):
         self.nvars, self.m = len(lp.objective), len(lp.constraints)
         self.basis = list(range(self.nvars, self.nvars + self.m))
         self.nonbasic = list(range(self.nvars))
-        self.M = [[*con.coeffs, con.rhs] for con in lp.constraints]
-        self.D = 1
+        rows = [[*con.coeffs, con.rhs] for con in lp.constraints]
+        self.g = [gcd(*row) or 1 for row in rows]  # 0 only for a zero row
+        self.M = [[a // g for a in row] for row, g in zip(rows, self.g)]
         self.R = [*lp.objective, 0]  # the slacks cost nothing
+        self.D = 1
+        self.den = [1] * (self.m + 1)  # den[m] is R's
 
     def pivot(self, row: int, k: int) -> None:
         """Exchange basis[row] with the variable in slot k; M[row][k] > 0."""
-        D, piv_row = self.D, self.M[row]
+        D, den, piv_row = self.D, self.den, self.M[row]
+        if den[row] != D:
+            piv_row[:] = [a * D // den[row] for a in piv_row]
         p = piv_row[k]
         # row `row` keeps its numerators; the new denominator is p, and slot
         # k takes the leaving variable, whose column was D e_row
         for i, Mi in enumerate(self.M + [self.R]):
-            if i == row:
-                continue
             f = Mi[k]
-            if f:
-                Mi[:] = [(a * p - f * b) // D for a, b in zip(Mi, piv_row)]
-            elif p != D:
-                Mi[:] = [a * p // D for a in Mi]
-            Mi[k] = -f
+            if f and i != row:
+                d = den[i]
+                Mi[:] = [(a * p - f * b) // d for a, b in zip(Mi, piv_row)]
+                Mi[k] = -(f * D // d)
+                den[i] = p
         piv_row[k] = D
-        self.D = p
+        den[row] = self.D = p
         self.basis[row], self.nonbasic[k] = self.nonbasic[k], self.basis[row]
 
     def run(self) -> int | None:
@@ -133,11 +161,11 @@ class _Tableau:
             self.pivot(leave_row, k)
 
     def basic_values(self, column: int) -> list[Fraction]:
-        """Column `column` of M over D, read into the structural variables."""
+        """Column `column`, row i over den[i], read into the structural variables."""
         values = [Fraction(0)] * self.nvars
         for i, j in enumerate(self.basis):
             if j < self.nvars:
-                values[j] = Fraction(self.M[i][column], self.D)
+                values[j] = Fraction(self.M[i][column], self.den[i])
         return values
 
 
@@ -146,19 +174,27 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     k = tab.run()
     if k is not None:
         # raising the entering variable by one moves each basic variable by
-        # minus its tableau entry
-        ray = [-v for v in tab.basic_values(k)]
-        if tab.nonbasic[k] < tab.nvars:
-            ray[tab.nonbasic[k]] = Fraction(1)
+        # minus its tableau entry; the slack of reduced row i is the
+        # program's slack over g[i], so the ray is per unit of the latter
+        j = tab.nonbasic[k]
+        if j < tab.nvars:
+            ray = [-v for v in tab.basic_values(k)]
+            ray[j] = Fraction(1)
+        else:
+            ray = [-v / tab.g[j - tab.nvars] for v in tab.basic_values(k)]
         return SimplexResult(status="unbounded", ray=tuple(ray))
     # the dual of row i is minus the reduced cost of its slack, +e_i at
-    # cost zero, which is zero while the slack is basic
+    # cost zero, which is zero while the slack is basic; the reduced row
+    # is row i over g[i], so its dual is g[i] times row i's
     slot = {j: k for k, j in enumerate(tab.nonbasic)}
     slacks = range(tab.nvars, tab.nvars + tab.m)
-    duals = [Fraction(-tab.R[slot[j]] if j in slot else 0, tab.D) for j in slacks]
+    den_R = tab.den[-1]
+    duals = [
+        Fraction(-tab.R[slot[j]] if j in slot else 0, den_R * g) for j, g in zip(slacks, tab.g)
+    ]
     return SimplexResult(
         status="optimal",
-        objective=Fraction(-tab.R[-1], tab.D),
+        objective=Fraction(-tab.R[-1], den_R),
         x=tuple(tab.basic_values(-1)),
         duals=tuple(duals),
     )

@@ -179,6 +179,29 @@ def shape_count(params: SpaceParams, e: Shape) -> int:
     )
 
 
+def shape_counts(params: SpaceParams) -> dict[Shape, int]:
+    """`shape_count` of every shape, keyed by shape in lexicographic order.
+
+    With j the first part of e above 0 (0-based), e - u_j comes earlier in
+    that order, and one more block at depth j + 1 gives
+
+        count(e) = count(e - u_j) * (e_0 + 1) * (q-1) q^j / e_j,
+
+    an exact division, so each shape costs one product and one division
+    where `shape_count` computes n! afresh.
+    """
+    q, n = params.q, params.n
+    counts = {}
+    for e in enumerate_shapes(params):
+        j = next((i for i, c in enumerate(e) if c), None)
+        if j is None:
+            counts[e] = 1
+        else:
+            prev = (*e[:j], e[j] - 1, *e[j + 1 :])
+            counts[e] = counts[prev] * (n - sum(e) + 1) * (q - 1) * q**j // e[j]
+    return counts
+
+
 def _compositions(total: int, parts: int, exact: bool = True):
     """The tuples of `parts` nonnegative ints that sum to `total`, or to at
     most `total` when not `exact`, in lexicographic order.  They are the

@@ -71,7 +71,7 @@ def test_sphere_shape_cap_exits_3(capsys, monkeypatch):
 
     # q2 r30 n5 has C(35, 5) = 324632 shapes; the cap refuses them unbuilt
     with monkeypatch.context() as m:
-        m.setattr(cli_mod, "enumerate_shapes", unbuilt)
+        m.setattr(cli_mod, "shape_counts", unbuilt)
         code, out, err = run(capsys, "sphere", "--q", "2", "--r", "30", "--n", "5")
     assert code == 3
     assert out == ""

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nrtbounds import delsarte, simplex
 from nrtbounds.simplex import LPError, make_lp, simplex_solve
+from nrtbounds.space import SpaceParams
 
 
 def test_one_variable_toy():
@@ -258,3 +260,147 @@ def test_ray_through_a_slack_column():
     res = simplex_solve(SLACK_RAY)
     assert res.status == "unbounded"
     assert res.ray == (0, Fraction(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# Row scaling, and the per-row denominators of the integer tableau
+
+
+def solve_recording_pivots(lp):
+    """simplex_solve(lp), the (row, slot) of every pivot it took, and the
+    variable that entered last without a pivot (None at an optimum)."""
+    pivots, unlimited = [], []
+    pivot, run = simplex._Tableau.pivot, simplex._Tableau.run
+
+    def recording_pivot(tab, row, k):
+        pivots.append((row, k))
+        pivot(tab, row, k)
+
+    def recording_run(tab):
+        k = run(tab)
+        unlimited.append(None if k is None else tab.nonbasic[k])
+        return k
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex._Tableau, "pivot", recording_pivot)
+        mp.setattr(simplex._Tableau, "run", recording_run)
+        return simplex_solve(lp), pivots, unlimited[0]
+
+
+@st.composite
+def scaled_programs(draw):
+    """A drawn program and a factor k_i in [1, 12] for each row."""
+    lp = draw(programs())
+    m = len(lp.constraints)
+    return lp, draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
+
+
+@settings(max_examples=300, deadline=None)
+@example((SLACK_RAY, [12, 5]))
+@given(scaled_programs())
+def test_row_scaling_keeps_the_pivots(case):
+    """Row i times k_i: the same pivots, status, objective and x, y_i / k_i
+    as the dual of row i, and the same ray, per unit of the variable that
+    enters: where that is the slack of row j, whose unit is now k_j times
+    smaller, the ray is divided by k_j.  A scaled row has gcd >= k_i, so
+    the tableau divides most of them by their gcd."""
+    lp, scales = case
+    scaled = make_lp(
+        lp.objective,
+        [([k * a for a in con.coeffs], k * con.rhs) for con, k in zip(lp.constraints, scales)],
+    )
+    res, pivots, entering = solve_recording_pivots(lp)
+    res_k, pivots_k, entering_k = solve_recording_pivots(scaled)
+    assert (pivots_k, entering_k) == (pivots, entering)
+    assert (res_k.status, res_k.objective, res_k.x) == (res.status, res.objective, res.x)
+    if res.status == "optimal":
+        assert res_k.duals == tuple(y / k for y, k in zip(res.duals, scales))
+    else:
+        nvars = len(lp.objective)
+        k = 1 if entering < nvars else scales[entering - nvars]
+        assert res_k.ray == tuple(v / k for v in res.ray)
+
+
+def _fraction_dictionary(T, basis):
+    """B^-1 T and |det B| in Fractions, B the columns `basis` of T; row c
+    of the result is the row of basis[c]."""
+    rows = [[Fraction(v) for v in row] for row in T]
+    det = Fraction(1)
+    for c, j in enumerate(basis):
+        piv = next(i for i in range(c, len(rows)) if rows[i][j])
+        rows[c], rows[piv] = rows[piv], rows[c]
+        a = rows[c][j]
+        det *= a
+        rows[c] = [v / a for v in rows[c]]
+        for i, row in enumerate(rows):
+            if i != c and row[j]:
+                f = row[j]
+                rows[i] = [v - f * w for v, w in zip(row, rows[c])]
+    return rows, abs(det)
+
+
+def _code_program(q, r, n, d):
+    """The integer program delsarte.solve_code_lp solves."""
+    programs = []
+
+    def capture(lp):
+        programs.append(lp)
+        return simplex_solve(lp)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(delsarte, "simplex_solve", capture)
+        delsarte.solve_code_lp(SpaceParams(q, r, n), d)
+    return programs[0]
+
+
+@pytest.mark.parametrize("q, r, n, d", [(2, 2, 6, 4), (2, 3, 4, 5)])
+def test_rows_over_their_own_denominators(q, r, n, d):
+    """After every pivot, row i over den[i] is row i of B^-1 [A' | I | b']
+    for the gcd-reduced rows A' | b', computed afresh in Fractions, R over
+    its den is the reduced-cost row, and den[i] is |det B| at the pivot
+    that last changed row i (its entry in the entering column was not 0)."""
+    lp = _code_program(q, r, n, d)
+    m = len(lp.constraints)
+    T = []
+    for i, con in enumerate(lp.constraints):
+        g = gcd(*con.coeffs, con.rhs) or 1
+        slack = [int(j == i) for j in range(m)]
+        T.append([*(a // g for a in con.coeffs), *slack, con.rhs // g])
+    cost = [*lp.objective, *[0] * m]
+    dictionary, reduced = T, cost  # of the slack basis, where |det B| = 1
+    last_det = [1] * (m + 1)
+    pivots = 0
+    pivot = simplex._Tableau.pivot
+
+    def checking(tab, row, k):
+        nonlocal dictionary, reduced, pivots
+        entering = tab.nonbasic[k]
+        column = [*(row[entering] for row in dictionary), reduced[entering]]
+        pivot(tab, row, k)
+        dictionary, det = _fraction_dictionary(T, tab.basis)
+        reduced = [
+            c - sum(cost[b] * dictionary[i][j] for i, b in enumerate(tab.basis))
+            for j, c in enumerate([*cost, 0])
+        ]
+        for i, v in enumerate(column):
+            if v:
+                last_det[i] = det
+        for i in range(m):
+            assert [Fraction(v, tab.den[i]) for v in tab.M[i]] == [
+                *(dictionary[i][j] for j in tab.nonbasic),
+                dictionary[i][-1],
+            ]
+        assert [Fraction(v, tab.den[m]) for v in tab.R] == [
+            *(reduced[j] for j in tab.nonbasic),
+            reduced[-1],
+        ]
+        assert tab.den == last_det
+        assert tab.D == det
+        pivots += 1
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex._Tableau, "pivot", checking)
+        assert simplex_solve(lp).status == "optimal"
+    assert pivots > 20
+    # the reduction was real: some rows have a gcd above 1
+    assert any(gcd(*con.coeffs, con.rhs) > 1 for con in lp.constraints)

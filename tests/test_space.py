@@ -29,6 +29,7 @@ from nrtbounds.space import (
     reverse_blocks,
     shape_bar_of,
     shape_count,
+    shape_counts,
     shape_of,
     shapes_of_length,
     sphere_size,
@@ -134,6 +135,7 @@ def test_shape_count_matches_enumeration(q, r, n):
         counted[e] = counted.get(e, 0) + 1
     for e in enumerate_shapes(p):
         assert shape_count(p, e) == counted.get(e, 0)
+    assert shape_counts(p) == counted
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -142,6 +144,9 @@ def test_total_count_is_ambient(q, r):
     for n in range(1, 7):
         p = SpaceParams(q, r, n)
         assert sum(shape_count(p, e) for e in enumerate_shapes(p)) == p.ambient_size
+        counts = shape_counts(p)
+        assert list(counts) == list(enumerate_shapes(p))
+        assert list(counts.values()) == [shape_count(p, e) for e in counts]
 
 
 def test_sphere_sizes():
