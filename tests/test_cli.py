@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from nrtbounds.bounds import BoundResult, BoundTable
 from nrtbounds.cli import _json, _load_certificate, _save_certificate, _shape_key, build_parser, main
 from nrtbounds.delsarte import DualCertificate, check_certificate, solve_code_lp
-from nrtbounds.space import ArrayTable, SpaceParams, enumerate_shapes
+from nrtbounds.space import ArrayTable, BudgetExceeded, SpaceParams, enumerate_shapes
 
 
 def run(capsys, *argv):
@@ -61,6 +62,54 @@ def test_sphere_stratum(capsys):
     assert code == 0
     assert payload["sphere_size"] == 5
     assert all(s["weight"] == 2 for s in payload["shapes"])
+
+
+def test_lp_bit_cap_exits_3(capsys, monkeypatch):
+    import nrtbounds.delsarte as delsarte_mod
+
+    def unbuilt(params):
+        raise AssertionError("table built")
+
+    # 84 shapes of a 2^40 alphabet, and 151 shapes at q = 2: each is under
+    # 160 shapes and ran for over a minute before the cap counted bits
+    monkeypatch.setattr(delsarte_mod, "krawtchouk_table", unbuilt)
+    for space, shapes, bits in [
+        (("--q", "1099511627776", "--r", "3", "--n", "6"), 84, 721),
+        (("--q", "2", "--r", "1", "--n", "150"), 151, 151),
+    ]:
+        code, out, err = run(capsys, "lp", *space, "--d", "2", "--program", "I")
+        assert (code, out) == (3, "")
+        assert err == (
+            f"budget exceeded: exact LP on {shapes} shapes over q^(nr) of at least "
+            f"{bits} bits exceeds cap LP_BIT_CAP = 800000 (shapes^2 * bits)\n"
+        )
+
+
+def test_output_past_the_int_digit_limit_exits_3(capsys, monkeypatch):
+    # the interpreter's default limit, also where it has none
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    # 10^4299 has 4300 digits and 10^4300 one more
+    code, out, _ = run(capsys, "net", "--q", "10", "--t", "0", "--m", "4299", "--s", "1")
+    assert code == 0 and f'"size": 1{"0" * 4299}\n' in out
+    for argv in [
+        ("net", "--q", "10", "--t", "0", "--m", "4300", "--s", "1"),
+        ("net", "--q", "2", "--t", "0", "--m", "15000", "--s", "1"),
+        ("sphere", "--q", "1000", "--r", "1", "--n", "1500"),  # 1501 shapes
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == (
+            "budget exceeded: an output integer has more than 4300 digits, the "
+            "interpreter's int-to-str limit (sys.get_int_max_str_digits())\n"
+        )
+    # a Fraction's numerator and denominator are checked alike; 0 is no limit
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 3)
+    assert _json([999, -999, Fraction(-999, 998)]) == [999, -999, "-999/998"]
+    for x in (1000, -1000, Fraction(1, 1000), Fraction(1000, 3), [[1000]]):
+        with pytest.raises(BudgetExceeded, match="more than 3 digits"):
+            _json(x)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    assert _json(10**5000) == 10**5000
 
 
 def test_sphere_shape_cap_exits_3(capsys, monkeypatch):
@@ -576,7 +625,7 @@ def test_exit_code_sweep(capsys):
     for q, r in [("2", "513"), ("1099511627776", "30")]:
         argv = ["asym", "--q", q, "--r", r, "--curve", "lp", "--grid", "1"]
         assert main(argv) == 3, argv
-    # the exact LP refuses more than LP_SHAPE_CAP shapes (q2 r2 n17 has 171)
+    # the exact LP refuses q2 r2 n17: 171^2 shapes^2 * 35 bits > LP_BIT_CAP
     argv = ["lp", "--q", "2", "--r", "2", "--n", "17", "--d", "10", "--program", "I"]
     assert main(argv) == 3, argv
     capsys.readouterr()

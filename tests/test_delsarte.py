@@ -4,8 +4,9 @@ from math import comb
 
 import pytest
 
+from nrtbounds import delsarte
 from nrtbounds.delsarte import (
-    LP_SHAPE_CAP,
+    LP_BIT_CAP,
     CertificateCheck,
     DualCertificate,
     check_certificate,
@@ -197,17 +198,50 @@ def test_ternary_repetition_code_attains_lp():
     assert solve_code_lp(p, 2).bound == 3
 
 
-def test_lp_shape_cap():
-    # q2 r2 n16 (153 shapes) is the largest lp I instance of the benchmark
-    # ladder; one block more (171 shapes) is refused before any table is built
-    assert comb(16 + 2, 2) <= LP_SHAPE_CAP < comb(17 + 2, 2)
-    p = SpaceParams(2, 2, 17)
+# shapes^2 times the bits of q^(nr), the measure LP_BIT_CAP bounds, at the
+# points it was set by: q2 r2 n16 is the largest lp I rung of the benchmark
+# ladder, the next two are solved in seconds, and the five past the cap
+# took from 10 s to over a minute each (2 vCPUs)
+BIT_SIZES = {
+    (2, 2, 16): 772_497,
+    (3, 7, 3): 489_600,
+    (2**40, 3, 4): 589_225,
+    (2, 2, 17): 1_023_435,
+    (2**10, 3, 6): 1_277_136,
+    (2, 1, 100): 1_030_301,
+    (2**40, 3, 6): 5_087_376,
+    (2, 1, 150): 3_442_951,
+}
+
+
+class _TableBuilt(Exception):
+    pass
+
+
+def test_lp_bit_budget(monkeypatch):
+    # over the cap, both programs are refused before any table is built;
+    # q2 r1 n150 already at nr + 1 bits, before q^(nr) is computed
     misses = krawtchouk_table.cache_info().misses
-    with pytest.raises(BudgetExceeded, match="LP_SHAPE_CAP"):
-        solve_code_lp(p, 10)
-    with pytest.raises(BudgetExceeded, match="LP_SHAPE_CAP"):
-        solve_ooa_lp(p, 9)
+    for (q, r, n), size in BIT_SIZES.items():
+        p = SpaceParams(q, r, n)
+        assert comb(n + r, r) ** 2 * p.ambient_size.bit_length() == size
+        if size > LP_BIT_CAP:
+            with pytest.raises(BudgetExceeded, match="LP_BIT_CAP"):
+                solve_code_lp(p, 2)
+            with pytest.raises(BudgetExceeded, match="LP_BIT_CAP"):
+                solve_ooa_lp(p, 1)
     assert krawtchouk_table.cache_info().misses == misses
+    assert BIT_SIZES[2, 2, 16] <= LP_BIT_CAP < BIT_SIZES[2, 2, 17]
+
+    # under it, the program goes on to build its eigenmatrix
+    def table(params):
+        raise _TableBuilt
+
+    monkeypatch.setattr(delsarte, "krawtchouk_table", table)
+    for (q, r, n), size in BIT_SIZES.items():
+        if size <= LP_BIT_CAP:
+            with pytest.raises(_TableBuilt):
+                solve_code_lp(SpaceParams(q, r, n), 2)
 
 
 def _fraction_check(cert: DualCertificate) -> CertificateCheck:

@@ -13,7 +13,6 @@ from nrtbounds.space import SpaceParams
 
 def test_one_variable_toy():
     res = simplex_solve(make_lp([1], [([1], 1)]))
-    assert res.status == "optimal"
     assert res.objective == 1
     assert res.x == (1,)
 
@@ -41,16 +40,15 @@ def test_minimize():
     # minimize 2x - 3y st x + y <= 4, x <= 10, as maximize -2x + 3y: the
     # minimum and its duals are the negated maximum and duals
     res = simplex_solve(make_lp([-2, 3], [([1, 1], 4), ([1, 0], 10)]))
-    assert res.status == "optimal"
     assert -res.objective == -12
     assert res.x == (0, 4)
     assert [-y for y in res.duals] == [-3, 0]
 
 
-def test_unbounded_with_ray():
-    res = simplex_solve(make_lp([1], [([-1], 1)]))
-    assert res.status == "unbounded"
-    assert res.ray == (1,)
+def test_unbounded_raises():
+    # the Delsarte program is bounded, so an unbounded one was built wrong
+    with pytest.raises(LPError, match="unbounded program: no row limits entering variable 0"):
+        simplex_solve(make_lp([1], [([-1], 1)]))
 
 
 def test_infeasible():
@@ -71,7 +69,6 @@ def test_exact_rational_answer():
     # objective times 21 and the first row times 55
     lp = make_lp([7, 3], [([22, 55], 45), ([1, 0], 1)])
     res = simplex_solve(lp)
-    assert res.status == "optimal"
     assert res.x == (1, Fraction(45 - 22, 55))
     assert res.objective == 7 + 3 * Fraction(45 - 22, 55)
 
@@ -107,7 +104,6 @@ def test_dual_is_rhs_sensitivity():
         for j in range(nvars):
             rows.append(([int(j == i) for i in range(nvars)], 10))
         res = simplex_solve(make_lp(c, rows))
-        assert res.status == "optimal"
         # weak duality: dual objective equals primal objective
         dual_obj = sum(y * rhs for y, (_, rhs) in zip(res.duals, rows))
         assert dual_obj == res.objective
@@ -138,18 +134,19 @@ def test_against_floating_solver():
         ref = scipy.linprog(
             [-x for x in c], A_ub=A_ub, b_ub=b_ub, bounds=[(0, None)] * nvars
         )
-        assert exact.status == "optimal" and ref.status == 0
+        assert ref.status == 0
         assert float(exact.objective) == pytest.approx(-ref.fun, abs=1e-6)
 
 
 def test_optimal_exactly_when_highs_finds_an_optimum():
-    """Unboxed random programs: HiGHS finds an optimum on the same rows
-    exactly when the simplex does, of the same value.  (On some unbounded
-    programs HiGHS's presolve reports infeasible instead; x = 0 is feasible,
-    and the hypothesis test below proves every ray.)"""
+    """Unboxed random programs: the simplex raises LPError exactly when
+    HiGHS finds no optimum on the same rows, and otherwise returns HiGHS's
+    value.  (On some unbounded programs HiGHS's presolve reports infeasible
+    instead; x = 0 is feasible, and each program that raises is proved
+    unbounded.)"""
     scipy = pytest.importorskip("scipy.optimize")
     rng = random.Random(23)
-    statuses = set()
+    raised = set()
     for _ in range(1000):
         nvars, nrows = rng.randint(1, 4), rng.randint(1, 4)
         c = [rng.randint(-6, 6) for _ in range(nvars)]
@@ -157,18 +154,24 @@ def test_optimal_exactly_when_highs_finds_an_optimum():
             ([rng.randint(-6, 6) for _ in range(nvars)], rng.randint(0, 6))
             for _ in range(nrows)
         ]
-        res = simplex_solve(make_lp(c, rows))
-        statuses.add(res.status)
         ref = scipy.linprog(
             [-v for v in c],
             A_ub=[a for a, _ in rows],
             b_ub=[b for _, b in rows],
             bounds=[(0, None)] * nvars,
         )
-        assert (res.status == "optimal") == (ref.status == 0), rows
-        if res.status == "optimal":
-            assert float(res.objective) == pytest.approx(-ref.fun, abs=1e-6)
-    assert statuses == {"optimal", "unbounded"}
+        lp = make_lp(c, rows)
+        try:
+            res = simplex_solve(lp)
+        except LPError as exc:
+            assert "unbounded" in str(exc) and ref.status != 0, rows
+            _assert_unbounded(lp)
+            raised.add(True)
+            continue
+        raised.add(False)
+        assert ref.status == 0, rows
+        assert float(res.objective) == pytest.approx(-ref.fun, abs=1e-6)
+    assert raised == {False, True}
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +183,9 @@ def integer_program(objective, rows):
     """The rational program (objective, rows of coeffs . x <= rhs) as an
     integer one: row i times s_i, the lcm of its denominators, and the
     objective times c, the lcm of its own.  Returns (program, [s_i], c);
-    the integer program has the same x and rays, c times the objective,
-    and c y_i / s_i as its dual on row i."""
+    the integer program has the same x, c times the objective, and
+    c y_i / s_i as its dual on row i, and is unbounded where the rational
+    one is."""
 
     def times_lcm(values):
         s = lcm(*(Fraction(v).denominator for v in values))
@@ -212,9 +216,9 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-# max x + y s.t. x <= 3, x - 2y <= 1: the last pivot enters the slack of
-# the second row, and moving that slack by one raises y by a half
-SLACK_RAY = make_lp([1, 1], [([1, 0], 3), ([1, -2], 1)])
+# max x + y s.t. x <= 3, x - 2y <= 1: after two pivots the slack of the
+# second row (variable 3) enters, and no row limits it
+SLACK_UNBOUNDED = make_lp([1, 1], [([1, 0], 3), ([1, -2], 1)])
 
 
 def _assert_primal_feasible(lp, res):
@@ -234,32 +238,42 @@ def _assert_dual_feasible_with_equal_value(lp, res):
     assert _dot(res.duals, [con.rhs for con in lp.constraints]) == res.objective
 
 
-def _assert_improving_recession_direction(lp, res):
-    assert all(v >= 0 for v in res.ray) and any(v > 0 for v in res.ray)
+def _assert_improving_recession_direction(lp, ray):
+    assert all(v >= 0 for v in ray) and any(v > 0 for v in ray)
     for con in lp.constraints:
-        assert _dot(con.coeffs, res.ray) <= 0
-    assert _dot(lp.objective, res.ray) > 0
+        assert _dot(con.coeffs, ray) <= 0
+    assert _dot(lp.objective, ray) > 0
+
+
+def _assert_unbounded(lp):
+    """An improving recession direction of lp exists: the optimum of
+    max c.d over A d <= 0, sum d <= 1, d >= 0, a bounded program, is one
+    exactly when lp is unbounded."""
+    box = [*((con.coeffs, 0) for con in lp.constraints), ([1] * len(lp.objective), 1)]
+    _assert_improving_recession_direction(lp, simplex_solve(make_lp(lp.objective, box)).x)
 
 
 @settings(max_examples=500, deadline=None)
-@example(SLACK_RAY)
+@example(SLACK_UNBOUNDED)
 @given(programs())
 def test_result_proves_its_status(lp):
     """An optimum is primal and dual feasible with equal values (strong
-    duality); an unbounded result carries an improving recession ray."""
-    res = simplex_solve(lp)
-    if res.status == "optimal":
-        _assert_primal_feasible(lp, res)
-        _assert_dual_feasible_with_equal_value(lp, res)
-    else:
-        assert res.status == "unbounded"
-        _assert_improving_recession_direction(lp, res)
+    duality); a program that raises LPError has an improving recession
+    direction."""
+    try:
+        res = simplex_solve(lp)
+    except LPError as exc:
+        assert "unbounded" in str(exc)
+        _assert_unbounded(lp)
+        return
+    _assert_primal_feasible(lp, res)
+    _assert_dual_feasible_with_equal_value(lp, res)
 
 
-def test_ray_through_a_slack_column():
-    res = simplex_solve(SLACK_RAY)
-    assert res.status == "unbounded"
-    assert res.ray == (0, Fraction(1, 2))
+def test_unbounded_through_a_slack_column():
+    with pytest.raises(LPError, match="unbounded program: no row limits entering variable 3"):
+        simplex_solve(SLACK_UNBOUNDED)
+    _assert_unbounded(SLACK_UNBOUNDED)
 
 
 # ---------------------------------------------------------------------------
@@ -267,24 +281,21 @@ def test_ray_through_a_slack_column():
 
 
 def solve_recording_pivots(lp):
-    """simplex_solve(lp), the (row, slot) of every pivot it took, and the
-    variable that entered last without a pivot (None at an optimum)."""
-    pivots, unlimited = [], []
-    pivot, run = simplex._Tableau.pivot, simplex._Tableau.run
+    """simplex_solve(lp), or the message of the LPError it raised, and the
+    (row, slot) of every pivot it took."""
+    pivots = []
+    pivot = simplex._Tableau.pivot
 
     def recording_pivot(tab, row, k):
         pivots.append((row, k))
         pivot(tab, row, k)
 
-    def recording_run(tab):
-        k = run(tab)
-        unlimited.append(None if k is None else tab.nonbasic[k])
-        return k
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex._Tableau, "pivot", recording_pivot)
-        mp.setattr(simplex._Tableau, "run", recording_run)
-        return simplex_solve(lp), pivots, unlimited[0]
+        try:
+            return simplex_solve(lp), pivots
+        except LPError as exc:
+            return str(exc), pivots
 
 
 @st.composite
@@ -296,29 +307,26 @@ def scaled_programs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@example((SLACK_RAY, [12, 5]))
+@example((SLACK_UNBOUNDED, [12, 5]))
 @given(scaled_programs())
 def test_row_scaling_keeps_the_pivots(case):
-    """Row i times k_i: the same pivots, status, objective and x, y_i / k_i
-    as the dual of row i, and the same ray, per unit of the variable that
-    enters: where that is the slack of row j, whose unit is now k_j times
-    smaller, the ray is divided by k_j.  A scaled row has gcd >= k_i, so
-    the tableau divides most of them by their gcd."""
+    """Row i times k_i: the same pivots, objective and x, and y_i / k_i as
+    the dual of row i; or the same pivots up to the same unbounded entering
+    variable.  A scaled row has gcd >= k_i, so the tableau divides most of
+    them by their gcd."""
     lp, scales = case
     scaled = make_lp(
         lp.objective,
         [([k * a for a in con.coeffs], k * con.rhs) for con, k in zip(lp.constraints, scales)],
     )
-    res, pivots, entering = solve_recording_pivots(lp)
-    res_k, pivots_k, entering_k = solve_recording_pivots(scaled)
-    assert (pivots_k, entering_k) == (pivots, entering)
-    assert (res_k.status, res_k.objective, res_k.x) == (res.status, res.objective, res.x)
-    if res.status == "optimal":
-        assert res_k.duals == tuple(y / k for y, k in zip(res.duals, scales))
+    res, pivots = solve_recording_pivots(lp)
+    res_k, pivots_k = solve_recording_pivots(scaled)
+    assert pivots_k == pivots
+    if isinstance(res, str):
+        assert res_k == res and "unbounded" in res
     else:
-        nvars = len(lp.objective)
-        k = 1 if entering < nvars else scales[entering - nvars]
-        assert res_k.ray == tuple(v / k for v in res.ray)
+        assert (res_k.objective, res_k.x) == (res.objective, res.x)
+        assert res_k.duals == tuple(y / k for y, k in zip(res.duals, scales))
 
 
 def _fraction_dictionary(T, basis):
@@ -400,7 +408,7 @@ def test_rows_over_their_own_denominators(q, r, n, d):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex._Tableau, "pivot", checking)
-        assert simplex_solve(lp).status == "optimal"
+        simplex_solve(lp)
     assert pivots > 20
     # the reduction was real: some rows have a gcd above 1
     assert any(gcd(*con.coeffs, con.rhs) > 1 for con in lp.constraints)

@@ -2,7 +2,7 @@
 recorded from the Fraction-tableau simplex that preceded the integer one.
 
 Bland's rule fixes the pivot path, so a solver that keeps the path gives
-bit-identical status, objective, x, duals and ray.  The fixture
+bit-identical objective, x and duals.  The fixture
 `simplex_paths.json` holds those results as rational strings for seeded
 random programs and for the code programs of four small spaces, together
 with the distributions and certificates `delsarte` builds from them.
@@ -24,7 +24,10 @@ integer programs, so their pins are compared bit for bit.  A random
 program is multiplied out to integers first, row i by s_i and the
 objective by c (`test_simplex.integer_program`); its pin is then read
 through that map: the same x, c times the objective, c y_i / s_i as the
-dual of row i, and a positive multiple of the ray.
+dual of row i.  A random program pinned as unbounded must raise LPError:
+the simplex solves only the bounded Delsarte program, and keeps no ray.
+The Delsarte pins still hold the status "optimal" and no ray, which
+`encode` writes for every result.
 
 The array program has no pins of its own: `delsarte.solve_ooa_lp` solves
 it through the code program, and `array_program_dual` below, the array
@@ -47,7 +50,7 @@ import pytest
 
 from nrtbounds import delsarte
 from nrtbounds.krawtchouk import krawtchouk_table
-from nrtbounds.simplex import make_lp, simplex_solve
+from nrtbounds.simplex import LPError, make_lp, simplex_solve
 from nrtbounds.space import SpaceParams, enumerate_shapes, shape_weight
 from test_simplex import (
     _assert_dual_feasible_with_equal_value,
@@ -118,12 +121,14 @@ def _strs(values):
 
 
 def encode(res) -> dict:
+    """An optimum as the fixture holds it, with the status and ray the
+    solver once returned."""
     return {
-        "status": res.status,
-        "objective": None if res.objective is None else str(res.objective),
+        "status": "optimal",
+        "objective": str(res.objective),
         "x": _strs(res.x),
         "duals": _strs(res.duals),
-        "ray": _strs(res.ray),
+        "ray": None,
     }
 
 
@@ -153,9 +158,7 @@ def array_program_dual(params: SpaceParams, t: int) -> Fraction:
             columns.append([sign * k for k in row[1:]])
             objective.append(-sign * row[0])
     rows = [([col[e] for col in columns], 1) for e in range(len(T.shapes) - 1)]
-    res = simplex_solve(make_lp(objective, rows))
-    assert res.status == "optimal", res.status
-    return 1 + res.objective
+    return 1 + simplex_solve(make_lp(objective, rows)).objective
 
 
 def code_programs(params: SpaceParams):
@@ -237,20 +240,21 @@ def test_random_program_pinned(pinned, seed):
             integer_program(*upper)
         return
     lp, s, c = integer_program(*upper)
-    res = simplex_solve(lp)
     pin = pinned["random"][str(seed)]
+    if pin["status"] == "unbounded":
+        # the pinned ray proves the program unbounded
+        _assert_improving_recession_direction(lp, _fractions(pin["ray"]))
+        with pytest.raises(LPError, match="unbounded"):
+            simplex_solve(lp)
+        return
+    res = simplex_solve(lp)
     sense = 1 if maximize else -1
-    assert res.status == pin["status"]
     if not all(rel == LE or rel == GE and rhs < 0 for _, rel, rhs in rows):
-        # the two-phase solver took its phase 1 here: the status, the value
-        # and a proof of either
-        if res.status == "optimal":
-            assert res.objective == sense * c * Fraction(pin["objective"])
-            _assert_primal_feasible(lp, res)
-            _assert_dual_feasible_with_equal_value(lp, res)
-        else:
-            _assert_improving_recession_direction(lp, res)
-    elif res.status == "optimal":
+        # the two-phase solver took its phase 1 here: the value and a proof
+        assert res.objective == sense * c * Fraction(pin["objective"])
+        _assert_primal_feasible(lp, res)
+        _assert_dual_feasible_with_equal_value(lp, res)
+    else:
         assert list(res.x) == _fractions(pin["x"])
         assert res.objective == sense * c * Fraction(pin["objective"])
         # a >= row was negated to a <= row, and its dual with it
@@ -258,11 +262,6 @@ def test_random_program_pinned(pinned, seed):
         assert list(res.duals) == [
             sense * flip * c * y / si for y, si, flip in zip(_fractions(pin["duals"]), s, flips)
         ]
-    else:
-        ray = _fractions(pin["ray"])
-        j = next(j for j, v in enumerate(ray) if v)
-        factor = res.ray[j] / ray[j]
-        assert factor > 0 and list(res.ray) == [factor * v for v in ray]
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: _space_name(*s))
