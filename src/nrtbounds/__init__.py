@@ -25,8 +25,8 @@ from .space import (
     shape_of,
     sphere_size,
 )
-from .krawtchouk import K_fourier_oracle, K_multi, gamma, inner_product, k_root_min, k_uni
-from .scheme import P_eval, build_blocks, build_operator, cd_kernel, spectral_radius
+from .krawtchouk import K_multi, gamma, k_root_min, k_uni
+from .scheme import build_blocks, build_operator, spectral_radius
 from .delsarte import (
     DualCertificate,
     check_certificate,
@@ -43,11 +43,9 @@ from .bounds import (
     johnson,
     plotkin,
     r2_bound,
-    r2_ooa_bound,
     rao,
     singleton,
     spectral_bound,
-    spectral_bound_ooa,
     varshamov,
 )
 from .asymptotics import (
@@ -64,4 +62,4 @@ from .asymptotics import (
     psi_nets,
     z0_solve,
 )
-from .macwilliams import WeightEnumerator, enumerator_of, transform, verify_duality
+from .macwilliams import WeightEnumerator, enumerator_of, transform

@@ -279,12 +279,6 @@ def _reciprocal(params: SpaceParams, name: str, code: BoundResult) -> BoundResul
         ) from None
 
 
-def spectral_bound_ooa(params: SpaceParams, t: int) -> BoundResult:
-    """Reciprocal form of the spectral bound for arrays of strength t."""
-    check_strength(params, t)
-    return _reciprocal(params, "spectral-ooa", spectral_bound(params, t + 1))
-
-
 # ---------------------------------------------------------------------------
 # Depth-2 root bound
 
@@ -415,12 +409,6 @@ def r2_bound(params: SpaceParams, d: int) -> BoundResult:
     if not check.accepted:
         raise CheckFailure(f"depth-2 certificate rejected for witness {w}: {check.reason}")
     return result
-
-
-def r2_ooa_bound(params: SpaceParams, t: int) -> BoundResult:
-    """Reciprocal form of the depth-2 bound for arrays of strength t."""
-    check_strength(params, t)
-    return _reciprocal(params, "r2-ooa", r2_bound(params, t + 1))
 
 
 def r2_region(params: SpaceParams, w: R2Witness) -> list[Shape]:

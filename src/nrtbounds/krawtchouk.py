@@ -28,14 +28,10 @@ K_f(0) = v_f.  Consumers read its rows, single entries by `T[f, e]`, or
 its product with a vector by `T.transform`.
 `K_multi` evaluates the product directly, at shapes and at real or rational
 points, and is the oracle the matrix is tested against.
-
-An independent cross-check evaluates K_f(e) as a character sum over all
-vectors of shape f against a fixed representative with right-to-left shape e.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -43,18 +39,11 @@ from math import lcm
 from operator import mul
 
 from .space import (
-    EXHAUSTIVE_CAP,
-    BudgetExceeded,
     CheckFailure,
     Shape,
     SpaceParams,
     enumerate_shapes,
-    enumerate_vectors,
-    representative,
-    reverse_blocks,
-    shape_count,
     shape_length,
-    shape_of,
     shape_weight,
     validate_shape,
 )
@@ -184,72 +173,6 @@ def krawtchouk_table(params: SpaceParams) -> Eigenmatrix:
             values = list(map(mul, values, [planes[S][x][s] for S, x in points[i]]))
         rows.append(tuple(values))
     return Eigenmatrix(shapes, {e: j for j, e in enumerate(shapes)}, tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# Character-sum cross-check
-
-
-def K_fourier_oracle(params: SpaceParams, f: Shape, e: Shape) -> int:
-    """K_f(e) as the character sum over vectors z of shape f of omega^(x.z),
-    where x is a representative of right-to-left shape e.
-
-    Exact integers for q = 2 (omega = -1); for q > 2, complex double
-    arithmetic, with CheckFailure unless the imaginary part vanishes to 1e-6.
-    """
-    validate_shape(params, f)
-    x = reverse_blocks(params, representative(params, e))  # validates e
-    if params.ambient_size > EXHAUSTIVE_CAP:
-        raise BudgetExceeded(
-            f"character sum over {params.ambient_size} vectors exceeds cap {EXHAUSTIVE_CAP}"
-        )
-    groups = _vectors_by_shape(params)
-    zs = groups.get(f, ())
-    q = params.q
-    if q == 2:
-        total = 0
-        for z in zs:
-            dot = sum(a * b for a, b in zip(x, z)) % 2
-            total += 1 if dot == 0 else -1
-        return total
-    omega = cmath.exp(2j * cmath.pi / q)
-    acc = 0 + 0j
-    for z in zs:
-        dot = sum(a * b for a, b in zip(x, z)) % q
-        acc += omega**dot
-    if abs(acc.imag) >= 1e-6:
-        raise CheckFailure(f"character sum has imaginary part {acc.imag}")
-    return round(acc.real)
-
-
-@lru_cache(maxsize=None)
-def _vectors_by_shape(params: SpaceParams) -> dict[Shape, tuple]:
-    groups: dict[Shape, list] = {}
-    for z in enumerate_vectors(params):
-        groups.setdefault(shape_of(params, z), []).append(z)
-    return {k: tuple(v) for k, v in groups.items()}
-
-
-# ---------------------------------------------------------------------------
-# The inner product
-
-
-def weight_w(params: SpaceParams, e: Shape) -> Fraction:
-    """Normalized valency w(e) = q^(-n r) v_e; a probability on shapes."""
-    return Fraction(shape_count(params, e), params.ambient_size)
-
-
-def inner_product(params: SpaceParams, u1, u2) -> Fraction:
-    """<u1, u2> = sum_e u1(e) u2(e) w(e) over all shapes, exact.
-
-    u1, u2 map shapes to rationals (dict or callable).
-    """
-    get1 = u1.__getitem__ if hasattr(u1, "__getitem__") else u1
-    get2 = u2.__getitem__ if hasattr(u2, "__getitem__") else u2
-    total = Fraction(0)
-    for e in enumerate_shapes(params):
-        total += Fraction(get1(e)) * Fraction(get2(e)) * weight_w(params, e)
-    return total
 
 
 # ---------------------------------------------------------------------------

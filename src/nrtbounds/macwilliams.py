@@ -23,7 +23,6 @@ from .space import (
     ArrayTable,
     LinearCode,
     Shape,
-    dual_code,
     enumerate_code,
     shape_bar_of,
     shape_of,
@@ -62,12 +61,3 @@ def transform(enum: WeightEnumerator, codesize: int) -> WeightEnumerator:
     coeffs = krawtchouk_table(enum.params).transform(enum.coeffs, codesize)
     reading = LEFT if enum.reading == RIGHT else RIGHT
     return WeightEnumerator(params=enum.params, reading=reading, coeffs=coeffs)
-
-
-def verify_duality(code: LinearCode) -> bool:
-    """Exact check: the transform of the right-reading enumerator equals the
-    left-reading enumerator of the exhaustively computed dual."""
-    primal = enumerator_of(code, RIGHT)
-    predicted = transform(primal, code.size)
-    actual = enumerator_of(dual_code(code), LEFT)
-    return predicted.coeffs == actual.coeffs

@@ -23,16 +23,13 @@ from itertools import islice
 from math import comb, sqrt
 from operator import mul
 
-from .krawtchouk import krawtchouk_table
 from .space import (
     BudgetExceeded,
     CheckFailure,
     Shape,
     SpaceParams,
     check_depth,
-    delta_crit,
     shape_length,
-    shape_weight,
     shapes_of_length,
 )
 
@@ -43,11 +40,6 @@ def _L_terms(params: SpaceParams, i: int) -> tuple[int, int]:
     check_depth(params, i)
     q, r = params.q, params.r
     return q ** (r - i + 1) - 1, q**r * (q - 1)
-
-
-def P_eval(params: SpaceParams, e: Shape) -> Fraction:
-    """P(e) = delta_crit * r * n - |e|'."""
-    return delta_crit(params.q, params.r) * params.r * params.n - shape_weight(e)
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +305,3 @@ def spectral_radius(M: np.ndarray, decide: float | None = None) -> tuple[float, 
     raise SpectralConvergenceError(
         f"no enclosure of width {REL_TOL} after {MAX_ITER} iterations"
     )
-
-
-# ---------------------------------------------------------------------------
-# Christoffel-Darboux
-
-
-def cd_kernel(params: SpaceParams, L, a: Shape, e: Shape) -> Fraction:
-    """U_L(a, e) = sum_{f in L} K_f(a) K_f(e) / v_f, exact, with v_f = K_f(0)."""
-    T = krawtchouk_table(params)
-    zero = T.shapes[0]
-    total = Fraction(0)
-    for f in L:
-        total += Fraction(T[f, a] * T[f, e], T[f, zero])
-    return total

@@ -108,17 +108,6 @@ def shape_bar_of(params: SpaceParams, v: Vector) -> Shape:
     return shape_of(params, reverse_blocks(params, v))
 
 
-def representative(params: SpaceParams, e: Shape) -> Vector:
-    """A fixed vector of shape e: for each depth i, e_i blocks carry a single
-    1 at depth i, followed by the n - |e| zero blocks."""
-    validate_shape(params, e)
-    r = params.r
-    vec = ()
-    for i, count in enumerate(e):  # the blocks with their 1 at depth i + 1
-        vec += ((0,) * i + (1,) + (0,) * (r - 1 - i)) * count
-    return vec + (0,) * (r * (params.n - sum(e)))
-
-
 def shape_length(e: Shape) -> int:
     """|e| = number of nonzero blocks."""
     return sum(e)

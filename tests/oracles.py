@@ -1,17 +1,34 @@
 """Brute-force ground truth for tests and acceptance runs.
 
-Deliberately independent of the main modules: weight and balance are
-recomputed from scratch here with plain loops, so a bug in the fast paths
-cannot hide.  Every search has hard caps and raises BudgetExceeded instead
-of ever returning a wrong answer.
+Deliberately independent of the fast paths: weight and balance are
+recomputed from scratch here with plain loops, and K_f(e) as a character
+sum over vectors, so a bug in the fast paths cannot hide.  The oracles live
+outside the package, so no fast path can call them, and from it they
+import only `nrtbounds.space`, the space's definitions (a test pins that),
+so they call no Krawtchouk, scheme, LP or bound code.
+Every search has hard caps and raises BudgetExceeded instead of ever
+returning a wrong answer.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from collections import namedtuple
+from functools import lru_cache
 
-from .space import BudgetExceeded, SpaceParams
+from nrtbounds.space import (
+    EXHAUSTIVE_CAP,
+    BudgetExceeded,
+    CheckFailure,
+    Shape,
+    SpaceParams,
+    Vector,
+    enumerate_vectors,
+    reverse_blocks,
+    shape_of,
+    validate_shape,
+)
 
 
 SearchBudget = namedtuple(
@@ -249,3 +266,58 @@ def brute_force_min_ooa(
             counts[pi][per0[pi]] -= 1
         size += q**t
     raise BudgetExceeded(f"no array of at most {budget.max_ooa_rows} rows found")
+
+
+# ---------------------------------------------------------------------------
+# Character-sum cross-check
+
+
+def representative(params: SpaceParams, e: Shape) -> Vector:
+    """A fixed vector of shape e: for each depth i, e_i blocks carry a single
+    1 at depth i, followed by the n - |e| zero blocks."""
+    validate_shape(params, e)
+    r = params.r
+    vec = ()
+    for i, count in enumerate(e):  # the blocks with their 1 at depth i + 1
+        vec += ((0,) * i + (1,) + (0,) * (r - 1 - i)) * count
+    return vec + (0,) * (r * (params.n - sum(e)))
+
+
+def K_fourier_oracle(params: SpaceParams, f: Shape, e: Shape) -> int:
+    """K_f(e) as the character sum over vectors z of shape f of omega^(x.z),
+    where x is a representative of right-to-left shape e.
+
+    Exact integers for q = 2 (omega = -1); for q > 2, complex double
+    arithmetic, with CheckFailure unless the imaginary part vanishes to 1e-6.
+    """
+    validate_shape(params, f)
+    x = reverse_blocks(params, representative(params, e))  # validates e
+    if params.ambient_size > EXHAUSTIVE_CAP:
+        raise BudgetExceeded(
+            f"character sum over {params.ambient_size} vectors exceeds cap {EXHAUSTIVE_CAP}"
+        )
+    groups = _vectors_by_shape(params)
+    zs = groups.get(f, ())
+    q = params.q
+    if q == 2:
+        total = 0
+        for z in zs:
+            dot = sum(a * b for a, b in zip(x, z)) % 2
+            total += 1 if dot == 0 else -1
+        return total
+    omega = cmath.exp(2j * cmath.pi / q)
+    acc = 0 + 0j
+    for z in zs:
+        dot = sum(a * b for a, b in zip(x, z)) % q
+        acc += omega**dot
+    if abs(acc.imag) >= 1e-6:
+        raise CheckFailure(f"character sum has imaginary part {acc.imag}")
+    return round(acc.real)
+
+
+@lru_cache(maxsize=None)
+def _vectors_by_shape(params: SpaceParams) -> dict[Shape, tuple]:
+    groups: dict[Shape, list] = {}
+    for z in enumerate_vectors(params):
+        groups.setdefault(shape_of(params, z), []).append(z)
+    return {k: tuple(v) for k, v in groups.items()}

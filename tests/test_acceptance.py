@@ -36,18 +36,8 @@ from nrtbounds.bounds import (
     spectral_bound,
 )
 from nrtbounds.delsarte import solve_code_lp, solve_ooa_lp
-from nrtbounds.krawtchouk import (
-    K_fourier_oracle,
-    inner_product,
-    krawtchouk_table,
-)
-from nrtbounds.macwilliams import verify_duality
-from nrtbounds.oracles import (
-    SearchBudget,
-    brute_force_max_code,
-    brute_force_min_ooa,
-)
-from nrtbounds.scheme import P_eval, build_blocks, build_operator, spectral_radius
+from nrtbounds.krawtchouk import krawtchouk_table
+from nrtbounds.scheme import build_blocks, build_operator, spectral_radius
 from nrtbounds.space import (
     BudgetExceeded,
     LinearCode,
@@ -57,7 +47,15 @@ from nrtbounds.space import (
     row_reduce_mod,
     shape_count,
 )
-from test_scheme import cd_check
+from oracles import (
+    K_fourier_oracle,
+    SearchBudget,
+    brute_force_max_code,
+    brute_force_min_ooa,
+)
+from test_krawtchouk import inner_product
+from test_macwilliams import verify_duality
+from test_scheme import P_eval, cd_check
 
 
 def report(number: int, text: str) -> None:

@@ -14,24 +14,28 @@ from nrtbounds.bounds import (
     plotkin,
     r2_bound,
     r2_certificate,
-    r2_ooa_bound,
     r2_region,
     rao,
     singleton,
     spectral_bound,
-    spectral_bound_ooa,
     varshamov,
 )
 from nrtbounds.cli import _json
 from nrtbounds.delsarte import solve_code_lp
 from nrtbounds.krawtchouk import K_multi
-from nrtbounds.oracles import brute_force_max_code, constant_weight_max
 from nrtbounds.space import SpaceParams, ball_size, delta_crit, enumerate_shapes
+from oracles import brute_force_max_code, constant_weight_max
 
 P22 = SpaceParams(2, 2, 2)
 
 
-@pytest.mark.parametrize("bound", [rao, dual_plotkin_ooa, spectral_bound_ooa, r2_ooa_bound])
+def array_row(p, t, name):
+    """The array bound `name` at strength t: its row of best_bounds at
+    distance t + 1."""
+    return next(b for b in best_bounds(p, t + 1).bounds if b.name == name)
+
+
+@pytest.mark.parametrize("bound", [rao, dual_plotkin_ooa])
 @pytest.mark.parametrize("q,r,n", [(2, 2, 3), (2, 3, 2), (3, 1, 4)])
 def test_array_bounds_reject_strengths_outside_the_space(bound, q, r, n):
     p = SpaceParams(q, r, n)
@@ -135,7 +139,7 @@ def test_spectral_bound_example():
     res = spectral_bound(SpaceParams(2, 1, 4), 2)
     assert res.applicable and res.witness["kappa"] == 1
     assert res.value == pytest.approx(24.0, rel=1e-9)
-    ooa = spectral_bound_ooa(SpaceParams(2, 1, 4), 1)
+    ooa = array_row(SpaceParams(2, 1, 4), 1, "spectral-ooa")
     assert ooa.value == pytest.approx(16 / 24.0, rel=1e-9)
 
 
@@ -225,14 +229,14 @@ def test_best_bounds_builds_no_exact_eigenmatrix(monkeypatch):
 
 def test_r2_ooa_bound():
     p = SpaceParams(2, 2, 8)
-    res = r2_ooa_bound(p, 11)
+    res = array_row(p, 11, "r2-ooa")
     assert res.applicable
     assert res.value == pytest.approx(p.ambient_size / 6.0, rel=1e-6)
 
 
 def test_r2_requires_depth_two():
     assert not r2_bound(SpaceParams(2, 1, 4), 2).applicable
-    assert not r2_ooa_bound(SpaceParams(2, 3, 4), 2).applicable
+    assert not array_row(SpaceParams(2, 3, 4), 2, "r2-ooa").applicable
 
 
 def test_spectral_and_r2_dominate_lp():
@@ -369,7 +373,7 @@ def test_table_array_bounds_are_code_reciprocals():
 
 def test_r2_ooa_is_reciprocal_of_r2():
     for p, t in [(SpaceParams(2, 2, 8), 11), (SpaceParams(3, 2, 5), 6)]:
-        assert r2_ooa_bound(p, t).value == p.ambient_size / r2_bound(p, t + 1).value
+        assert array_row(p, t, "r2-ooa").value == p.ambient_size / r2_bound(p, t + 1).value
 
 
 def test_spectral_bound_stops_before_kappa_n():

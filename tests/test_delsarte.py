@@ -164,7 +164,7 @@ def test_determinism_bit_identical():
 @pytest.mark.parametrize("q,r,n", [(3, 1, 2), (3, 2, 1), (5, 1, 2)])
 def test_sandwich_beyond_binary(q, r, n):
     from nrtbounds.bounds import hamming, plotkin, rao, singleton
-    from nrtbounds.oracles import brute_force_max_code, brute_force_min_ooa
+    from oracles import brute_force_max_code, brute_force_min_ooa
 
     p = SpaceParams(q, r, n)
     for d in range(1, p.dim + 2):

@@ -5,25 +5,40 @@ from math import factorial
 import pytest
 
 from nrtbounds.krawtchouk import (
-    K_fourier_oracle,
     K_multi,
     gamma,
-    inner_product,
     k_root_min,
     k_root_mins,
     _value_cube,
     k_uni,
     krawtchouk_table,
-    weight_w,
 )
 from nrtbounds.space import (
     SpaceParams,
     enumerate_shapes,
-    representative,
     reverse_blocks,
     shape_bar_of,
     shape_count,
 )
+from oracles import K_fourier_oracle, representative
+
+
+def weight_w(params, e):
+    """Normalized valency w(e) = q^(-n r) v_e; a probability on shapes."""
+    return Fraction(shape_count(params, e), params.ambient_size)
+
+
+def inner_product(params, u1, u2):
+    """<u1, u2> = sum_e u1(e) u2(e) w(e) over all shapes, exact.
+
+    u1, u2 map shapes to rationals (dict or callable).
+    """
+    get1 = u1.__getitem__ if hasattr(u1, "__getitem__") else u1
+    get2 = u2.__getitem__ if hasattr(u2, "__getitem__") else u2
+    total = Fraction(0)
+    for e in enumerate_shapes(params):
+        total += Fraction(get1(e)) * Fraction(get2(e)) * weight_w(params, e)
+    return total
 
 
 def _falling_binom(a, m: int):

@@ -70,7 +70,7 @@ def test_importing_the_cli_loads_no_numpy():
 def test_importing_the_cli_loads_no_dataclass_machinery():
     # -S: no site .pth file preloads what the package itself would load
     code = ("import sys, nrtbounds.cli; "
-            "print([m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])")
+            "print([m for m in ('dataclasses', 'inspect', 'typing', 'cmath') if m in sys.modules])")
     assert _fresh(code, flags=("-S",)).split() == ["[]"]
 
 

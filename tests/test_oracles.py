@@ -1,13 +1,16 @@
+import ast
+from pathlib import Path
+
 import pytest
 
-from nrtbounds.oracles import (
+from nrtbounds.space import BudgetExceeded, SpaceParams
+from oracles import (
     SearchBudget,
     brute_force_max_code,
     brute_force_min_ooa,
     constant_weight_max,
     intersection_general,
 )
-from nrtbounds.space import BudgetExceeded, SpaceParams
 
 
 def test_max_code_examples():
@@ -68,3 +71,16 @@ def test_intersection_oracle_needs_a_shape_of_the_space():
     assert intersection_general(p, (0, 0), (1, 1), (1, 1)) == 1
     with pytest.raises(ValueError, match="no vector of shape"):
         intersection_general(p, (0, 0), (0, 0), (3, 0))  # three blocks in a space of two
+
+
+def test_oracles_import_no_package_module_but_space():
+    # the fast paths live in the other modules; an oracle that read them
+    # would agree with them by construction
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+    assert {m for m in modules if m.split(".")[0] == "nrtbounds"} == {"nrtbounds.space"}

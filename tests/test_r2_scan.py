@@ -35,8 +35,8 @@ from nrtbounds.krawtchouk import (
     k_uni,
     krawtchouk_table,
 )
-from nrtbounds.scheme import P_eval
 from nrtbounds.space import SpaceParams, delta_crit, enumerate_shapes, shape_count
+from test_scheme import P_eval
 
 # the spaces of the bounds-r2 benchmark workload
 R2_SPACES = [(4, 8), (3, 9), (2, 12)]

@@ -6,23 +6,22 @@ import numpy as np
 import pytest
 
 from nrtbounds.krawtchouk import krawtchouk_table
-from nrtbounds.oracles import intersection_general
 from nrtbounds.scheme import (
-    P_eval,
     _nonzero_intersections,
     build_blocks,
     build_operator,
-    cd_kernel,
     operators,
     spectral_radius,
 )
 from nrtbounds.space import (
     SpaceParams,
+    delta_crit,
     enumerate_shapes,
     shape_count,
     shapes_of_length,
     shape_weight,
 )
+from oracles import intersection_general
 
 
 def unit_shape(r, i):
@@ -37,6 +36,21 @@ def L_coeff(p, i):
 def intersection_Fi(p, f, i, h):
     """The intersection number of f with the single-part shape F_i at h."""
     return dict(_nonzero_intersections(p, f, i)).get(h, 0)
+
+
+def P_eval(params, e):
+    """P(e) = delta_crit * r * n - |e|'."""
+    return delta_crit(params.q, params.r) * params.r * params.n - shape_weight(e)
+
+
+def cd_kernel(params, L, a, e):
+    """U_L(a, e) = sum_{f in L} K_f(a) K_f(e) / v_f, exact, with v_f = K_f(0)."""
+    T = krawtchouk_table(params)
+    zero = T.shapes[0]
+    total = Fraction(0)
+    for f in L:
+        total += Fraction(T[f, a] * T[f, e], T[f, zero])
+    return total
 
 
 def cd_check(p, kappa, a, e):

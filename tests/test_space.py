@@ -25,7 +25,6 @@ from nrtbounds.space import (
     ordered_distance,
     ordered_weight,
     parse_array_text,
-    representative,
     reverse_blocks,
     shape_bar_of,
     shape_count,
@@ -35,6 +34,7 @@ from nrtbounds.space import (
     sphere_size,
     weight_distribution,
 )
+from oracles import representative
 
 
 def test_shape_of_examples():
