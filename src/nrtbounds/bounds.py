@@ -18,7 +18,7 @@ from itertools import accumulate
 from math import comb, floor
 
 from .delsarte import CertificateCheck, DualCertificate
-from .krawtchouk import BracketingError, K_multi, _k_values, _value_cube, k_root_min, k_root_mins
+from .krawtchouk import BracketingError, K_multi, _k_values, k_root_min, k_root_mins
 from .scheme import operators, spectral_radius
 from .space import (
     BudgetExceeded,
@@ -284,6 +284,7 @@ def _reciprocal(params: SpaceParams, name: str, code: BoundResult) -> BoundResul
 
 
 R2Witness = namedtuple("R2Witness", "s1 s2 alpha beta")
+R2_CELL_CAP = 2**21  # most cells (n + 1)^3 of the certificate's float cube: n <= 127
 
 
 def _solve_alpha(q: int, nu: float, s2: int, left: float, right: float) -> float:
@@ -379,12 +380,15 @@ def r2_bound(params: SpaceParams, d: int) -> BoundResult:
     value (less a 1e-12 relative margin for its roundings), since no later
     pair can win.  Then it assembles the underlying sign-certificate for
     the winning pair, and raises CheckFailure unless `r2_certificate`
-    accepts it.  Raises BudgetExceeded when the roots, the value or the
-    certificate leave the float range.
+    accepts it.  Raises BudgetExceeded past R2_CELL_CAP, before any root is
+    taken, and when the roots, the value or the certificate leave the float
+    range.
     """
     check_distance(params, d)
     if params.r != 2:
         return _inapplicable("r2", UPPER_CODE, "defined for block depth r = 2")
+    if (cells := (params.n + 1) ** 3) > R2_CELL_CAP:
+        raise BudgetExceeded(f"depth-2 cube of {cells} cells exceeds cap R2_CELL_CAP = {R2_CELL_CAP}")
     # smallest value, then fewest degrees, then smallest (s1, s2), which is unique
     d_cap, best = float(d), None
     try:  # a float conversion of q, of a valency or of q^(nr) raises past the float range
@@ -436,34 +440,42 @@ def r2_certificate(
     region L of the winning witness, expand it over the Krawtchouk basis, and
     check it in floats.
 
-    The float eigenmatrix K_f(e) = q^f2 k_f1(n - f2, e2) k_f2(n - e2, e1) is
-    two fancy-indexed products over `_value_cube`.  With valencies
-    v = K[:, 0], U_L(a, .) = (K_f(a) / v_f)_{f in L} K[L], and F_g =
-    <F, K_g> / v_g gives the coefficients K (F v) / (q^(nr) v).  Accepted
-    when F_0 > 0, F_g >= -m, and F = coeffs @ K <= m wherever |e|' >= d,
-    for m = 1e-8 max(1, max |F|); BudgetExceeded when K, the coefficients
-    or F are not all finite."""
+    By K_f(e) = q^f2 k_f1(n - f2, e2) k_f2(n - e2, e1), a sum of c_f K_f(e)
+    over f is one contraction over f1, then one over f2, of the float cube
+    k_s(n - j, x), j, x, s = 0..n.  U_L(a, .) takes c_f = K_f(a) / v_f on L,
+    v_f = K_f(0); by the self-duality K_g(e) / v_g = K_e(g) / v_e, the
+    coefficient F_g = <F, K_g> / v_g takes c_e = F(e) / q^(nr).  Accepted
+    when F_0 > 0, F_g >= -m, and F(e) <= m at |e|' >= d, for
+    m = 1e-8 max(1, max |F|).  As `r2_bound` admits only alpha + 2 beta <= d,
+    F(e) = (alpha + 2 beta - |e|') U_L(a, e)^2 <= 0 exactly there, so the
+    last test fails only on a witness from outside the scan.  BudgetExceeded
+    when F or its coefficients are not all finite."""
     import numpy as np
 
     q, n, a = params.q, params.n, (w.alpha, w.beta)
     shapes = list(enumerate_shapes(params))
     f1, f2 = np.array(shapes).T
-    cube = np.array(_value_cube(q, n)[n:], dtype=float)  # cube[nu][x][s] for nu = 0..n
-    region = r2_region(params, w)
-    rows = [shapes.index(f) for f in region]
+    cube = np.empty((n + 1,) * 3)  # cube[j, x, s] = k_s(n - j, x), rounded from ints
+    for j, x in np.ndindex(n + 1, n + 1):
+        cube[j, x] = list(_k_values(q, n - j, n, x))
+
+    def krawtchouk_sum(c):  # sum_f c[f1, f2] K_f(e) at each shape e
+        A = np.einsum("jxs,sj->jx", cube, c)  # A[f2, e2] = sum_f1 k_f1(n - f2, e2) c[f1, f2]
+        return np.einsum("yxj,jy->xy", cube, float(q) ** np.arange(n + 1)[:, None] * A)[f1, f2]
+
+    c, F = np.zeros((2, n + 1, n + 1))  # grids [f1, f2], zero off the shapes
+    for f in r2_region(params, w):
+        c[f] = K_multi(params, f, a) / shape_count(params, f)
     with np.errstate(over="ignore", invalid="ignore"):
-        K = float(q) ** f2[:, None] * cube[n - f2[:, None], f2, f1[:, None]] * cube[n - f2, f1, f2[:, None]]
-        v = K[:, 0]
-        u = (np.array([K_multi(params, f, a) for f in region]) / v[rows]) @ K[rows]
         # P(e) - P(a) = (alpha + 2 beta) - |e|', the mean delta_crit r n cancels
-        coeffs = K @ ((w.alpha + 2 * w.beta - (f1 + 2 * f2)) * u * u * v) / (params.ambient_size * v)
-        F = coeffs @ K
-    if not all(np.isfinite(x).all() for x in (K, coeffs, F)):
+        F[f1, f2] = (w.alpha + 2 * w.beta - (f1 + 2 * f2)) * krawtchouk_sum(c) ** 2
+        coeffs = krawtchouk_sum(F) / params.ambient_size
+    if not all(np.isfinite(x).all() for x in (F, coeffs)):
         raise BudgetExceeded("depth-2 certificate exceeds the float range")
     margin = 1e-8 * max(1.0, np.abs(F).max())
     negative = np.flatnonzero(coeffs[1:] < -margin) + 1
-    positive = np.flatnonzero((f1 + 2 * f2 >= d) & (F > margin))
-    F0, at_zero = float(coeffs[0]), float(F[0])
+    positive = np.flatnonzero((f1 + 2 * f2 >= d) & (F[f1, f2] > margin))
+    F0, at_zero = float(coeffs[0]), float(F[0, 0])
     if not F0 > 0:
         check = CertificateCheck(False, reason="F0 must be positive")
     elif negative.size:

@@ -216,15 +216,58 @@ def test_r2_certificate_names_the_first_negative_coefficient():
 def test_best_bounds_builds_no_exact_eigenmatrix(monkeypatch):
     import sys
 
-    def refuse(params):
-        raise AssertionError("exact eigenmatrix built")
+    def refuse(*args):
+        raise AssertionError("exact eigenmatrix or its value cube built")
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("nrtbounds") and hasattr(mod, "krawtchouk_table"):
-            monkeypatch.setattr(mod, "krawtchouk_table", refuse)
+        for exact in ("krawtchouk_table", "_value_cube"):
+            if name.startswith("nrtbounds") and hasattr(mod, exact):
+                monkeypatch.setattr(mod, exact, refuse)
     for q, n, d in ((2, 12, 10), (3, 9, 10)):
         entries = {b.name: b for b in best_bounds(SpaceParams(q, 2, n), d).bounds}
         assert entries["r2"].applicable, (q, n)
+
+
+@pytest.mark.parametrize("n,d", [(50, 48), (60, 50), (60, 56), (60, 59), (60, 62), (60, 65)])
+def test_r2_bound_accepts_certificates_the_round_trip_rejected(n, d):
+    # F evaluated back through the dense eigenmatrix, coeffs @ K, carried
+    # round-off above the margin (4.08e9 at shape (60, 0) for n60 d50, where
+    # the direct value is -2.7e-14); these raised CheckFailure
+    res = r2_bound(SpaceParams(2, 2, n), d)
+    assert res.applicable and res.value >= 1
+
+
+def test_r2_certificate_peak_memory_is_below_half_a_dense_eigenmatrix():
+    import tracemalloc
+
+    p = SpaceParams(2, 2, 60)
+    w = R2Witness(**r2_bound(p, 50).witness)
+    shapes = len(list(enumerate_shapes(p)))
+    tracemalloc.start()
+    try:
+        assert r2_certificate(p, 50, w)[1].accepted
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # half of one dense N x N float64 eigenmatrix over the N shapes
+    assert peak < shapes * shapes * 8 / 2, peak
+
+
+def test_r2_cell_cap_refuses_before_any_root(monkeypatch):
+    import nrtbounds.bounds as bounds_mod
+    from nrtbounds.space import BudgetExceeded
+
+    def no_roots(params, d_cap):
+        raise AssertionError("roots taken")
+
+    monkeypatch.setattr(bounds_mod, "_r2_pairs", no_roots)
+    with pytest.raises(BudgetExceeded, match="R2_CELL_CAP = 2097152"):
+        r2_bound(SpaceParams(2, 2, 200), 100)
+    with pytest.raises(BudgetExceeded, match="cube of 2146689 cells"):
+        r2_bound(SpaceParams(2, 2, 128), 100)
+    # 128^3 cells at n = 127 are within the cap, and the scan runs
+    monkeypatch.setattr(bounds_mod, "_r2_pairs", lambda params, d_cap: [])
+    assert r2_bound(SpaceParams(2, 2, 127), 100).reason == "no admissible degree pair"
 
 
 def test_r2_ooa_bound():

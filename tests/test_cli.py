@@ -678,6 +678,14 @@ def bounds_argv(q: int, r: int, n: int, d: int) -> tuple[str, ...]:
     return ("bounds", "--q", str(q), "--r", str(r), "--n", str(n), "--d", str(d))
 
 
+def test_depth2_bound_accepts_the_certificate_the_round_trip_rejected(capsys):
+    # F read back through the dense eigenmatrix rose to 4.08e9 at shape
+    # (60, 0), above the margin, and this exited 4
+    code, out, err = run(capsys, *bounds_argv(2, 2, 60, 50))
+    assert (code, err) == (0, "")
+    assert "r2" in upper_floors(out)
+
+
 @st.composite
 def sweep_argv(draw):
     """bounds at q, r, n from the sweep's grid and one of five distances."""
