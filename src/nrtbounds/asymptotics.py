@@ -6,7 +6,8 @@ limiting eigenvalue expression over weight profiles, a trust-region
 subproblem solved through one eigendecomposition per (q, r) and one
 bisection per tau; the depth-2 curve minimizes a two-parameter entropy
 expression under a root-position constraint, on a grid scanned with numpy
-in blocks of about BLOCK points and refined locally on floats.
+in one call and refined locally on floats; only the grid's objective is
+built in blocks of about BLOCK points.
 Everything here is double precision; exactness is not meaningful for
 these quantities.  The sphere-exponent curves are written for arrays and
 evaluate a whole grid in one call; a float runs through them as a
@@ -257,9 +258,6 @@ def lambda_expression(q: int, r: int, taus):
     return total
 
 
-BLOCK = 4096  # grid points per array call of the depth-2 grid and scan
-
-
 @functools.lru_cache(maxsize=None)
 def _lambda_spectrum(q: int, r: int):
     """`lambda_expression` as a.x + x^T B x at x_i = sqrt(tau_i), with
@@ -361,31 +359,21 @@ def lp_curve_default_taus(q: int, grid: int) -> list[float]:
 # Depth-2 curve
 
 
-def _phi_objective(q: int, t1, t2, h1=None):
+BLOCK = 4096  # grid points per array call of the depth-2 objective build
+STEPS = 200  # intervals of the depth-2 grid along t1 and along t2
+
+
+def _phi_objective(q: int, t1, t2, h1):
     """Depth-2 objective at (t1, t2), at floats or elementwise on arrays;
-    h1, when given, is h_q(q, t1)."""
-    h1 = h_q(q, t1) if h1 is None else h1
+    h1 is h_q(q, t1)."""
     return 0.5 * (t2 + h1 + (1 - t1) * h_q(q, t2 / (1 - t1)))
 
 
 def _phi_t2_terms(q: int, t2):
-    """The part of the root-position constraint that depends on t2 alone:
-    gamma(q, t2) and (2 - gamma(q, t2)) (1 - t2)."""
+    """The terms g2 = gamma(q, t2) and w2 = (2 - g2) (1 - t2) of the
+    root-position constraint g2 + w2 gamma(q, t1) <= 2 delta."""
     g2 = gamma(q, t2)
     return g2, (2 - g2) * (1 - t2)
-
-
-def _phi_constraint(q: int, t1, t2, t2_terms=None, g1=None):
-    """Left side g2 + w2 g1 of the root-position constraint at (t1, t2), at
-    floats or elementwise on arrays that broadcast; t2_terms, when given, is
-    `_phi_t2_terms(q, t2)`, and g1 is gamma(q, t1)."""
-    g2, w2 = t2_terms or _phi_t2_terms(q, t2)
-    return g2 + w2 * (gamma(q, t1) if g1 is None else g1)
-
-
-def _phi_feasible(q: int, t1, t2, delta: float, t2_terms=None, g1=None):
-    """Root-position constraint: `_phi_constraint` at most 2 delta."""
-    return _phi_constraint(q, t1, t2, t2_terms, g1) <= 2 * delta
 
 
 def phi_r2(q: int, delta: float) -> float:
@@ -395,22 +383,24 @@ def phi_r2(q: int, delta: float) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def _phi_grid(q: int, steps: int):
+def _phi_grid(q: int):
     """The depth-2 grid, the same for every delta: the t1 column and the t2
     row (clamped to (q-1)/q, which its last point can round above), each at
-    steps + 1 points, the left side of the constraint at every point, and
-    the objective, built t1 by row in blocks of about BLOCK points; gamma
-    and h_q of each t1 are float calls, as in the refinement."""
+    STEPS + 1 points, the left side g2 + w2 gamma(q, t1) of the constraint
+    at every point in one array call, and the objective, built t1 by row in
+    blocks of about BLOCK points, which bounds the temporaries of h_q;
+    gamma and h_q of each t1 are float calls, as in the refinement."""
     import numpy as np
 
-    t1 = (q - 1) / q**2 * np.arange(steps + 1) / steps
-    t2 = np.minimum((q - 1) / q * np.arange(steps + 1) / steps, (q - 1) / q)
+    t1 = (q - 1) / q**2 * np.arange(STEPS + 1) / STEPS
+    t2 = np.minimum((q - 1) / q * np.arange(STEPS + 1) / STEPS, (q - 1) / q)
     g1 = np.array([[gamma(q, v)] for v in t1.tolist()])
     h1 = np.array([[h_q(q, v)] for v in t1.tolist()])
-    lhs = _phi_constraint(q, t1[:, None], t2, g1=g1)
+    g2, w2 = _phi_t2_terms(q, t2)
+    lhs = g2 + w2 * g1
     obj = np.empty_like(lhs)
-    per = max(1, BLOCK // (steps + 1))  # t1 rows per block
-    for i in range(0, steps + 1, per):
+    per = max(1, BLOCK // (STEPS + 1))  # t1 rows per block
+    for i in range(0, STEPS + 1, per):
         obj[i : i + per] = _phi_objective(q, t1[i : i + per, None], t2, h1[i : i + per])
     return t1, t2, lhs, obj
 
@@ -419,35 +409,30 @@ def phi_r2_with_witness(q: int, delta: float):
     """Depth-2 minimum at delta and a point (t1, t2) attaining it, or
     (1.0, None) where no point of the grid meets the constraint.
 
-    The 201 x 201 `_phi_grid` is scanned t1 by row, in blocks of about
-    BLOCK points, for the first minimum over its feasible points in
-    row-major order; a pattern search on floats refines it.  A sweep visits
-    the 5 x 5 stencil t + (-1, -1/2, 0, 1/2, 1) x radius, clamped to the
-    box, and moves at once to a feasible point that improves on the best by
-    more than 1e-16, so the rest of the sweep is taken around the new
-    centre; a sweep without a move shrinks both radii by 0.3, until both
-    are at most 1e-12.  Each point is evaluated once per call: its
-    objective (inf where infeasible) is kept, as are gamma and h_q of each
-    t1 and the constraint terms of each t2.
+    The 201 x 201 `_phi_grid` is scanned in one call, whose `argmin` takes
+    the first minimum over its feasible points in row-major order; a pattern
+    search on floats refines it.  A sweep visits the 5 x 5 stencil
+    t + (-1, -1/2, 0, 1/2, 1) x radius, clamped to the box, and moves at
+    once to a feasible point that improves on the best by more than 1e-16,
+    so the rest of the sweep is taken around the new centre; a sweep
+    without a move shrinks both radii by 0.3, until both are at most
+    1e-12.  Each point is evaluated once per call: its objective (inf where
+    infeasible) is kept, as are gamma and h_q of each t1 and the constraint
+    terms of each t2.
     """
     if not 0 < delta <= float(delta_crit(q, 2)):
         raise ValueError(f"delta={delta} outside (0, delta_crit]")
     import numpy as np
 
-    steps = 200
-    t1_col, t2_row, lhs, obj = _phi_grid(q, steps)
-    per = max(1, BLOCK // (steps + 1))  # t1 rows per block
-    val = math.inf
-    for i in range(0, steps + 1, per):
-        vals = np.where(lhs[i : i + per] <= 2 * delta, obj[i : i + per], np.inf)
-        k = int(vals.argmin())  # the first minimum of the block, row by row
-        if vals.flat[k] < val:
-            row, col = divmod(k, steps + 1)
-            val, t1, t2 = float(vals.flat[k]), float(t1_col[i + row]), float(t2_row[col])
-    if val == math.inf:
+    t1_col, t2_row, lhs, obj = _phi_grid(q)
+    vals = np.where(lhs <= 2 * delta, obj, np.inf)
+    k = int(vals.argmin())  # the first minimum, row by row
+    if vals.flat[k] == math.inf:
         return 1.0, None
+    row, col = divmod(k, STEPS + 1)
+    val, t1, t2 = float(vals.flat[k]), float(t1_col[row]), float(t2_row[col])
     t1_max, t2_max = (q - 1) / q**2, (q - 1) / q
-    radius1, radius2 = t1_max / steps, t2_max / steps
+    radius1, radius2 = t1_max / STEPS, t2_max / STEPS
     at_t1, at_t2, at_point = {}, {}, {}  # [gamma, h_q or None]; t2 terms; objective or inf
     while radius1 > 1e-12 or radius2 > 1e-12:
         improved = False
@@ -460,9 +445,9 @@ def phi_r2_with_witness(q: int, delta: float):
                 cv = at_point.get((c1, c2))
                 if cv is None:
                     terms1 = at_t1.get(c1) or at_t1.setdefault(c1, [gamma(q, c1), None])
-                    terms2 = at_t2.get(c2) or at_t2.setdefault(c2, _phi_t2_terms(q, c2))
+                    g2, w2 = at_t2.get(c2) or at_t2.setdefault(c2, _phi_t2_terms(q, c2))
                     cv = math.inf
-                    if _phi_feasible(q, c1, c2, delta, terms2, terms1[0]):
+                    if g2 + w2 * terms1[0] <= 2 * delta:
                         if terms1[1] is None:
                             terms1[1] = h_q(q, c1)
                         cv = _phi_objective(q, c1, c2, terms1[1])

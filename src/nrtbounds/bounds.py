@@ -18,7 +18,7 @@ from itertools import accumulate
 from math import comb, floor
 
 from .delsarte import CertificateCheck, DualCertificate
-from .krawtchouk import BracketingError, K_multi, _k_values, k_root_min, k_root_mins
+from .krawtchouk import BracketingError, K_multi, _k_values, _value_planes, k_root_min, k_root_mins
 from .scheme import operators, spectral_radius
 from .space import (
     BudgetExceeded,
@@ -30,8 +30,7 @@ from .space import (
     check_strength,
     check_weight,
     delta_crit,
-    enumerate_shapes,
-    shape_count,
+    shape_counts,
     weight_distribution,
 )
 
@@ -320,9 +319,9 @@ def _solve_alpha(q: int, nu: float, s2: int, left: float, right: float) -> float
 
 def _r2_value(params: SpaceParams, s1: int, s2: int, alpha: float, beta: float, vs: int) -> float:
     """The depth-2 bound of the pair (s1, s2) at the point (alpha, beta),
-    with vs = shape_count((s1 - 1, s2)).  For beta > 0 it falls as alpha
-    grows: its alpha factor (alpha + 2 beta) / alpha^2 has the derivative
-    -(alpha + 4 beta) / alpha^3."""
+    with vs the count of the shape (s1 - 1, s2).  For beta > 0 it falls as
+    alpha grows: its alpha factor (alpha + 2 beta) / alpha^2 has the
+    derivative -(alpha + 4 beta) / alpha^3."""
     q, n = params.q, params.n
     return (
         4
@@ -360,12 +359,13 @@ def _r2_pairs(params: SpaceParams, d_cap: float) -> list[tuple]:
     capped = [(*p, left) for p, left in zip(rooted, lefts) if left + 2 * p[2] <= d_cap]
     rights = iter(k_root_mins(q, ((nu, s2) for _, s2, _, nu, _ in capped if s2 >= 1)))
     slack = 2**-50 * d_cap
+    counts = shape_counts(params)
     out = []
     for s1, s2, beta, nu, left in capped:
         right = next(rights) if s2 >= 1 else 2 * (q - 1) * nu / q + 1
         if not (0 < left < right and min(right, d_cap - 2 * beta) > 0):
             continue
-        vs = shape_count(params, (s1 - 1, s2))
+        vs = counts[s1 - 1, s2]
         lower = _r2_value(params, s1, s2, min(right, d_cap - 2 * beta + slack), beta, vs)
         out.append((lower, s1, s2, nu, beta, left, right, vs))
     return sorted(out)
@@ -453,11 +453,12 @@ def r2_certificate(
     import numpy as np
 
     q, n, a = params.q, params.n, (w.alpha, w.beta)
-    shapes = list(enumerate_shapes(params))
+    counts = shape_counts(params)  # keyed in `enumerate_shapes` order
+    shapes = list(counts)
     f1, f2 = np.array(shapes).T
     cube = np.empty((n + 1,) * 3)  # cube[j, x, s] = k_s(n - j, x), rounded from ints
-    for j, x in np.ndindex(n + 1, n + 1):
-        cube[j, x] = list(_k_values(q, n - j, n, x))
+    for nu, plane in enumerate(_value_planes(q, n, 0)):
+        cube[n - nu] = plane
 
     def krawtchouk_sum(c):  # sum_f c[f1, f2] K_f(e) at each shape e
         A = np.einsum("jxs,sj->jx", cube, c)  # A[f2, e2] = sum_f1 k_f1(n - f2, e2) c[f1, f2]
@@ -465,7 +466,7 @@ def r2_certificate(
 
     c, F = np.zeros((2, n + 1, n + 1))  # grids [f1, f2], zero off the shapes
     for f in r2_region(params, w):
-        c[f] = K_multi(params, f, a) / shape_count(params, f)
+        c[f] = K_multi(params, f, a) / counts[f]
     with np.errstate(over="ignore", invalid="ignore"):
         # P(e) - P(a) = (alpha + 2 beta) - |e|', the mean delta_crit r n cancels
         F[f1, f2] = (w.alpha + 2 * w.beta - (f1 + 2 * f2)) * krawtchouk_sum(c) ** 2

@@ -20,7 +20,7 @@ polynomials:
 
 At a shape e every factor is an integer value k_s(nu, x) with
 -n <= nu <= n and 0 <= x, s <= n, so `krawtchouk_table` reads them all from
-one cube of such values, filled by one degree recurrence per (nu, x).  It
+one cube of such values, its planes in nu built each from the one before.  It
 returns the exact eigenmatrix T[f][e] = K_f(e) as one dense `Eigenmatrix`:
 the shapes in `enumerate_shapes` order, each row a tuple of Python ints
 (the values overflow int64), and the zero column the valencies
@@ -103,11 +103,20 @@ def K_multi(params: SpaceParams, f: Shape, x) -> int | float:
     return value
 
 
-def _value_cube(q: int, n: int) -> list[list[list[int]]]:
-    """cube[nu + n][x][s] = k_s(nu, x) for integers -n <= nu <= n and
-    0 <= x, s <= n, one degree recurrence per (nu, x).  The offset keeps
-    nu < 0 from indexing the list from its end."""
-    return [[list(_k_values(q, nu, n, x)) for x in range(n + 1)] for nu in range(-n, n + 1)]
+def _value_planes(q: int, n: int, lo: int):
+    """Yield the planes [x][s] = k_s(nu, x), 0 <= x, s <= n, for the
+    integers nu = lo, ..., n: the first by one degree recurrence per x, and
+    each next one from the one before by
+
+        k_s(nu + 1, x) = k_s(nu, x) + (q-1) k_{s-1}(nu, x),
+
+    the factor 1 + (q-1) z of the generating function
+    sum_s k_s(nu, x) z^s = (1 + (q-1) z)^(nu - x) (1 - z)^x."""
+    plane = [list(_k_values(q, lo, n, x)) for x in range(n + 1)]
+    yield plane
+    for _ in range(lo, n):
+        plane = [[row[0], *(a + (q - 1) * b for a, b in zip(row[1:], row))] for row in plane]
+        yield plane
 
 
 class Eigenmatrix:
@@ -150,12 +159,12 @@ def krawtchouk_table(params: SpaceParams) -> Eigenmatrix:
 
     By the factorization in the module docstring, K_f(e) is q^(|f|'-|f|)
     times the r values k_{f_i}(n_i, e_{r-i+1}), each read from
-    `_value_cube`: n_i = S - T, with S a prefix sum of (x_0, e_1, ..., e_r)
-    and T a suffix sum of f, lies in -n..n, and n_i < 0 occurs from r = 3
-    on.
+    the planes `_value_planes` yields from nu = -n: n_i = S - T, with S a
+    prefix sum of (x_0, e_1, ..., e_r) and T a suffix sum of f, lies in
+    -n..n, and n_i < 0 occurs from r = 3 on.
     """
     q, r, n = params.q, params.r, params.n
-    cube = _value_cube(q, n)
+    cube = list(_value_planes(q, n, -n))  # cube[nu + n] is the plane at nu
     shapes = tuple(enumerate_shapes(params))
     # points[i] holds, for every e, the prefix sum S = x_0 + ... + x_{r-i}
     # and the point x_{r-i} of the factor at depth i + 1

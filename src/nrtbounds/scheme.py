@@ -7,12 +7,13 @@ operators truncated at each degree in turn (the blocks under the orthonormal
 rescaling), and encloses an operator's largest eigenvalue with
 Collatz-Wielandt bounds.
 
-Both come from one definition of the intersection numbers,
-`_nonzero_intersections`.  The blocks sum them as integers; the float
-operator needs only their products m_i(f,h) m_i(h,f), which by detailed
-balance equal the rescaled squares m_i(f,h)^2 v_h / v_f, so it reads no
-shape count v: each degree forms the products as Python ints in small tables
-over a depth or two and one or two parts, and picks its entries from them.
+The blocks sum the intersection numbers of `_nonzero_intersections` as
+integers.  The float operator needs only their products m_i(f,h) m_i(h,f),
+which by detailed balance equal the rescaled squares m_i(f,h)^2 v_h / v_f,
+so it reads no shape count v: `operators` restates those products in closed
+form, as Python ints in small tables.  What ties the two is
+`test_scheme.py::test_normalized_blocks_match_raw_rescaling` and the pins in
+`tests/test_block_paths.py`.
 """
 
 from __future__ import annotations

@@ -23,13 +23,15 @@ from pathlib import Path
 import pytest
 
 from nrtbounds.asymptotics import (
-    _phi_feasible,
     _phi_objective,
+    _phi_t2_terms,
+    h_q,
     lambda_asym,
     lambda_expression,
     phi_r2_with_witness,
 )
 from nrtbounds.cli import main
+from nrtbounds.krawtchouk import gamma
 from nrtbounds.space import delta_crit
 
 FIXTURE = Path(__file__).with_name("asymptotic_paths.json")
@@ -109,8 +111,9 @@ def test_phi_r2_pinned(pinned, q, delta):
     assert value == pytest.approx(want, abs=TOL)
     t1, t2 = witness
     assert 0 <= t1 <= (q - 1) / q**2 and 0 <= t2 <= (q - 1) / q
-    assert _phi_feasible(q, t1, t2, delta)
-    assert _phi_objective(q, t1, t2) == pytest.approx(value, abs=1e-15)
+    g2, w2 = _phi_t2_terms(q, t2)
+    assert g2 + w2 * gamma(q, t1) <= 2 * delta
+    assert _phi_objective(q, t1, t2, h_q(q, t1)) == pytest.approx(value, abs=1e-15)
 
 
 @pytest.mark.parametrize("q,r,curve", CSV_CASES)

@@ -274,20 +274,26 @@ def test_float_or_array_functions_take_a_fraction_as_one_number():
 def test_grid_scans_keep_the_first_best_point(monkeypatch):
     # with a constant objective every grid point ties and the refinement
     # never improves, so the scan's first point is returned, whatever the
-    # block size; the objective is cached with the grid, so the grid is
-    # rebuilt with the constant one and dropped again afterwards
-    monkeypatch.setattr(asymptotics, "_phi_objective", lambda q, t1, t2, h1=None: 0.0 * t2)
-    asymptotics._phi_grid.cache_clear()
-    q, delta, steps = 2, 0.1, 200
+    # block size of the objective build; the objective is cached with the
+    # grid, so the grid is rebuilt with the constant one and dropped again
+    # afterwards
+    monkeypatch.setattr(asymptotics, "_phi_objective", lambda q, t1, t2, h1: 0.0 * t2)
+    q, delta, steps = 2, 0.1, asymptotics.STEPS
+
+    def feasible(t1, t2):
+        g2, w2 = asymptotics._phi_t2_terms(q, t2)
+        return g2 + w2 * asymptotics.gamma(q, t1) <= 2 * delta
+
     first = next(
         (t1, t2)
         for t1 in ((q - 1) / q**2 * i / steps for i in range(steps + 1))
         for t2 in ((q - 1) / q * j / steps for j in range(steps + 1))
-        if asymptotics._phi_feasible(q, t1, t2, delta)
+        if feasible(t1, t2)
     )
     try:
         for block in (1, 7, asymptotics.BLOCK):
             monkeypatch.setattr(asymptotics, "BLOCK", block)
+            asymptotics._phi_grid.cache_clear()
             assert phi_r2_with_witness(q, delta) == (0.0, first), block
     finally:
         asymptotics._phi_grid.cache_clear()
@@ -296,27 +302,37 @@ def test_grid_scans_keep_the_first_best_point(monkeypatch):
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_phi_refinement_evaluates_each_point_once(monkeypatch, q):
     # the pattern search revisits its centre on every sweep and overlaps
-    # itself after a move; each float point reaches the constraint and the
-    # objective at most once per call (the grid's array calls aside)
-    seen = set()
+    # itself after a move; each float point reaches the objective, each t2
+    # the constraint terms and each t1 gamma at most once per call.  The
+    # grid makes its float calls of gamma once per q, before the wrapping,
+    # and a call made inside another wrapped one (gamma of t2) is the outer
+    # call's
+    asymptotics._phi_grid(q)
+    seen, nested = set(), []
 
     def once(name, fn):
-        def wrapped(q, t1, t2, *rest):
-            if isinstance(t2, float):
-                key = (name, t1, t2)
+        def wrapped(q, *args):
+            point = args[:2]  # (t1, t2) of the objective, the one value of the others
+            if not nested and all(isinstance(v, float) for v in point):
+                key = (name, *point)
                 assert key not in seen, key
                 seen.add(key)
-            return fn(q, t1, t2, *rest)
+            nested.append(name)
+            try:
+                return fn(q, *args)
+            finally:
+                nested.pop()
 
         monkeypatch.setattr(asymptotics, name, wrapped)
 
     once("_phi_objective", asymptotics._phi_objective)
-    once("_phi_feasible", asymptotics._phi_feasible)
+    once("_phi_t2_terms", asymptotics._phi_t2_terms)
+    once("gamma", asymptotics.gamma)
     dc = float(delta_crit(q, 2))
     for delta in (dc / 4, dc / 2, dc):
         seen.clear()
         assert phi_r2_with_witness(q, delta)[1] is not None
-        assert seen
+        assert {key[0] for key in seen} == {"_phi_objective", "_phi_t2_terms", "gamma"}
 
 
 def test_phi_r2_returns_at_every_q():

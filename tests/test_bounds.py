@@ -216,13 +216,20 @@ def test_r2_certificate_names_the_first_negative_coefficient():
 def test_best_bounds_builds_no_exact_eigenmatrix(monkeypatch):
     import sys
 
+    from nrtbounds.krawtchouk import _value_planes
+
     def refuse(*args):
         raise AssertionError("exact eigenmatrix or its value cube built")
 
+    def planes(q, n, lo):  # the exact table's cube starts at nu = -n
+        if lo < 0:
+            refuse()
+        return _value_planes(q, n, lo)
+
     for name, mod in list(sys.modules.items()):
-        for exact in ("krawtchouk_table", "_value_cube"):
+        for exact, stand_in in (("krawtchouk_table", refuse), ("_value_planes", planes)):
             if name.startswith("nrtbounds") and hasattr(mod, exact):
-                monkeypatch.setattr(mod, exact, refuse)
+                monkeypatch.setattr(mod, exact, stand_in)
     for q, n, d in ((2, 12, 10), (3, 9, 10)):
         entries = {b.name: b for b in best_bounds(SpaceParams(q, 2, n), d).bounds}
         assert entries["r2"].applicable, (q, n)

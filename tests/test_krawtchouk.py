@@ -9,7 +9,8 @@ from nrtbounds.krawtchouk import (
     gamma,
     k_root_min,
     k_root_mins,
-    _value_cube,
+    _k_values,
+    _value_planes,
     k_uni,
     krawtchouk_table,
 )
@@ -430,13 +431,30 @@ def test_weight_w_is_probability():
 
 @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (5, 2), (2, 7)])
 def test_value_cube_covers_negative_dimensions(q, n):
-    cube = _value_cube(q, n)
+    cube = list(_value_planes(q, n, -n))
     assert len(cube) == 2 * n + 1
     for nu in range(-n, n + 1):
         for x in range(n + 1):
             for s in range(n + 1):
                 value = cube[nu + n][x][s]
                 assert type(value) is int and value == k_uni(q, nu, s, x), (nu, x, s)
+
+
+@pytest.mark.parametrize("q,n", [(2, 60), (3, 20), (7, 12)])
+def test_value_planes_match_one_recurrence_per_point(q, n):
+    # the planes built each from the one before hold the ints of one degree
+    # recurrence per (nu, x), and round to the same floats
+    import numpy as np
+
+    planes = list(_value_planes(q, n, -n))
+    direct = [[list(_k_values(q, nu, n, x)) for x in range(n + 1)] for nu in range(-n, n + 1)]
+    assert planes == direct
+    floats, want = np.empty((2, n + 1, n + 1, n + 1))
+    for nu, plane in enumerate(_value_planes(q, n, 0)):
+        floats[n - nu] = plane
+    for j, x in np.ndindex(n + 1, n + 1):
+        want[j, x] = list(_k_values(q, n - j, n, x))
+    assert np.array_equal(floats, want)
 
 
 # the spaces the tests above read the table on, and three with n_i < 0

@@ -12,7 +12,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "nrtbounds"
 
 # Library entry points that README documents and no command calls.
-API = ("varshamov", "ooa_to_net", "ordered_distance", "k_uni", "build_blocks", "build_operator")
+API = (
+    "varshamov", "ooa_to_net", "ordered_distance", "shape_count", "k_uni", "build_blocks",
+    "build_operator",
+)
 
 
 def _defined_names(node) -> list[str]:
