@@ -25,7 +25,7 @@ from .space import (
     shape_of,
     sphere_size,
 )
-from .krawtchouk import K_multi, gamma, k_root_min, k_uni
+from .krawtchouk import K_multi, gamma, k_uni
 from .scheme import build_blocks, build_operator, spectral_radius
 from .delsarte import (
     DualCertificate,

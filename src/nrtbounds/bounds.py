@@ -18,7 +18,7 @@ from itertools import accumulate
 from math import comb, floor
 
 from .delsarte import CertificateCheck, DualCertificate
-from .krawtchouk import BracketingError, K_multi, _k_values, _value_planes, k_root_min, k_root_mins
+from .krawtchouk import BracketingError, K_multi, _k_values, _value_planes, k_root_mins
 from .scheme import operators, spectral_radius
 from .space import (
     BudgetExceeded,
@@ -334,15 +334,23 @@ def _r2_value(params: SpaceParams, s1: int, s2: int, alpha: float, beta: float, 
     )
 
 
-def _r2_pairs(params: SpaceParams, d_cap: float) -> list[tuple]:
+def _r2_roots(params: SpaceParams) -> dict[tuple[int, int], float]:
+    """The smallest root of k_s(n - j, .) for every 1 <= s < n - j, keyed
+    (s, j), from one `k_root_mins` call at the integer nu = n - j."""
+    n = params.n
+    keys = [(s, j) for s in range(1, n + 1) for j in range(n + 1) if n - j > s]
+    return dict(zip(keys, k_root_mins(params.q, ((n - j, s) for s, j in keys))))
+
+
+def _r2_pairs(params: SpaceParams, d_cap: float, roots: dict, counts: dict) -> list[tuple]:
     """The degree pairs (s1, s2) that can give a candidate with
     alpha + 2 beta <= d_cap, as tuples (lower, s1, s2, nu, beta, left,
     right, vs) sorted by lower, a lower bound on the pair's value.
 
-    beta is the smallest root of k_{s1}(n - s2, .), nu = n - beta, and left
-    and right are the smallest roots of k_{s2+1}(nu, .) and k_{s2}(nu, .),
-    which bracket alpha.  Each kind of root comes from one `k_root_mins`
-    call, and right only for the pairs whose left end is within the cap.
+    beta = roots[s1, s2], nu = n - beta, vs = counts[s1 - 1, s2], and left
+    and right, the smallest roots of k_{s2+1}(nu, .) and k_{s2}(nu, .),
+    bracket alpha; they come from one `k_root_mins` call each, right only
+    for the pairs whose left end is within the cap.
     As alpha <= min(right, d_cap - 2 beta) and the value falls as alpha
     grows, the value there is the lower bound; the cap is widened by a few
     roundings of d_cap, since alpha + 2 beta is compared in floats.  A pair
@@ -350,16 +358,13 @@ def _r2_pairs(params: SpaceParams, d_cap: float) -> list[tuple]:
     > 0: otherwise its roots are below what the float eigenvalues resolve.
     """
     q, n = params.q, params.n
-    degrees = [(s1, s2) for s1 in range(1, n + 1) for s2 in range(n + 1) if n - s2 > s1]
-    betas = k_root_mins(q, ((n - s2, s1) for s1, s2 in degrees))
     # nu > s2 + 1 makes every root of degree s2 + 1 real and inside (0, nu)
-    rooted = [(s1, s2, b, n - b) for (s1, s2), b in zip(degrees, betas) if b > 0 and n - b > s2 + 1]
+    rooted = [(s1, s2, b, n - b) for (s1, s2), b in roots.items() if b > 0 and n - b > s2 + 1]
     lefts = k_root_mins(q, ((nu, s2 + 1) for _, s2, _, nu in rooted))
     # alpha >= left, so a pair whose left end is past the cap has no candidate
     capped = [(*p, left) for p, left in zip(rooted, lefts) if left + 2 * p[2] <= d_cap]
     rights = iter(k_root_mins(q, ((nu, s2) for _, s2, _, nu, _ in capped if s2 >= 1)))
     slack = 2**-50 * d_cap
-    counts = shape_counts(params)
     out = []
     for s1, s2, beta, nu, left in capped:
         right = next(rights) if s2 >= 1 else 2 * (q - 1) * nu / q + 1
@@ -380,9 +385,10 @@ def r2_bound(params: SpaceParams, d: int) -> BoundResult:
     value (less a 1e-12 relative margin for its roundings), since no later
     pair can win.  Then it assembles the underlying sign-certificate for
     the winning pair, and raises CheckFailure unless `r2_certificate`
-    accepts it.  Raises BudgetExceeded past R2_CELL_CAP, before any root is
-    taken, and when the roots, the value or the certificate leave the float
-    range.
+    accepts it.  One root table (`_r2_roots`) and one `shape_counts` dict
+    serve the scan, the region and the certificate.  Raises BudgetExceeded
+    past R2_CELL_CAP, before any root is taken, and when the roots, the
+    value or the certificate leave the float range.
     """
     check_distance(params, d)
     if params.r != 2:
@@ -392,7 +398,8 @@ def r2_bound(params: SpaceParams, d: int) -> BoundResult:
     # smallest value, then fewest degrees, then smallest (s1, s2), which is unique
     d_cap, best = float(d), None
     try:  # a float conversion of q, of a valency or of q^(nr) raises past the float range
-        for lower, s1, s2, nu, beta, left, right, vs in _r2_pairs(params, d_cap):
+        roots, counts = _r2_roots(params), shape_counts(params)
+        for lower, s1, s2, nu, beta, left, right, vs in _r2_pairs(params, d_cap, roots, counts):
             if best is not None and lower * (1 - 1e-12) > best[0]:
                 break
             try:
@@ -406,7 +413,7 @@ def r2_bound(params: SpaceParams, d: int) -> BoundResult:
         if best is None:
             return _inapplicable("r2", UPPER_CODE, "no admissible degree pair")
         value, *_, w = best
-        _, check = r2_certificate(params, d, w)
+        _, check = r2_certificate(params, d, w, r2_region(params, w, roots), counts)
         result = _float("r2", UPPER_CODE, value, 1e-8 * value, w._asdict())
     except OverflowError:
         raise BudgetExceeded(f"depth-2 bound on q^{params.dim} words exceeds the float range") from None
@@ -415,30 +422,24 @@ def r2_bound(params: SpaceParams, d: int) -> BoundResult:
     return result
 
 
-def r2_region(params: SpaceParams, w: R2Witness) -> list[Shape]:
+def r2_region(params: SpaceParams, w: R2Witness, roots: dict) -> list[Shape]:
     """Shapes (f1, f2) with f2 <= s2 and f1 at most the largest degree whose
-    smallest root still exceeds beta."""
-    q, n = params.q, params.n
+    smallest root, roots[f1, f2] of `_r2_roots`, still exceeds beta."""
     region = []
-    for f2 in range(0, w.s2 + 1):
+    for f2 in range(w.s2 + 1):
         phi = 0
-        while phi + 1 <= n - f2 - 1:
-            root = k_root_min(q, n - f2, phi + 1)
-            if root > w.beta + 1e-12:
-                phi += 1
-            else:
-                break
-        for f1 in range(0, phi + 1):
-            region.append((f1, f2))
+        while (phi + 1, f2) in roots and roots[phi + 1, f2] > w.beta + 1e-12:
+            phi += 1
+        region.extend((f1, f2) for f1 in range(phi + 1))
     return region
 
 
 def r2_certificate(
-    params: SpaceParams, d: int, w: R2Witness
+    params: SpaceParams, d: int, w: R2Witness, region: list[Shape], counts: dict[Shape, int]
 ) -> tuple[DualCertificate, CertificateCheck]:
-    """Assemble F(e) = (P(e) - P(a)) U_L(a, e)^2 for a = (alpha, beta) and the
-    region L of the winning witness, expand it over the Krawtchouk basis, and
-    check it in floats.
+    """Assemble F(e) = (P(e) - P(a)) U_L(a, e)^2 for a = (alpha, beta) and
+    the region L of the witness, expand it over the Krawtchouk basis with
+    the `shape_counts` dict counts, and check it in floats.
 
     By K_f(e) = q^f2 k_f1(n - f2, e2) k_f2(n - e2, e1), a sum of c_f K_f(e)
     over f is one contraction over f1, then one over f2, of the float cube
@@ -453,8 +454,7 @@ def r2_certificate(
     import numpy as np
 
     q, n, a = params.q, params.n, (w.alpha, w.beta)
-    counts = shape_counts(params)  # keyed in `enumerate_shapes` order
-    shapes = list(counts)
+    shapes = list(counts)  # `shape_counts` keys them in `enumerate_shapes` order
     f1, f2 = np.array(shapes).T
     cube = np.empty((n + 1,) * 3)  # cube[j, x, s] = k_s(n - j, x), rounded from ints
     for nu, plane in enumerate(_value_planes(q, n, 0)):
@@ -465,7 +465,7 @@ def r2_certificate(
         return np.einsum("yxj,jy->xy", cube, float(q) ** np.arange(n + 1)[:, None] * A)[f1, f2]
 
     c, F = np.zeros((2, n + 1, n + 1))  # grids [f1, f2], zero off the shapes
-    for f in r2_region(params, w):
+    for f in region:
         c[f] = K_multi(params, f, a) / counts[f]
     with np.errstate(over="ignore", invalid="ignore"):
         # P(e) - P(a) = (alpha + 2 beta) - |e|', the mean delta_crit r n cancels

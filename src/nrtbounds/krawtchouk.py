@@ -192,11 +192,6 @@ class BracketingError(CheckFailure):
     """Raised when no sign change brackets the root of an equation."""
 
 
-def k_root_min(q: int, nu: float, s: int) -> float:
-    """Smallest root of k_s(nu, .): `k_root_mins` of the one pair (nu, s)."""
-    return k_root_mins(q, [(nu, s)])[0]
-
-
 def k_root_mins(q: int, pairs) -> list[float]:
     """Smallest roots of k_s(nu, .) for the pairs (nu, s), in their order.
 
@@ -205,7 +200,8 @@ def k_root_mins(q: int, pairs) -> list[float]:
     degree, and each degree's matrices go to one stacked `eigvalsh` call,
     which gives every matrix the same bits as a call of its own.  Requires
     s >= 1 and nu > s for every pair, so that all s roots are real and lie
-    inside (0, nu).
+    inside (0, nu).  Raises OverflowError when an entry of a matrix leaves
+    the float range, as it does at huge q.
     """
     pairs = list(pairs)
     by_degree: dict[int, list[int]] = {}  # degree -> positions of its pairs
@@ -224,10 +220,13 @@ def k_root_mins(q: int, pairs) -> list[float]:
         nu = np.array([float(pairs[k][0]) for k in ks])[:, None]
         i, j = np.arange(s), np.arange(s, dtype=float)
         jacobi = np.zeros((len(ks), s, s))
-        jacobi[:, i, i] = ((q - 1) * (nu - j) + j) / q
-        off = np.sqrt(j[1:] * (q - 1) * (nu - j[1:] + 1)) / q
+        with np.errstate(over="ignore", invalid="ignore"):
+            jacobi[:, i, i] = ((q - 1) * (nu - j) + j) / q
+            off = np.sqrt(j[1:] * (q - 1) * (nu - j[1:] + 1)) / q
         jacobi[:, i[1:], i[:-1]] = off
         jacobi[:, i[:-1], i[1:]] = off
+        if not np.isfinite(jacobi).all():
+            raise OverflowError(f"Jacobi matrix of degree {s} exceeds the float range")
         for k, root in zip(ks, np.linalg.eigvalsh(jacobi)[:, 0].tolist()):
             roots[k] = root
     return roots

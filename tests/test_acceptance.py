@@ -27,10 +27,12 @@ from nrtbounds.asymptotics import (
 )
 from nrtbounds.bounds import (
     R2Witness,
+    _r2_roots,
     hamming,
     plotkin,
     r2_bound,
     r2_certificate,
+    r2_region,
     rao,
     singleton,
     spectral_bound,
@@ -46,6 +48,7 @@ from nrtbounds.space import (
     enumerate_shapes,
     row_reduce_mod,
     shape_count,
+    shape_counts,
 )
 from oracles import (
     K_fourier_oracle,
@@ -56,6 +59,12 @@ from oracles import (
 from test_krawtchouk import inner_product
 from test_macwilliams import verify_duality
 from test_scheme import P_eval, cd_check
+
+
+def certificate(p, d, w):
+    """`r2_certificate` of the witness w at distance d, with its region and
+    counts built as `r2_bound` builds them."""
+    return r2_certificate(p, d, w, r2_region(p, w, _r2_roots(p)), shape_counts(p))
 
 
 def report(number: int, text: str) -> None:
@@ -217,7 +226,7 @@ def test_criterion_08_dual_construction_sanity():
     res = r2_bound(p8, 12)
     assert res.applicable
     assert res.value == pytest.approx(6.0, abs=1e-6)  # frozen after first verified run
-    cert, check = r2_certificate(p8, 12, R2Witness(**res.witness))
+    cert, check = certificate(p8, 12, R2Witness(**res.witness))
     assert check.accepted  # slack within 1e-8 of scale by the checker contract
     report(8, "spectral and depth-2 bounds dominate the programs; certificate ok")
 

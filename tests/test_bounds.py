@@ -5,6 +5,7 @@ import pytest
 
 from nrtbounds.bounds import (
     R2Witness,
+    _r2_roots,
     bassalygo_elias,
     best_bounds,
     dual_plotkin_ooa,
@@ -23,7 +24,7 @@ from nrtbounds.bounds import (
 from nrtbounds.cli import _json
 from nrtbounds.delsarte import solve_code_lp
 from nrtbounds.krawtchouk import K_multi
-from nrtbounds.space import SpaceParams, ball_size, delta_crit, enumerate_shapes
+from nrtbounds.space import SpaceParams, ball_size, delta_crit, enumerate_shapes, shape_counts
 from oracles import brute_force_max_code, constant_weight_max
 
 P22 = SpaceParams(2, 2, 2)
@@ -33,6 +34,12 @@ def array_row(p, t, name):
     """The array bound `name` at strength t: its row of best_bounds at
     distance t + 1."""
     return next(b for b in best_bounds(p, t + 1).bounds if b.name == name)
+
+
+def certificate(p, d, w):
+    """`r2_certificate` of the witness w at distance d, with its region and
+    counts built as `r2_bound` builds them."""
+    return r2_certificate(p, d, w, r2_region(p, w, _r2_roots(p)), shape_counts(p))
 
 
 @pytest.mark.parametrize("bound", [rao, dual_plotkin_ooa])
@@ -185,7 +192,7 @@ def test_r2_bound_pinned_regression():
     assert res.applicable
     assert res.witness["s1"] == 1 and res.witness["s2"] == 0
     assert res.value == pytest.approx(6.0, abs=1e-6)
-    cert, chk = r2_certificate(p, 12, R2Witness(**res.witness))
+    cert, chk = certificate(p, 12, R2Witness(**res.witness))
     assert chk.accepted
     assert chk.code_bound <= res.value + 1e-6
 
@@ -197,9 +204,9 @@ def test_r2_certificate_tolerance_admits_roundings_only():
     p = SpaceParams(2, 2, 8)
     w = R2Witness(**r2_bound(p, 12).witness)
     assert round(w.alpha + 2 * w.beta) == 12
-    assert r2_certificate(p, 12, w)[1].accepted
+    assert certificate(p, 12, w)[1].accepted
     for d in range(1, 12):
-        chk = r2_certificate(p, d, w)[1]
+        chk = certificate(p, d, w)[1]
         assert (chk.accepted, chk.reason) == (False, "F positive at excluded shape"), d
 
 
@@ -207,7 +214,7 @@ def test_r2_certificate_names_the_first_negative_coefficient():
     # off-scan witnesses, whose certificates fail on a coefficient
     p = SpaceParams(2, 2, 8)
     for w, shape in ((R2Witness(1, 1, 2.5, 4.5), (0, 1)), (R2Witness(1, 1, 4.0, 3.0), (1, 1))):
-        chk = r2_certificate(p, 5, w)[1]
+        chk = certificate(p, 5, w)[1]
         assert (chk.accepted, chk.reason, chk.witness) == (
             False, "negative transform coefficient", shape
         ), w
@@ -252,7 +259,7 @@ def test_r2_certificate_peak_memory_is_below_half_a_dense_eigenmatrix():
     shapes = len(list(enumerate_shapes(p)))
     tracemalloc.start()
     try:
-        assert r2_certificate(p, 50, w)[1].accepted
+        assert certificate(p, 50, w)[1].accepted
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -264,17 +271,57 @@ def test_r2_cell_cap_refuses_before_any_root(monkeypatch):
     import nrtbounds.bounds as bounds_mod
     from nrtbounds.space import BudgetExceeded
 
-    def no_roots(params, d_cap):
+    def no_roots(params):
         raise AssertionError("roots taken")
 
-    monkeypatch.setattr(bounds_mod, "_r2_pairs", no_roots)
+    monkeypatch.setattr(bounds_mod, "_r2_roots", no_roots)
     with pytest.raises(BudgetExceeded, match="R2_CELL_CAP = 2097152"):
         r2_bound(SpaceParams(2, 2, 200), 100)
     with pytest.raises(BudgetExceeded, match="cube of 2146689 cells"):
         r2_bound(SpaceParams(2, 2, 128), 100)
     # 128^3 cells at n = 127 are within the cap, and the scan runs
-    monkeypatch.setattr(bounds_mod, "_r2_pairs", lambda params, d_cap: [])
+    monkeypatch.setattr(bounds_mod, "_r2_roots", lambda params: {})
     assert r2_bound(SpaceParams(2, 2, 127), 100).reason == "no admissible degree pair"
+
+
+@pytest.mark.parametrize("q,n", [(2**1018, 127), (2**1023, 3)])
+def test_r2_bound_at_huge_q_exceeds_the_budget(q, n):
+    # the Jacobi entries of the root table leave the float range; given to
+    # eigvalsh, they do not converge at n = 127, and at n = 3 they overflow
+    # with a warning and the scan finds no pair
+    from nrtbounds.space import BudgetExceeded
+
+    with pytest.raises(BudgetExceeded, match="exceeds the float range"):
+        r2_bound(SpaceParams(q, 2, n), 2)
+
+
+def test_r2_bound_builds_its_tables_once(monkeypatch):
+    # one shape_counts dict serves the scan and the certificate, and the
+    # region and the certificate solve no eigenvalue problem: the region
+    # reads the scan's root table
+    import numpy as np
+
+    import nrtbounds.bounds as bounds_mod
+
+    calls = []
+
+    def counting(params):
+        calls.append(params)
+        return shape_counts(params)
+
+    monkeypatch.setattr(bounds_mod, "shape_counts", counting)
+    p = SpaceParams(2, 2, 8)
+    res = r2_bound(p, 12)
+    assert res.applicable and calls == [p]
+    w, roots, counts = R2Witness(**res.witness), _r2_roots(p), shape_counts(p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigenvalues solved")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    region = r2_region(p, w, roots)
+    assert (0, 0) in region
+    assert r2_certificate(p, 12, w, region, counts)[1].accepted
 
 
 def test_r2_ooa_bound():
@@ -397,7 +444,7 @@ def test_r2_certificate_evaluates_krawtchouk_once_per_region_shape(monkeypatch):
 
     p = SpaceParams(2, 2, 8)
     witness = R2Witness(**r2_bound(p, 2).witness)
-    region = r2_region(p, witness)
+    region = r2_region(p, witness, _r2_roots(p))
     assert 1 < len(region) < len(list(enumerate_shapes(p)))
     calls = []
 
@@ -406,7 +453,7 @@ def test_r2_certificate_evaluates_krawtchouk_once_per_region_shape(monkeypatch):
         return K_multi(params, f, x)
 
     monkeypatch.setattr(bounds_mod, "K_multi", counting)
-    _, chk = r2_certificate(p, 2, witness)
+    _, chk = certificate(p, 2, witness)
     assert chk.accepted
     assert calls == region
 

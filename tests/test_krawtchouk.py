@@ -7,7 +7,6 @@ import pytest
 from nrtbounds.krawtchouk import (
     K_multi,
     gamma,
-    k_root_min,
     k_root_mins,
     _k_values,
     _value_planes,
@@ -22,6 +21,11 @@ from nrtbounds.space import (
     shape_count,
 )
 from oracles import K_fourier_oracle, representative
+
+
+def k_root_min(q, nu, s):
+    """Smallest root of k_s(nu, .): `k_root_mins` of the one pair (nu, s)."""
+    return k_root_mins(q, [(nu, s)])[0]
 
 
 def weight_w(params, e):
@@ -397,6 +401,17 @@ def test_stacked_roots_match_one_pair_calls():
     for bad in ([(4, 1), (2, 3)], [(4, 0)]):
         with pytest.raises(ValueError):
             k_root_mins(2, bad)
+
+
+def test_roots_past_the_float_range_raise_overflow():
+    # (q - 1) nu on the Jacobi diagonal overflows to inf, which eigvalsh
+    # would not solve: it fails to converge, or warns and returns garbage
+    for q, nu in ((2**1018, 127), (2**1023, 3)):
+        for s in (1, 2):
+            with pytest.raises(OverflowError, match=f"degree {s} exceeds the float range"):
+                k_root_mins(q, [(nu, s)])
+    # within the range: k_2(3, .) / (q-1)^2 tends to C(3 - x, 2), roots 2 and 3
+    assert k_root_min(2**1000, 3, 2) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_gamma():

@@ -1,14 +1,16 @@
-"""The depth-2 root scan and certificate against the forms they replaced.
+"""The depth-2 root scan, region and certificate against the forms they
+replaced.
 
 `_solve_alpha` reads k_{s2}(nu, x) and k_{s2+1}(nu, x) from one recurrence
 pass and stops once the bracket cannot shrink, `r2_bound` bisects only the
 pairs whose lower bound can still beat the best value found, with their
-roots from one stacked eigenvalue call per degree, and `r2_certificate` is
-two matrix products.  The references below are the earlier forms: 80
-bisection steps with two separate `k_uni` evaluations each, a bisection
-for every pair with roots one at a time, the value formula on the witness,
-and two shape-by-shape loops.  The scans must agree bit for bit, the
-certificate coefficients to 1e-12 of the largest.
+roots from one stacked eigenvalue call per degree, `r2_region` reads the
+scan's table of those roots, and `r2_certificate` is two matrix products.
+The references below are the earlier forms: 80 bisection steps with two
+separate `k_uni` evaluations each, a bisection for every pair with roots
+one at a time, a region with roots one at a time, the value formula on the
+witness, and two shape-by-shape loops.  The scans and regions must agree
+bit for bit, the certificate coefficients to 1e-12 of the largest.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import nrtbounds.bounds as bounds_mod
 from nrtbounds.bounds import (
     R2Witness,
     _r2_pairs,
+    _r2_roots,
     _solve_alpha,
     r2_bound,
     r2_certificate,
@@ -31,17 +34,22 @@ from nrtbounds.krawtchouk import (
     BracketingError,
     K_multi,
     _k_values,
-    k_root_min,
+    k_root_mins,
     k_uni,
     krawtchouk_table,
 )
-from nrtbounds.space import SpaceParams, delta_crit, enumerate_shapes, shape_count
+from nrtbounds.space import SpaceParams, delta_crit, enumerate_shapes, shape_count, shape_counts
 from test_scheme import P_eval
 
 # the spaces of the bounds-r2 benchmark workload
 R2_SPACES = [(4, 8), (3, 9), (2, 12)]
 # and more, up to n = 30 and q = 16, for the pruned scan
 SCAN_SPACES = R2_SPACES + [(2, 8), (5, 6), (2, 30), (3, 14), (7, 5), (16, 4), (3, 20)]
+
+
+def k_root_min(q: int, nu: float, s: int) -> float:
+    """Smallest root of k_s(nu, .): `k_root_mins` of the one pair (nu, s)."""
+    return k_root_mins(q, [(nu, s)])[0]
 
 
 def bracket(q: int, nu: float, s2: int) -> tuple[float, float]:
@@ -211,19 +219,55 @@ def test_pairs_skip_roots_below_float_resolution(n):
     # betas and two left ends, at n = 80 42 betas, and 13 left ends at or
     # past their right end; the scan keeps none of those pairs
     params = SpaceParams(2, 2, n)
+    roots, counts = _r2_roots(params), shape_counts(params)
     for d in (n // 2, 2 * n):
-        pairs = _r2_pairs(params, float(d))
+        pairs = _r2_pairs(params, float(d), roots, counts)
         assert pairs, d
         for lower, s1, s2, nu, beta, left, right, vs in pairs:
             assert beta > 0 and 0 < left < right and 0 < lower < float("inf"), (d, s1, s2)
         assert [p[0] for p in pairs] == sorted(p[0] for p in pairs)
 
 
+def region_one_root_at_a_time(params: SpaceParams, w: R2Witness) -> list[tuple[int, int]]:
+    """The region of a witness with each root from a call of its own."""
+    q, n = params.q, params.n
+    region = []
+    for f2 in range(0, w.s2 + 1):
+        phi = 0
+        while phi + 1 <= n - f2 - 1:
+            root = k_root_min(q, n - f2, phi + 1)
+            if root > w.beta + 1e-12:
+                phi += 1
+            else:
+                break
+        for f1 in range(0, phi + 1):
+            region.append((f1, f2))
+    return region
+
+
+@pytest.mark.parametrize("q,n", SCAN_SPACES)
+def test_region_reads_the_scan_roots(q, n):
+    # every candidate of the full scan at the largest d, which admits the
+    # candidates of every smaller d too
+    params = SpaceParams(q, 2, n)
+    roots = _r2_roots(params)
+    witnesses = scan_solving_every_pair(params, float(params.dim + 1))
+    assert witnesses
+    for w in witnesses:
+        assert r2_region(params, w, roots) == region_one_root_at_a_time(params, w), w
+
+
+def certificate(params: SpaceParams, d: int, w: R2Witness):
+    """`r2_certificate` of the witness w at distance d, with its region and
+    counts built as `r2_bound` builds them."""
+    return r2_certificate(params, d, w, r2_region(params, w, _r2_roots(params)), shape_counts(params))
+
+
 def certificate_by_loops(params: SpaceParams, w: R2Witness) -> list[float]:
     """The coefficients F_0, F_g of the depth-2 certificate, in shape order,
     from the shape-by-shape loops that the matrix products replaced."""
     a = (w.alpha, w.beta)
-    region = r2_region(params, w)
+    region = region_one_root_at_a_time(params, w)
     shapes = list(enumerate_shapes(params))
     table = krawtchouk_table(params)
     counts = {f: shape_count(params, f) for f in shapes}
@@ -255,7 +299,7 @@ def test_certificate_products_match_loops(q, n):
     )
     assert len(witnesses) >= 20
     for w in witnesses:
-        cert, chk = r2_certificate(params, max(1, ceil(w.alpha + 2 * w.beta)), w)
+        cert, chk = certificate(params, max(1, ceil(w.alpha + 2 * w.beta)), w)
         assert chk.accepted, (w, chk.reason)
         want = certificate_by_loops(params, w)
         got = [cert.F0] + [cert.F[g] for g in shapes[1:]]
